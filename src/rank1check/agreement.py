@@ -22,6 +22,7 @@ from .oracles import (
     _check_budget,
     nearest_affine,
 )
+from . import testers
 from .testers import TrialOutcome
 
 DEFAULT_ALPHA = Fraction(3, 4)
@@ -349,24 +350,18 @@ def sic_to_dp_bridge(f: BinaryTensor, anchor: Point,
     g = f if f.value(anchor) == 0 else flip(f)
     strides = np.asarray(f.shape.strides, dtype=np.int64)
     a_row = np.asarray(anchor, dtype=np.int64)
+    points = f.shape.point_array()
+    differ = points != a_row
+    # One row per vertex of each cube, the cubes in point order and each in
+    # row-major table order: table axis j is the cube's j-th differing axis.
+    pair, (vertex,), _ = testers._delta_subsets(differ, 1)
+    diff = (points - a_row) * strides
+    flats = testers._spliced(f.shape.index_of(anchor), diff[pair], vertex)
+    cube_tables = np.split(g.bits[flats], np.cumsum(1 << differ.sum(axis=1))[:-1])
     table = np.zeros((f.shape.size, d), dtype=np.int64)
-    for row, b in enumerate(f.shape.points()):
-        b_row = np.asarray(b, dtype=np.int64)
-        diff_axes = np.flatnonzero(a_row != b_row)
-        m = diff_axes.size
-        base = int((a_row * strides).sum())
-        if m == 0:
-            continue
-        contrib = ((b_row - a_row) * strides)[diff_axes]
-        vbits = (np.arange(1 << m, dtype=np.int64)[:, None] >> np.arange(m)) & 1
-        flats = base + vbits @ contrib
-        # Cube table order: compact axis j of the cube is diff_axes[j], and
-        # compact axis 0 must be the most significant table bit.
-        packed = vbits @ (1 << np.arange(m - 1, -1, -1, dtype=np.int64))
-        cube_table = np.empty(1 << m, dtype=np.uint8)
-        cube_table[packed] = g.bits[flats]
-        witness = nearest_affine(cube_table, budget).witness
-        for j in axes_of(witness.mask):
+    for row, cube_table in enumerate(cube_tables):
+        diff_axes = np.flatnonzero(differ[row])
+        for j in axes_of(nearest_affine(cube_table, budget).witness.mask):
             table[row, int(diff_axes[j])] = 1
     return DPFunction(DPShape(f.shape.dims, 2), table)
 

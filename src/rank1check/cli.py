@@ -109,7 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     shape = Shape(_parse_dims(args.shape))
-    rate = Fraction(args.rate) if args.rate is not None else None
+    try:
+        rate = Fraction(args.rate) if args.rate is not None else None
+    except ZeroDivisionError as e:
+        raise ValueError(f"bad rate {args.rate!r}: zero denominator") from e
     spec = harness.GeneratorSpec(args.kind, shape, args.seed, rate=rate,
                                  flips=args.flips)
     _write_output(args.output, tensor_to_text(harness.generate(spec)))
@@ -145,17 +148,12 @@ def _assert_soundness(args) -> int:
     for idx in range(1 << shape.size):
         bits = [(idx >> i) & 1 for i in range(shape.size)]
         f = BinaryTensor(shape, bits)
-        if args.test == testers.BLR:
-            eps = oracles.exact_blr_rejection(testers.blr_table(f), args.budget).value
-            dist = oracles.nearest_affine(testers.blr_table(f), args.budget).distance
-            ok = dist <= eps
+        eps = oracles.exact_rejection(f, args.test, args.budget).value
+        dist = oracles.nearest_direct_sum(f, args.budget).distance
+        if args.test in (testers.SHAPKA, testers.BLR):
+            ok = eps >= dist
         else:
-            eps = oracles.exact_rejection(f, args.test, args.budget).value
-            dist = oracles.nearest_direct_sum(f, args.budget).distance
-            if args.test == testers.SHAPKA:
-                ok = eps >= dist
-            else:
-                ok = (eps == 0) == (dist == 0)
+            ok = (eps == 0) == (dist == 0)
         if not ok:
             print(f"violation at tensor {idx}: eps={eps} dist={dist}",
                   file=sys.stderr)
@@ -182,10 +180,7 @@ def _cmd_oracle(args) -> int:
         raise ValueError("oracle needs --input (or --assert-soundness)")
     f = _load_tensor(args.input)
     rej = oracles.exact_rejection(f, args.test, args.budget)
-    if args.test == testers.BLR:
-        near = oracles.nearest_affine(testers.blr_table(f), args.budget)
-    else:
-        near = oracles.nearest_direct_sum(f, args.budget)
+    near = oracles.nearest_direct_sum(f, args.budget)
     print(f"exact_rej={_frac(rej.value)}")
     print(f"exact_dist={_frac(near.distance)}")
     if near.distance > 0 and rej.value > 0:

@@ -181,14 +181,6 @@ class CubePoint:
         return CubePoint(self.mask, self.bits ^ other.bits)
 
 
-def cube_zero(mask: int) -> CubePoint:
-    return CubePoint(mask, 0)
-
-
-def cube_ones(mask: int) -> CubePoint:
-    return CubePoint(mask, mask)
-
-
 def cube_points(mask: int) -> Iterator[CubePoint]:
     """All 2^|mask| cube vertices, ordered by packed value."""
     for packed in range(1 << mask.bit_count()):
@@ -200,19 +192,34 @@ def cube_points(mask: int) -> Iterator[CubePoint]:
 # ---------------------------------------------------------------------------
 
 
+def as_bits(values, what: str) -> np.ndarray:
+    """Values that must each be 0 or 1, as a flat contiguous uint8 array.
+
+    The entries are checked before the cast, so 256 or -255 is refused
+    instead of wrapping to a bit.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind in "biu":
+        # The OR of integer entries lies in [0, 1] exactly when each one does.
+        ok = 0 <= np.bitwise_or.reduce(arr, axis=None) <= 1
+    else:
+        ok = ((arr == 0) | (arr == 1)).all()
+    if not ok:
+        raise ValueError(f"{what} entries must be 0 or 1")
+    return np.ascontiguousarray(arr, dtype=np.uint8).ravel()
+
+
 class BinaryTensor:
     """A total function from the domain to F2, stored as a dense bit array."""
 
     __slots__ = ("shape", "bits")
 
     def __init__(self, shape: Shape, bits) -> None:
-        arr = np.ascontiguousarray(bits, dtype=np.uint8).ravel()
+        arr = as_bits(bits, "tensor")
         if arr.size != shape.size:
             raise ValueError(
                 f"expected {shape.size} bits for shape {shape.dims}, got {arr.size}"
             )
-        if arr.size and int(arr.max(initial=0)) > 1:
-            raise ValueError("tensor entries must be 0 or 1")
         arr.flags.writeable = False
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "bits", arr)
@@ -264,14 +271,12 @@ class DirectSum:
     __slots__ = ("shape", "components")
 
     def __init__(self, shape: Shape, components) -> None:
-        comps = [np.ascontiguousarray(c, dtype=np.uint8).ravel() for c in components]
+        comps = [as_bits(c, "component") for c in components]
         if len(comps) != shape.d:
             raise ValueError(f"need {shape.d} components, got {len(comps)}")
         for i, (c, n) in enumerate(zip(comps, shape.dims)):
             if c.size != n:
                 raise ValueError(f"component {i} has {c.size} entries, axis needs {n}")
-            if c.size and int(c.max(initial=0)) > 1:
-                raise ValueError("component entries must be 0 or 1")
         # Fold each later component's value at 0 into component 0.
         carry = 0
         for c in comps[1:]:

@@ -158,69 +158,14 @@ class RejectionEstimate:
 _CHUNK = 1 << 17
 
 
-def _draw_points(shape: Shape, n: int, rng: np.random.Generator) -> np.ndarray:
-    cols = [rng.integers(0, size, size=n, dtype=np.int64) for size in shape.dims]
-    return np.stack(cols, axis=1)
-
-
-def _batch_rejections(f: BinaryTensor, kind: str, n: int,
-                      rng: np.random.Generator) -> int:
-    """Rejection count over n vectorized trials of one test."""
-    shape = f.shape
-    bits = f.bits
-    if kind == testers.BLR:
-        table = testers.blr_table(f)
-        x = rng.integers(0, shape.size, size=n, dtype=np.int64)
-        y = rng.integers(0, shape.size, size=n, dtype=np.int64)
-        parity = table[0] ^ table[x] ^ table[y] ^ table[x ^ y]
-        return int(np.count_nonzero(parity))
-    strides = np.asarray(shape.strides, dtype=np.int64)
-    a = _draw_points(shape, n, rng)
-    b = _draw_points(shape, n, rng)
-    flat_a = a @ strides
-    diff = (b - a) * strides
-    if kind == testers.SIC_SUBSETS:
-        s = rng.integers(0, 2, size=(n, shape.d), dtype=np.int64)
-        t = rng.integers(0, 2, size=(n, shape.d), dtype=np.int64)
-        q2 = flat_a + (diff * s).sum(axis=1)
-        q3 = flat_a + (diff * t).sum(axis=1)
-        q4 = flat_a + (diff * (s ^ t)).sum(axis=1)
-        parity = bits[flat_a] ^ bits[q2] ^ bits[q3] ^ bits[q4]
-        return int(np.count_nonzero(parity))
-    if kind == testers.SIC_CUBE:
-        on_cube = (a != b).astype(np.int64)
-        x = rng.integers(0, 2, size=(n, shape.d), dtype=np.int64) & on_cube
-        y = rng.integers(0, 2, size=(n, shape.d), dtype=np.int64) & on_cube
-        qx = flat_a + (diff * x).sum(axis=1)
-        qy = flat_a + (diff * y).sum(axis=1)
-        qxy = flat_a + (diff * (x ^ y)).sum(axis=1)
-        parity = bits[flat_a] ^ bits[qx] ^ bits[qy] ^ bits[qxy]
-        return int(np.count_nonzero(parity))
-    if kind == testers.SHAPKA:
-        parity = bits[b @ strides]
-        for j in range(shape.d):
-            parity = parity ^ bits[flat_a + diff[:, j]]
-        if shape.d % 2 == 0:
-            parity = parity ^ bits[flat_a]
-        return int(np.count_nonzero(parity))
-    if kind == testers.CONJECTURED:
-        on_cube = (a != b).astype(np.int64)
-        x = rng.integers(0, 2, size=(n, shape.d), dtype=np.int64) & on_cube
-        qx = flat_a + (diff * x).sum(axis=1)
-        qtop = b @ strides
-        qxc = flat_a + (diff * (x ^ on_cube)).sum(axis=1)
-        parity = bits[flat_a] ^ bits[qx] ^ bits[qtop] ^ bits[qxc]
-        return int(np.count_nonzero(parity))
-    raise ValueError(f"unknown test kind {kind!r}")
-
-
 def estimate_rejection(f: BinaryTensor, kind: str, trials: int,
                        seed: int) -> RejectionEstimate:
     """Monte-Carlo rejection estimate with a 95% Wilson interval.
 
     Trial i's randomness is a fixed function of (seed, i): one counter-based
     stream is consumed in fixed-size blocks, so reruns with the same seed and
-    trial count reproduce every outcome.
+    trial count reproduce every outcome.  Each block is drawn by the test's
+    sampler and run through its query pattern, both defined in testers.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -229,7 +174,9 @@ def estimate_rejection(f: BinaryTensor, kind: str, trials: int,
     rejections = 0
     while remaining:
         step = min(_CHUNK, remaining)
-        rejections += _batch_rejections(f, kind, step, rng)
+        randomness = testers._draw(kind, f.shape, step, rng)
+        columns = testers._query_columns(kind, f.shape, randomness)
+        rejections += int(np.count_nonzero(testers._parity(f.bits, columns)))
         remaining -= step
     lo, hi = wilson_interval(rejections, trials)
     return RejectionEstimate(trials, rejections, seed, lo, hi)
@@ -343,6 +290,8 @@ def parse_sweep_config(text: str) -> SweepConfig:
             rates = tuple(Fraction(item) for item in _split_list(value))
         except ValueError as e:
             raise SweepConfigError(lineno, "rates", str(e)) from e
+        except ZeroDivisionError as e:
+            raise SweepConfigError(lineno, "rates", "zero denominator") from e
         if any(not 0 <= r <= 1 for r in rates):
             raise SweepConfigError(lineno, "rates", "rates must lie in [0, 1]")
 
@@ -460,14 +409,7 @@ def _compute_row(config: SweepConfig, master_seed: int, dims: tuple[int, ...],
     except oracles.BudgetExceededError:
         pass
     try:
-        if test == testers.BLR:
-            exact_dist = oracles.nearest_affine(
-                testers.blr_table(tensor), config.oracle_budget
-            ).distance
-        else:
-            exact_dist = oracles.nearest_direct_sum(
-                tensor, config.oracle_budget
-            ).distance
+        exact_dist = oracles.nearest_direct_sum(tensor, config.oracle_budget).distance
     except oracles.BudgetExceededError:
         pass
     return SweepRow(test, dims, kind, param, seed, est, exact_rej, exact_dist)

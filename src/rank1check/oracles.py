@@ -1,7 +1,9 @@
 """Exact ground truth by exhaustive enumeration.
 
 Rejection probabilities are computed over the full randomness space of each
-test and returned as integer counts, never floats.  Oracles refuse (raise
+test and returned as integer counts, never floats.  The space is enumerated
+once per shape and run through the test's query pattern from testers, the
+same one the trials and Monte Carlo apply.  Oracles refuse (raise
 BudgetExceededError) rather than silently sample when a space is too large.
 """
 
@@ -67,12 +69,27 @@ def _check_budget(required: int, budget: int, what: str) -> None:
         )
 
 
+# Enumeration plans and candidate tables depend only on the shape, so they
+# are built once per process and shared between threads.
+_cache: dict = {}
+_cache_lock = threading.Lock()
+
+
+def _cached(key, build):
+    value = _cache.get(key)
+    if value is None:
+        built = build()
+        with _cache_lock:
+            value = _cache.setdefault(key, built)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Enumeration plans
 # ---------------------------------------------------------------------------
-# A plan is the full randomness space of a test over one shape, flattened to
-# an index matrix (one row per tuple, one column per query) plus optional
-# integer row weights.  Plans depend only on the shape and are cached.
+# A plan is a test's query pattern applied to its whole randomness space over
+# one shape, flattened to an index matrix (one row per tuple, one column per
+# query) plus optional integer row weights.
 
 @dataclass(frozen=True)
 class _Plan:
@@ -81,152 +98,24 @@ class _Plan:
     total: int                   # full randomness-space size
 
 
-_plan_cache: dict = {}
-_plan_lock = threading.Lock()
+def _index_plan(columns, weights: Optional[np.ndarray], total: int) -> _Plan:
+    return _Plan(np.stack(np.broadcast_arrays(*columns), axis=1), weights, total)
 
 
-def _pair_arrays(shape: Shape) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Coordinates and flat indices of all ordered point pairs (a, b)."""
-    pts = shape.point_array()
+def _tensor_plan(shape: Shape, pattern, k: int, total: int) -> _Plan:
+    """Every (a, b) pair with every choice of its k selectors inside delta(a, b).
+
+    Each row stands for the 2^((d - |delta|) * k) tuples that agree with it
+    on delta; shapka draws no selectors, so its plan stays unweighted.
+    """
     n = shape.size
-    ia = np.repeat(np.arange(n, dtype=np.int64), n)
-    ib = np.tile(np.arange(n, dtype=np.int64), n)
-    return pts[ia], pts[ib], ia, ib
-
-
-def _plan_sic_subsets(shape: Shape) -> _Plan:
-    d = shape.d
-    n = shape.size
-    strides = np.asarray(shape.strides, dtype=np.int64)
-    a, b, _, _ = _pair_arrays(shape)
-    diff = (b - a) * strides
-    base = (a * strides).sum(axis=1)
-    # Flat index of the point taking b's coordinates on the subset `s`.
-    spliced = np.empty((1 << d, n * n), dtype=np.int64)
-    for s in range(1 << d):
-        sel = np.array([(s >> i) & 1 for i in range(d)], dtype=bool)
-        spliced[s] = base + diff[:, sel].sum(axis=1)
-    blocks = []
-    for s in range(1 << d):
-        for t in range(1 << d):
-            u = s ^ t
-            blocks.append(np.stack([base, spliced[s], spliced[t], spliced[u]], axis=1))
-    indices = np.concatenate(blocks, axis=0)
-    return _Plan(indices, None, total=n * n * (1 << (2 * d)))
-
-
-def _cube_flats(a_row: np.ndarray, b_row: np.ndarray, strides: np.ndarray) -> np.ndarray:
-    """Flat indices of every vertex of the cube spanned by one (a, b) pair."""
-    diff_axes = np.flatnonzero(a_row != b_row)
-    m = diff_axes.size
-    base = int((a_row * strides).sum())
-    if m == 0:
-        return np.array([base], dtype=np.int64)
-    contrib = ((b_row - a_row) * strides)[diff_axes]
-    vbits = (np.arange(1 << m, dtype=np.int64)[:, None] >> np.arange(m)) & 1
-    return base + vbits @ contrib
-
-
-def _plan_sic_cube(shape: Shape) -> _Plan:
-    d = shape.d
-    strides = np.asarray(shape.strides, dtype=np.int64)
     pts = shape.point_array()
-    rows = []
-    weights = []
-    for a_row in pts:
-        for b_row in pts:
-            flats = _cube_flats(a_row, b_row, strides)
-            m = flats.size.bit_length() - 1
-            w = 1 << (2 * (d - m))
-            x = np.repeat(np.arange(flats.size), flats.size)
-            y = np.tile(np.arange(flats.size), flats.size)
-            block = np.stack(
-                [np.full(x.size, flats[0]), flats[x], flats[y], flats[x ^ y]], axis=1
-            )
-            rows.append(block)
-            weights.append(np.full(x.size, w, dtype=np.int64))
-    indices = np.concatenate(rows, axis=0)
-    return _Plan(indices, np.concatenate(weights),
-                 total=shape.size ** 2 * (1 << (2 * d)))
-
-
-def _plan_shapka(shape: Shape) -> _Plan:
-    d = shape.d
-    strides = np.asarray(shape.strides, dtype=np.int64)
-    a, b, _, _ = _pair_arrays(shape)
-    base_a = (a * strides).sum(axis=1)
-    base_b = (b * strides).sum(axis=1)
-    cols = [base_b]
-    cols.extend(base_a + (b[:, j] - a[:, j]) * strides[j] for j in range(d))
-    if d % 2 == 0:
-        cols.append(base_a)
-    indices = np.stack(cols, axis=1)
-    return _Plan(indices, None, total=shape.size ** 2)
-
-
-def _plan_conjectured(shape: Shape) -> _Plan:
-    d = shape.d
-    strides = np.asarray(shape.strides, dtype=np.int64)
-    pts = shape.point_array()
-    rows = []
-    weights = []
-    for a_row in pts:
-        for b_row in pts:
-            flats = _cube_flats(a_row, b_row, strides)
-            m = flats.size.bit_length() - 1
-            w = 1 << (d - m)
-            x = np.arange(flats.size)
-            top = flats.size - 1
-            block = np.stack(
-                [np.full(flats.size, flats[0]), flats[x], np.full(flats.size, flats[top]),
-                 flats[x ^ top]],
-                axis=1,
-            )
-            rows.append(block)
-            weights.append(np.full(flats.size, w, dtype=np.int64))
-    indices = np.concatenate(rows, axis=0)
-    return _Plan(indices, np.concatenate(weights), total=shape.size ** 2 * (1 << d))
-
-
-def _plan_blr(dim: int) -> _Plan:
-    n = 1 << dim
-    x = np.repeat(np.arange(n, dtype=np.int64), n)
-    y = np.tile(np.arange(n, dtype=np.int64), n)
-    indices = np.stack([np.zeros_like(x), x, y, x ^ y], axis=1)
-    return _Plan(indices, None, total=n * n)
-
-
-def _space_size(shape: Shape, kind: str) -> int:
-    n = shape.size
-    d = shape.d
-    if kind == testers.SIC_SUBSETS or kind == testers.SIC_CUBE:
-        return n * n * (1 << (2 * d))
-    if kind == testers.SHAPKA:
-        return n * n
-    if kind == testers.CONJECTURED:
-        return n * n * (1 << d)
-    if kind == testers.BLR:
-        return n * n
-    raise ValueError(f"unknown test kind {kind!r}")
-
-
-_BUILDERS = {
-    testers.SIC_SUBSETS: _plan_sic_subsets,
-    testers.SIC_CUBE: _plan_sic_cube,
-    testers.SHAPKA: _plan_shapka,
-    testers.CONJECTURED: _plan_conjectured,
-}
-
-
-def _get_plan(shape: Shape, kind: str, budget: int) -> _Plan:
-    _check_budget(_space_size(shape, kind), budget, f"{kind} enumeration")
-    key = (shape.dims, kind)
-    plan = _plan_cache.get(key)
-    if plan is None:
-        built = _BUILDERS[kind](shape)
-        with _plan_lock:
-            plan = _plan_cache.setdefault(key, built)
-    return plan
+    flat_a = np.repeat(np.arange(n, dtype=np.int64), n)
+    flat_b = np.tile(np.arange(n, dtype=np.int64), n)
+    diff = (pts[flat_b] - pts[flat_a]) * np.asarray(shape.strides, dtype=np.int64)
+    pair, selectors, weights = testers._delta_subsets(diff != 0, k)
+    columns = pattern(flat_a[pair], flat_b[pair], diff[pair], *selectors)
+    return _index_plan(columns, weights if k else None, total)
 
 
 def _apply_plan(bits: np.ndarray, plan: _Plan) -> int:
@@ -240,23 +129,31 @@ def _apply_plan(bits: np.ndarray, plan: _Plan) -> int:
 def exact_rejection(f: BinaryTensor, kind: str, budget: int = DEFAULT_BUDGET) -> ExactRejection:
     """Exact rejection probability of one test on one tensor."""
     if kind == testers.BLR:
-        return exact_blr_rejection(testers.blr_table(f), budget)
-    plan = _get_plan(f.shape, kind, budget)
+        return _blr_rejection(testers.blr_table(f), budget)
+    shape = f.shape
+    pattern, k = testers._tensor_test(kind)
+    total = shape.size ** 2 << (k * shape.d)
+    _check_budget(total, budget, f"{kind} enumeration")
+    plan = _cached(("plan", shape.dims, pattern),
+                   lambda: _tensor_plan(shape, pattern, k, total))
     return ExactRejection(_apply_plan(f.bits, plan), plan.total)
 
 
+def _blr_plan(n: int) -> _Plan:
+    x = np.repeat(np.arange(n, dtype=np.int64), n)
+    y = np.tile(np.arange(n, dtype=np.int64), n)
+    return _index_plan(testers._blr_queries(x, y), None, n * n)
+
+
 def exact_blr_rejection(table, budget: int = DEFAULT_BUDGET) -> ExactRejection:
-    t = np.ascontiguousarray(table, dtype=np.uint8).ravel()
+    return _blr_rejection(testers.truth_table(table), budget)
+
+
+def _blr_rejection(t: np.ndarray, budget: int) -> ExactRejection:
+    """exact_blr_rejection on bits already known to form a truth table."""
     n = t.size
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"table length {n} is not a power of two")
-    dim = n.bit_length() - 1
     _check_budget(n * n, budget, "BLR enumeration")
-    key = ("blr-table", dim)
-    plan = _plan_cache.get(key)
-    if plan is None:
-        with _plan_lock:
-            plan = _plan_cache.setdefault(key, _plan_blr(dim))
+    plan = _cached(("blr-plan", n), lambda: _blr_plan(n))
     return ExactRejection(_apply_plan(t, plan), plan.total)
 
 
@@ -265,29 +162,23 @@ def exact_blr_rejection(table, budget: int = DEFAULT_BUDGET) -> ExactRejection:
 # ---------------------------------------------------------------------------
 
 
-_candidate_cache: dict = {}
-
-
 def _ds_candidates(shape: Shape) -> tuple[np.ndarray, list]:
-    key = shape.dims
-    cached = _candidate_cache.get(key)
-    if cached is None:
-        sums = list(DirectSum.enumerate_all(shape))
-        matrix = np.stack([ds.materialize().bits for ds in sums])
-        with _plan_lock:
-            cached = _candidate_cache.setdefault(key, (matrix, sums))
-    return cached
+    sums = list(DirectSum.enumerate_all(shape))
+    return np.stack([ds.materialize().bits for ds in sums]), sums
 
 
 def nearest_direct_sum(f: BinaryTensor, budget: int = DEFAULT_BUDGET) -> NearestResult:
     """Global minimum over all canonical direct sums.
 
     Ties go to the lexicographically smallest canonical bit-string, which is
-    the enumeration order, so the first minimum wins.
+    the enumeration order, so the first minimum wins.  On an all-binary
+    shape the direct sums are exactly the affine functions, so the distance
+    is also nearest_affine's on the same bits.
     """
     count = DirectSum.count(f.shape)
     _check_budget(count, budget, "direct-sum enumeration")
-    matrix, sums = _ds_candidates(f.shape)
+    matrix, sums = _cached(("direct-sums", f.shape.dims),
+                           lambda: _ds_candidates(f.shape))
     disagreements = np.count_nonzero(matrix != f.bits, axis=1)
     best = int(np.argmin(disagreements))
     return NearestResult(sums[best], Fraction(int(disagreements[best]), f.shape.size))
@@ -306,19 +197,11 @@ def _parity_columns(dim: int, mask: int) -> np.ndarray:
     return out
 
 
-_affine_cache: dict = {}
-
-
 def _affine_tables(dim: int) -> tuple[np.ndarray, list[AffineWitness]]:
-    cached = _affine_cache.get(dim)
-    if cached is None:
-        witnesses = [
-            AffineWitness(c, mask) for c in (0, 1) for mask in range(1 << dim)
-        ]
-        matrix = np.stack([w.table(dim) for w in witnesses])
-        with _plan_lock:
-            cached = _affine_cache.setdefault(dim, (matrix, witnesses))
-    return cached
+    witnesses = [
+        AffineWitness(c, mask) for c in (0, 1) for mask in range(1 << dim)
+    ]
+    return np.stack([w.table(dim) for w in witnesses]), witnesses
 
 
 def nearest_affine(table, budget: int = DEFAULT_BUDGET) -> NearestResult:
@@ -326,13 +209,11 @@ def nearest_affine(table, budget: int = DEFAULT_BUDGET) -> NearestResult:
 
     Ties go to the smallest (constant, mask) pair.
     """
-    t = np.ascontiguousarray(table, dtype=np.uint8).ravel()
+    t = testers.truth_table(table)
     n = t.size
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"table length {n} is not a power of two")
     dim = n.bit_length() - 1
     _check_budget(2 << dim, budget, "affine enumeration")
-    matrix, witnesses = _affine_tables(dim)
+    matrix, witnesses = _cached(("affine", dim), lambda: _affine_tables(dim))
     disagreements = np.count_nonzero(matrix != t, axis=1)
     best = int(np.argmin(disagreements))
     return NearestResult(witnesses[best], Fraction(int(disagreements[best]), n))

@@ -1,12 +1,16 @@
-"""One-shot randomized trials for the direct-sum tests.
+"""The direct-sum tests, each defined once as a vectorized query pattern.
 
-Each trial consumes explicit randomness, so the same code path serves
-Monte-Carlo estimation and exhaustive enumeration.  Trials are pure
-functions of (tensor, randomness) and safe to run concurrently.
+A pattern maps a batch of randomness rows to the flat indices the test
+queries; the test rejects a row when f's parity over them is 1.  Three
+consumers apply the same pattern: the one-shot trials below (a batch of
+one), Monte-Carlo estimation in harness (a sampled batch), and the exact
+oracles (the whole randomness space, enumerated once per shape).  Trials are
+pure functions of (tensor, randomness) and safe to run concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -19,14 +23,9 @@ from .core import (
     Point,
     Shape,
     ShapeMismatchError,
-    cube_ones,
-    cube_zero,
+    as_bits,
     delta,
     full_mask,
-    point_with,
-    project,
-    scatter_bits,
-    splice,
 )
 
 SIC_SUBSETS = "sic-subsets"
@@ -95,88 +94,187 @@ class TrialOutcome:
     queries: tuple
 
 
-def _check_point(f: BinaryTensor, p: Point) -> None:
-    if not f.shape.contains(p):
-        raise ShapeMismatchError(f"point {p} outside domain {f.shape.dims}")
+# ---------------------------------------------------------------------------
+# Query patterns: the one definition of each test
+# ---------------------------------------------------------------------------
+# A tensor test sees a batch of rows through flat_a and flat_b, the flat
+# indices of the points a and b, and diff = (b - a) * strides.  A selector is
+# a (rows, d) 0/1 array naming the axes on which a query takes b's coordinate
+# instead of a's; the query's flat index is _spliced(flat_a, diff, selector).
+# diff vanishes where a = b, so a selector only matters on delta(a, b): a
+# subset of axes and a vertex of the cube spanned by a and b pick the same
+# point.  A pattern returns the test's query columns, and a row is accepted
+# when the parity of f over them is 0.  Monte Carlo, the scalar trials and
+# the exact oracles all apply these functions and nothing else.
+
+
+def _spliced(flat_a: np.ndarray, diff: np.ndarray, selector: np.ndarray) -> np.ndarray:
+    """Flat index of the point taking b's coordinates where selector is 1."""
+    return flat_a + np.einsum("ij,ij->i", diff, selector)
+
+
+def _sic_queries(flat_a, flat_b, diff, s, t):
+    """a and the splices of b onto a picked by s, t and s ^ t.
+
+    The selections form a coset {0, s, t, s ^ t}, so on a direct sum each
+    per-axis value appears an even number of times and the parity vanishes.
+    """
+    return (flat_a, _spliced(flat_a, diff, s), _spliced(flat_a, diff, t),
+            _spliced(flat_a, diff, s ^ t))
+
+
+def _shapka_queries(flat_a, flat_b, diff):
+    """b, the d one-coordinate hybrids of a, and a when d is even.
+
+    The parity is taken over this multiset, so coincident queries cancel in
+    pairs; that makes the check vanish identically on direct sums and agree
+    with the local-view residual at b.
+    """
+    d = diff.shape[1]
+    columns = [flat_b]
+    columns.extend(flat_a + diff[:, j] for j in range(d))
+    if d % 2 == 0:
+        columns.append(flat_a)
+    return columns
+
+
+def _conjectured_queries(flat_a, flat_b, diff, x):
+    """The cube's bottom a, the vertex x, its top b, and the complement of x."""
+    qx = _spliced(flat_a, diff, x)
+    return (flat_a, qx, flat_b, flat_b - (qx - flat_a))  # b minus x's offset
+
+
+def _blr_queries(x, y):
+    """0, x, y and x ^ y as indices into a truth table on F2^D."""
+    return (0, x, y, x ^ y)
+
+
+# Tensor test -> (query pattern, number of selectors it draws).  sic-subsets
+# and sic-cube differ only in how a trial names its selectors.
+_TENSOR_TESTS = {
+    SIC_SUBSETS: (_sic_queries, 2),
+    SIC_CUBE: (_sic_queries, 2),
+    SHAPKA: (_shapka_queries, 0),
+    CONJECTURED: (_conjectured_queries, 1),
+}
+
+
+def _tensor_test(kind: str) -> tuple:
+    try:
+        return _TENSOR_TESTS[kind]
+    except KeyError:
+        raise ValueError(f"unknown test kind {kind!r}") from None
+
+
+def _draw(kind: str, shape: Shape, n: int, rng: np.random.Generator) -> tuple:
+    """n trials' randomness as arrays, from the test's distribution.
+
+    Tensor tests: a and b as (n, d) int64 coordinates, each drawn axis by
+    axis, then each selector as an (n, d) 0/1 array.  BLR: x and y as table
+    indices.  This draw order fixes estimate_rejection's counts per seed.
+    """
+    if kind == BLR:
+        _require_binary(shape)
+        return tuple(rng.integers(0, shape.size, size=n, dtype=np.int64)
+                     for _ in range(2))
+    _, k = _tensor_test(kind)
+    points = [
+        np.stack([rng.integers(0, m, size=n, dtype=np.int64) for m in shape.dims],
+                 axis=1)
+        for _ in range(2)
+    ]
+    selectors = [rng.integers(0, 2, size=(n, shape.d), dtype=np.int64)
+                 for _ in range(k)]
+    return (*points, *selectors)
+
+
+def _query_columns(kind: str, shape: Shape, randomness) -> tuple:
+    """Apply the test's pattern to randomness laid out as _draw returns it."""
+    if kind == BLR:
+        return _blr_queries(*randomness)
+    pattern, _ = _tensor_test(kind)
+    a, b, *selectors = randomness
+    strides = np.asarray(shape.strides, dtype=np.int64)
+    return pattern(a @ strides, b @ strides, (b - a) * strides, *selectors)
+
+
+def _parity(bits: np.ndarray, columns) -> np.ndarray:
+    """Per-row XOR of bits over the query columns: 1 where the test rejects."""
+    return functools.reduce(np.bitwise_xor, (bits[c] for c in columns))
+
+
+def _delta_subsets(differ: np.ndarray, k: int) -> tuple:
+    """Every choice of k subsets of delta(a, b) for each (a, b) row, weighted.
+
+    `differ` is a (pairs, d) bool array marking where a and b differ.  Per
+    output row: its pair, k uint8 selectors (zero off delta), and the weight
+    2^((d - |delta|) * k) of the full selector choices it stands for.  A
+    pair's rows are contiguous; its first selector runs over the pair's cube
+    in row-major order, the first differing axis most significant.
+    """
+    d = differ.shape[1]
+    width = differ.sum(axis=1)
+    counts = 1 << (k * width)
+    pair = np.repeat(np.arange(differ.shape[0]), counts)
+    r = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    width = width[pair]
+    on = differ[pair]
+    after = np.cumsum(on, axis=1)
+    np.subtract(width[:, None], after, out=after)  # differing axes after each
+    selectors = []
+    for _ in range(k):
+        selectors.append(((r[:, None] >> after) & on).astype(np.uint8))
+        r = r >> width
+    return pair, selectors, 1 << ((d - width) * k)
+
+
+# ---------------------------------------------------------------------------
+# Trials: a batch of one
+# ---------------------------------------------------------------------------
+
+
+def _tensor_trial(f: BinaryTensor, kind: str, a: Point, b: Point,
+                  *masks: int) -> TrialOutcome:
+    for p in (a, b):
+        if not f.shape.contains(p):
+            raise ShapeMismatchError(f"point {p} outside domain {f.shape.dims}")
+    d = f.shape.d
+    rows = [np.array([p], dtype=np.int64) for p in (a, b)]
+    rows.extend((np.array([[m]]) >> np.arange(d)) & 1 for m in masks)
+    columns = _query_columns(kind, f.shape, rows)
+    queries = tuple(f.shape.point_at(int(c[0])) for c in columns)
+    return TrialOutcome(not _parity(f.bits, columns)[0], queries)
 
 
 def sic_subsets_trial(f: BinaryTensor, r: SicSubsetsRandomness) -> TrialOutcome:
-    """Four-query parity check over the spliced points picked by S, T, S^T.
-
-    The queried points are a itself and, for each of S, T and their symmetric
-    difference, the point taking b's coordinates on the subset and a's off it.
-    Those four selections form a coset {0, S, T, S^T}, so on a direct sum each
-    per-axis value appears an even number of times and the parity vanishes.
-    """
-    _check_point(f, r.a)
-    _check_point(f, r.b)
+    """Four-query parity over a and the splices of b onto a picked by S, T, S^T."""
     d = f.shape.d
     fm = full_mask(d)
     if r.s & ~fm or r.t & ~fm or r.s < 0 or r.t < 0:
         raise ValueError(f"subset out of range for {d} axes")
-    u = r.s ^ r.t
-    queries = (
-        r.a,
-        splice(r.b, r.a, r.s),
-        splice(r.b, r.a, r.t),
-        splice(r.b, r.a, u),
-    )
-    parity = 0
-    for q in queries:
-        parity ^= f.value(q)
-    return TrialOutcome(parity == 0, queries)
+    return _tensor_trial(f, SIC_SUBSETS, r.a, r.b, r.s, r.t)
 
 
 def sic_cube_trial(f: BinaryTensor, r: SicCubeRandomness) -> TrialOutcome:
     """Affinity check of f restricted to the cube spanned by a and b."""
-    _check_point(f, r.a)
-    _check_point(f, r.b)
     m = delta(r.a, r.b)
     if r.x.mask != m or r.y.mask != m:
         raise MaskMismatchError("cube points must live on the cube spanned by a, b")
-    queries = (
-        project(r.a, r.b, cube_zero(m)),
-        project(r.a, r.b, r.x),
-        project(r.a, r.b, r.y),
-        project(r.a, r.b, r.x ^ r.y),
-    )
-    parity = 0
-    for q in queries:
-        parity ^= f.value(q)
-    return TrialOutcome(parity == 0, queries)
+    return _tensor_trial(f, SIC_CUBE, r.a, r.b, r.x.bits, r.y.bits)
 
 
 def shapka_trial(f: BinaryTensor, r: ShapkaRandomness) -> TrialOutcome:
-    """Parity over b, the d one-coordinate hybrids of a, and a when d is even.
-
-    The parity is taken over the defining multiset, so coincident queries
-    cancel in pairs; this is what makes the check vanish identically on
-    direct sums and agree with the local-view residual at b.
-    """
-    _check_point(f, r.a)
-    _check_point(f, r.b)
-    d = f.shape.d
-    queries = [r.b]
-    queries.extend(point_with(r.a, j, r.b[j]) for j in range(d))
-    if d % 2 == 0:
-        queries.append(r.a)
-    parity = 0
-    for q in queries:
-        parity ^= f.value(q)
-    return TrialOutcome(parity == 0, tuple(queries))
+    """Parity over b, the d one-coordinate hybrids of a, and a when d is even."""
+    return _tensor_trial(f, SHAPKA, r.a, r.b)
 
 
 def blr_affinity_trial(table, r: BlrRandomness) -> TrialOutcome:
     """BLR affinity check g(0) ^ g(x) ^ g(y) ^ g(x^y) == 0 on a truth table."""
-    t = np.ascontiguousarray(table, dtype=np.uint8).ravel()
-    n = t.size
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"table length {n} is not a power of two")
-    if not (0 <= r.x < n and 0 <= r.y < n):
+    t = truth_table(table)
+    if not (0 <= r.x < t.size and 0 <= r.y < t.size):
         raise ValueError("BLR randomness outside the cube")
-    queries = (0, r.x, r.y, r.x ^ r.y)
-    parity = int(t[0]) ^ int(t[r.x]) ^ int(t[r.y]) ^ int(t[r.x ^ r.y])
-    return TrialOutcome(parity == 0, queries)
+    queries = _blr_queries(r.x, r.y)
+    return TrialOutcome(not _parity(t, queries), queries)
 
 
 def conjectured_trial(f: BinaryTensor, r: ConjecturedRandomness) -> TrialOutcome:
@@ -185,22 +283,9 @@ def conjectured_trial(f: BinaryTensor, r: ConjecturedRandomness) -> TrialOutcome
     Soundness of this test is an open conjecture; nothing beyond completeness
     is asserted anywhere in the package.
     """
-    _check_point(f, r.a)
-    _check_point(f, r.b)
-    m = delta(r.a, r.b)
-    if r.x.mask != m:
+    if r.x.mask != delta(r.a, r.b):
         raise MaskMismatchError("cube point must live on the cube spanned by a, b")
-    ones = cube_ones(m)
-    queries = (
-        project(r.a, r.b, cube_zero(m)),
-        project(r.a, r.b, r.x),
-        project(r.a, r.b, ones),
-        project(r.a, r.b, r.x ^ ones),
-    )
-    parity = 0
-    for q in queries:
-        parity ^= f.value(q)
-    return TrialOutcome(parity == 0, queries)
+    return _tensor_trial(f, CONJECTURED, r.a, r.b, r.x.bits)
 
 
 def run_trial(f: BinaryTensor, kind: str, r: TrialRandomness) -> TrialOutcome:
@@ -217,53 +302,50 @@ def run_trial(f: BinaryTensor, kind: str, r: TrialRandomness) -> TrialOutcome:
     raise ValueError(f"unknown test kind {kind!r}")
 
 
+def _require_binary(shape: Shape) -> None:
+    if any(n != 2 for n in shape.dims):
+        raise ValueError(f"BLR needs every axis of size 2, got shape {shape.dims}")
+
+
 def blr_table(f: BinaryTensor) -> np.ndarray:
     """View an all-binary-axes tensor as a truth table on F2^d.
 
     Row-major layout makes the flat bit index the point itself (axis 0 is the
     most significant bit), and XOR of indices is coordinatewise XOR.
     """
-    if any(n != 2 for n in f.shape.dims):
-        raise ValueError(
-            f"BLR needs every axis of size 2, got shape {f.shape.dims}"
-        )
+    _require_binary(f.shape)
     return f.bits
 
 
-def _sample_point(shape: Shape, rng: np.random.Generator) -> Point:
-    return tuple(int(rng.integers(0, n)) for n in shape.dims)
+def truth_table(table) -> np.ndarray:
+    """A truth table on F2^D as flat uint8 bits.
+
+    Its entries must be 0 or 1 and its length a power of two.
+    """
+    t = as_bits(table, "table")
+    n = t.size
+    if n == 0 or n & (n - 1):
+        raise ValueError(f"table length {n} is not a power of two")
+    return t
 
 
 def sample_randomness(kind: str, shape: Shape, rng: np.random.Generator) -> TrialRandomness:
     """Draw one trial's randomness from the test's stated distribution.
 
-    Deterministic in the generator state; the draw order is a's axes, b's
-    axes, then the test-specific extras.
+    This is the Monte-Carlo sampler at n = 1, so it is deterministic in the
+    generator state and uses the same draw order.
     """
-    d = shape.d
+    arrays = _draw(kind, shape, 1, rng)
     if kind == BLR:
-        if any(n != 2 for n in shape.dims):
-            raise ValueError("BLR randomness needs an all-binary shape")
-        x = int(rng.integers(0, shape.size))
-        y = int(rng.integers(0, shape.size))
-        return BlrRandomness(x, y)
-    a = _sample_point(shape, rng)
-    b = _sample_point(shape, rng)
+        return BlrRandomness(*(int(v[0]) for v in arrays))
+    a, b = (tuple(int(v) for v in p[0]) for p in arrays[:2])
+    masks = [sum(int(v) << i for i, v in enumerate(sel[0])) for sel in arrays[2:]]
     if kind == SIC_SUBSETS:
-        s = int(rng.integers(0, 1 << d))
-        t = int(rng.integers(0, 1 << d))
-        return SicSubsetsRandomness(a, b, s, t)
-    if kind == SIC_CUBE:
-        m = delta(a, b)
-        k = m.bit_count()
-        x = scatter_bits(m, int(rng.integers(0, 1 << k)))
-        y = scatter_bits(m, int(rng.integers(0, 1 << k)))
-        return SicCubeRandomness(a, b, CubePoint(m, x), CubePoint(m, y))
+        return SicSubsetsRandomness(a, b, *masks)
     if kind == SHAPKA:
         return ShapkaRandomness(a, b)
-    if kind == CONJECTURED:
-        m = delta(a, b)
-        k = m.bit_count()
-        x = scatter_bits(m, int(rng.integers(0, 1 << k)))
-        return ConjecturedRandomness(a, b, CubePoint(m, x))
-    raise ValueError(f"unknown test kind {kind!r}")
+    m = delta(a, b)
+    cube = [CubePoint(m, x & m) for x in masks]
+    if kind == SIC_CUBE:
+        return SicCubeRandomness(a, b, *cube)
+    return ConjecturedRandomness(a, b, *cube)

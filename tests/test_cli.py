@@ -38,6 +38,12 @@ class TestGen:
                             "direct-sum"], capsys)
         assert code == 2
 
+    def test_zero_denominator_rate(self, capsys):
+        code, _, err = run(["gen", "--shape", "2,2", "--kind",
+                            "corrupted-direct-sum", "--rate", "1/0"], capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+
 
 class TestTest:
     def test_direct_sum_estimates_zero(self, capsys, tmp_path):

@@ -331,6 +331,13 @@ class TestTensorValidation:
         with pytest.raises(ValueError):
             BinaryTensor(Shape((2,)), [0, 2])
 
+    @pytest.mark.parametrize("bits", [
+        np.array([256, 1]), np.array([-255, 1]), [256, 1], np.array([0.5, 1.0]),
+    ], ids=["uint8-wrap", "negative-wrap", "list-overflow", "fraction"])
+    def test_entries_checked_before_cast(self, bits):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            BinaryTensor(Shape((2,)), bits)
+
     def test_immutable(self):
         f = BinaryTensor(Shape((2,)), [0, 1])
         with pytest.raises((AttributeError, ValueError)):

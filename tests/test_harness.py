@@ -175,6 +175,8 @@ class TestSweepConfig:
          "seeds"),
         ("shapes = 2,2\ntests = shapka\nkinds = corrupted-direct-sum\ntrials = 1\n"
          "seeds = 1\n", "rates"),
+        ("shapes = 2,2\ntests = shapka\nkinds = corrupted-direct-sum\nrates = 1/0\n"
+         "trials = 1\nseeds = 1\n", "rates"),
         ("mystery = 1\nshapes = 2,2\ntests = shapka\nkinds = direct-sum\n"
          "trials = 1\nseeds = 1\n", "mystery"),
         ("shapes = 2,2\nshapes = 2,2\ntests = shapka\nkinds = direct-sum\n"

@@ -7,11 +7,17 @@ import pytest
 
 from rank1check.core import (
     BinaryTensor,
+    CubePoint,
     DirectSum,
     Shape,
+    cube_points,
+    delta,
     distance,
     flip,
     materialize,
+    point_with,
+    project,
+    splice,
 )
 from rank1check.oracles import (
     AffineWitness,
@@ -27,7 +33,14 @@ from rank1check.oracles import (
     nearest_direct_sum,
     shapka_residual_identity_check,
 )
-from rank1check.testers import SHAPKA, SIC_CUBE, SIC_SUBSETS, TENSOR_TEST_KINDS
+from rank1check.testers import (
+    BLR,
+    CONJECTURED,
+    SHAPKA,
+    SIC_CUBE,
+    SIC_SUBSETS,
+    TENSOR_TEST_KINDS,
+)
 
 
 def all_tensors(shape):
@@ -81,6 +94,76 @@ class TestExactRejection:
             r2 = exact_rejection(f, SIC_CUBE)
             assert r1.total == r2.total == 36 * 16
             assert r1.value == r2.value
+
+
+def brute_force_rejection(f, kind):
+    """(rejecting, total) summed tuple by tuple over the weighted space.
+
+    Each accept bit comes straight from core's point operations, with no
+    use of the testers' query patterns or the oracles' plans.
+    """
+    sh = f.shape
+    d = sh.d
+    rejecting = total = 0
+
+    def add(queries, weight=1):
+        nonlocal rejecting, total
+        parity = 0
+        for q in queries:
+            parity ^= f.value(q)
+        rejecting += parity * weight
+        total += weight
+
+    for a in sh.points():
+        for b in sh.points():
+            m = delta(a, b)
+            if kind == SIC_SUBSETS:
+                for s in range(1 << d):
+                    for t in range(1 << d):
+                        add([a] + [splice(b, a, u) for u in (s, t, s ^ t)])
+            elif kind == SIC_CUBE:
+                for x in cube_points(m):
+                    for y in cube_points(m):
+                        add([project(a, b, c) for c in (CubePoint(m, 0), x, y, x ^ y)],
+                            4 ** (d - m.bit_count()))
+            elif kind == SHAPKA:
+                add([b] + [point_with(a, j, b[j]) for j in range(d)]
+                    + ([a] if d % 2 == 0 else []))
+            elif kind == CONJECTURED:
+                top = CubePoint(m, m)
+                for x in cube_points(m):
+                    add([project(a, b, c) for c in (CubePoint(m, 0), x, top, x ^ top)],
+                        2 ** (d - m.bit_count()))
+    return rejecting, total
+
+
+def brute_force_blr(table):
+    n = len(table)
+    rejecting = sum(table[0] ^ table[x] ^ table[y] ^ table[x ^ y]
+                    for x in range(n) for y in range(n))
+    return rejecting, n * n
+
+
+class TestBruteForceReference:
+    @pytest.mark.parametrize("dims", [(1,), (3,), (2, 2), (3, 2), (2, 1, 2), (2, 2, 2)])
+    @pytest.mark.parametrize("kind", TENSOR_TEST_KINDS)
+    def test_tensor_tests(self, dims, kind):
+        sh = Shape(dims)
+        rng = np.random.default_rng(sum(dims) + len(dims))
+        for _ in range(3):
+            f = BinaryTensor(sh, rng.integers(0, 2, sh.size))
+            r = exact_rejection(f, kind)
+            assert (r.rejecting, r.total) == brute_force_rejection(f, kind)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_blr(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(4):
+            table = [int(v) for v in rng.integers(0, 2, 1 << dim)]
+            r = exact_blr_rejection(table)
+            assert (r.rejecting, r.total) == brute_force_blr(table)
+            f = BinaryTensor(Shape((2,) * dim), table)
+            assert exact_rejection(f, BLR) == r
 
 
 class TestNearestDirectSum:
@@ -276,28 +359,38 @@ class TestRigiditySmall:
             assert (eps == 0) == (dist == 0)
 
     def test_four_axis_rigidity_exhaustive(self):
-        # All 65536 tensors on (2,2,2,2), batched through the weighted cube
-        # plan (same exact value as the subsets form).
-        from rank1check.oracles import DEFAULT_BUDGET, _get_plan
-        from rank1check.testers import SIC_CUBE
-
+        # All 65536 tensors on (2,2,2,2), batched through a weighted cube
+        # enumeration built here: each (a, b, x, y) row stands for the
+        # 4^(d - |delta|) sic-cube tuples of the full randomness space.
         sh = Shape((2, 2, 2, 2))
-        plan = _get_plan(sh, SIC_CUBE, DEFAULT_BUDGET)
+        indices, weights = [], []
+        for a in sh.points():
+            for b in sh.points():
+                m = delta(a, b)
+                for x in cube_points(m):
+                    for y in cube_points(m):
+                        corners = (CubePoint(m, 0), x, y, x ^ y)
+                        indices.append([sh.index_of(project(a, b, c)) for c in corners])
+                        weights.append(4 ** (sh.d - m.bit_count()))
+        indices = np.array(indices)
+        weights = np.array(weights)
+        total = int(weights.sum())
+        assert total == sh.size ** 2 * 4 ** sh.d
         tables = ((np.arange(1 << 16, dtype=np.int64)[:, None]
                    >> np.arange(16)) & 1).astype(np.uint8)
         rejecting = np.zeros(1 << 16, dtype=np.int64)
         chunk = 2048
         for lo in range(0, 1 << 16, chunk):
-            vals = tables[lo:lo + chunk][:, plan.indices]
+            vals = tables[lo:lo + chunk][:, indices]
             parity = np.bitwise_xor.reduce(vals, axis=2)
             rejecting[lo:lo + chunk] = (parity.astype(np.int64)
-                                        * plan.weights).sum(axis=1)
+                                        * weights).sum(axis=1)
         cands = np.stack([materialize(ds).bits
                           for ds in DirectSum.enumerate_all(sh)])
         dists = (tables[:, None, :] != cands[None, :, :]).sum(axis=2).min(axis=1)
         assert np.array_equal(rejecting == 0, dists == 0)
         nonzero = dists > 0
-        ratios = (rejecting[nonzero] / plan.total) / (dists[nonzero] / 16)
+        ratios = (rejecting[nonzero] / total) / (dists[nonzero] / 16)
         assert ratios.min() > 0
         # Spot-check the batched values against the per-tensor oracle.
         rng = np.random.default_rng(11)

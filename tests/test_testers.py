@@ -206,6 +206,17 @@ class TestBlr:
         with pytest.raises(ValueError):
             blr_affinity_trial([0, 1, 0], BlrRandomness(0, 0))
 
+    @pytest.mark.parametrize("check", [
+        lambda t: blr_affinity_trial(t, BlrRandomness(1, 2)),
+        oracles.exact_blr_rejection,
+        oracles.nearest_affine,
+    ], ids=["trial", "exact", "nearest"])
+    @pytest.mark.parametrize("table", [[0, 2, 0, 0], [0, -1, 0, 0],
+                                       np.array([0, 256, 0, 0])])
+    def test_rejects_non_bit_entries(self, check, table):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            check(table)
+
     def test_blr_table_requires_binary_axes(self):
         with pytest.raises(ValueError):
             blr_table(BinaryTensor(Shape((3,)), [0, 1, 0]))
