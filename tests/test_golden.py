@@ -135,3 +135,56 @@ def test_cli_exit_codes_and_output(args, expected, capsys, tmp_path):
 ])
 def test_cli_soundness_exit_codes(args, capsys):
     assert cli.main(args) == 0
+
+
+# `oracle --assert-soundness --exhaustive` verdicts: (shape, test, extra
+# arguments) -> (exit code, full stderr).  The ratios are the exact minimum
+# of eps/dist over every tensor of the shape at positive distance.
+def _holds(test, count, dims, ratio=None):
+    text = f"soundness holds for {test} on all {count} tensors of shape {dims}\n"
+    return text if ratio is None else text + f"min eps/dist ratio: {ratio}\n"
+
+
+SOUNDNESS_VERDICTS = {
+    ("2,2", "sic-subsets", ()): (0, _holds("sic-subsets", 16, "(2, 2)", "3/8 (0.375)")),
+    ("2,2", "sic-cube", ()): (0, _holds("sic-cube", 16, "(2, 2)", "3/8 (0.375)")),
+    ("2,2", "shapka", ()): (0, _holds("shapka", 16, "(2, 2)", "1 (1)")),
+    ("2,2", "blr", ()): (0, _holds("blr", 16, "(2, 2)", "3/2 (1.5)")),
+    ("2,2,2", "sic-subsets", ()): (0, _holds("sic-subsets", 256, "(2, 2, 2)", "3/8 (0.375)")),
+    ("2,2,2", "sic-cube", ()): (0, _holds("sic-cube", 256, "(2, 2, 2)", "3/8 (0.375)")),
+    ("2,2,2", "shapka", ()): (0, _holds("shapka", 256, "(2, 2, 2)", "1 (1)")),
+    ("2,2,2", "blr", ()): (0, _holds("blr", 256, "(2, 2, 2)", "3/2 (1.5)")),
+    ("2,3", "sic-subsets", ()): (0, _holds("sic-subsets", 64, "(2, 3)", "1/2 (0.5)")),
+    ("2,3", "sic-cube", ()): (0, _holds("sic-cube", 64, "(2, 3)", "1/2 (0.5)")),
+    ("2,3", "shapka", ()): (0, _holds("shapka", 64, "(2, 3)", "4/3 (1.33333)")),
+    ("1,4", "sic-subsets", ()): (0, _holds("sic-subsets", 16, "(1, 4)")),
+    ("1,4", "sic-cube", ()): (0, _holds("sic-cube", 16, "(1, 4)")),
+    ("1,4", "shapka", ()): (0, _holds("shapka", 16, "(1, 4)")),
+    ("2,2,3", "sic-subsets", ()): (0, _holds("sic-subsets", 4096, "(2, 2, 3)", "3/8 (0.375)")),
+    ("2,2,3", "sic-cube", ()): (0, _holds("sic-cube", 4096, "(2, 2, 3)", "3/8 (0.375)")),
+    ("2,2,3", "shapka", ()): (0, _holds("shapka", 4096, "(2, 2, 3)", "1 (1)")),
+    ("2,2,2,2", "shapka", ()): (0, _holds("shapka", 65536, "(2, 2, 2, 2)", "1 (1)")),
+    ("2,2,2,2", "blr", ()): (0, _holds("blr", 65536, "(2, 2, 2, 2)", "9/8 (1.125)")),
+    ("2,2,2", "shapka", ("--budget", "100")): (0, _holds("shapka", 256, "(2, 2, 2)", "1 (1)")),
+    ("2,2", "conjectured", ()): (
+        2, "error: no soundness guarantee is claimed for the conjectured test\n"),
+    ("2,2", "shapka", ("--budget", "3")): (
+        2, "error: shapka enumeration needs 16 tuples, budget is 3\n"),
+    ("2,2", "sic-subsets", ("--budget", "3")): (
+        2, "error: sic-subsets enumeration needs 256 tuples, budget is 3\n"),
+    ("6", "shapka", ("--budget", "40")): (
+        2, "error: direct-sum enumeration needs 64 tuples, budget is 40\n"),
+    ("5,5", "shapka", ()): (
+        2, "error: cannot iterate 2^25 tensors; use a smaller shape\n"),
+    ("2,3", "blr", ()): (
+        2, "error: BLR needs every axis of size 2, got shape (2, 3)\n"),
+}
+
+
+@pytest.mark.parametrize("shape,test,extra", sorted(SOUNDNESS_VERDICTS))
+def test_cli_soundness_verdicts(shape, test, extra, capsys):
+    code = cli.main(["oracle", "--assert-soundness", "--exhaustive",
+                     "--shape", shape, "--test", test, *extra])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == SOUNDNESS_VERDICTS[shape, test, extra]
+    assert captured.out == ""
