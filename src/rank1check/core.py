@@ -216,6 +216,8 @@ class BinaryTensor:
 
     def __init__(self, shape: Shape, bits) -> None:
         arr = as_bits(bits, "tensor")
+        if np.may_share_memory(arr, bits):
+            arr = arr.copy()  # the caller could still write through its array
         if arr.size != shape.size:
             raise ValueError(
                 f"expected {shape.size} bits for shape {shape.dims}, got {arr.size}"

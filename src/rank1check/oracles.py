@@ -5,6 +5,10 @@ test and returned as integer counts, never floats.  The space is enumerated
 once per shape and run through the test's query pattern from testers, the
 same one the trials and Monte Carlo apply.  Oracles refuse (raise
 BudgetExceededError) rather than silently sample when a space is too large.
+
+Each oracle has one kernel that works on a batch of tensors, given as the
+rows of a (T, size) 0/1 matrix: exact_rejections and nearest_distances take
+such a batch, and exact_rejection and nearest_direct_sum are a batch of one.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .core import (
     DirectSum,
     Point,
     Shape,
+    as_bits,
     axes_of,
     distance,
 )
@@ -88,18 +93,18 @@ def _cached(key, build):
 # Enumeration plans
 # ---------------------------------------------------------------------------
 # A plan is a test's query pattern applied to its whole randomness space over
-# one shape, flattened to an index matrix (one row per tuple, one column per
-# query) plus optional integer row weights.
+# one shape, flattened to an index matrix (one row per query column, one
+# entry per tuple) plus optional integer tuple weights.
 
 @dataclass(frozen=True)
 class _Plan:
-    indices: np.ndarray          # (rows, queries) int64 flat indices
+    indices: np.ndarray          # (queries, rows) int64 flat indices
     weights: Optional[np.ndarray]  # (rows,) int64, None means all-ones
     total: int                   # full randomness-space size
 
 
 def _index_plan(columns, weights: Optional[np.ndarray], total: int) -> _Plan:
-    return _Plan(np.stack(np.broadcast_arrays(*columns), axis=1), weights, total)
+    return _Plan(np.stack(np.broadcast_arrays(*columns)), weights, total)
 
 
 def _tensor_plan(shape: Shape, pattern, k: int, total: int) -> _Plan:
@@ -118,43 +123,92 @@ def _tensor_plan(shape: Shape, pattern, k: int, total: int) -> _Plan:
     return _index_plan(columns, weights if k else None, total)
 
 
-def _apply_plan(bits: np.ndarray, plan: _Plan) -> int:
-    vals = bits[plan.indices]
-    parity = np.bitwise_xor.reduce(vals, axis=1)
-    if plan.weights is None:
-        return int(np.count_nonzero(parity))
-    return int(plan.weights[parity != 0].sum())
+def _blr_plan(n: int, budget: int) -> _Plan:
+    """BLR on a truth table of length n: every (x, y) pair."""
+    _check_budget(n * n, budget, "BLR enumeration")
+
+    def build():
+        x = np.repeat(np.arange(n, dtype=np.int64), n)
+        y = np.tile(np.arange(n, dtype=np.int64), n)
+        return _index_plan(testers._blr_queries(x, y), None, n * n)
+
+    return _cached(("blr-plan", n), build)
+
+
+def _plan(shape: Shape, kind: str, budget: int) -> _Plan:
+    if kind == testers.BLR:
+        testers._require_binary(shape)
+        return _blr_plan(shape.size, budget)
+    pattern, k = testers._tensor_test(kind)
+    total = shape.size ** 2 << (k * shape.d)
+    _check_budget(total, budget, f"{kind} enumeration")
+    return _cached(("plan", shape.dims, pattern),
+                   lambda: _tensor_plan(shape, pattern, k, total))
+
+
+# Tensors times plan rows (or candidates times entries) that one pass of a
+# batched kernel holds, so its temporaries stay under a MiB at any batch
+# size; the weighted sum widens parities to int64.  A single tensor always
+# gets a pass of its own.
+_PASS_ENTRIES = 1 << 16
+
+
+def _passes(count: int, width: int):
+    step = max(1, _PASS_ENTRIES // width)
+    return (slice(i, i + step) for i in range(0, count, step))
+
+
+def _apply_plan(rows: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Rejecting count of each tensor of a (T, size) bit matrix.
+
+    Gathers each query column of the plan and XORs them into the per-tuple
+    parity; the weighted sum of the parities is the count.
+    """
+    out = np.empty(len(rows), dtype=np.int64)
+    for part in _passes(len(rows), plan.indices.shape[1]):
+        block = rows[part]
+        parity = np.take(block, plan.indices[0], axis=1)
+        for column in plan.indices[1:]:
+            parity ^= np.take(block, column, axis=1)
+        if plan.weights is None:
+            out[part] = np.count_nonzero(parity, axis=1)
+        else:
+            out[part] = parity @ plan.weights
+    return out
+
+
+def _bit_rows(shape: Shape, rows) -> np.ndarray:
+    """A (T, shape.size) matrix of 0/1 entries as contiguous uint8."""
+    arr = np.asarray(rows)
+    if arr.ndim != 2 or arr.shape[1] != shape.size:
+        raise ValueError(f"expected a (T, {shape.size}) bit matrix for shape "
+                         f"{shape.dims}, got shape {arr.shape}")
+    return as_bits(arr, "row").reshape(arr.shape)
 
 
 def exact_rejection(f: BinaryTensor, kind: str, budget: int = DEFAULT_BUDGET) -> ExactRejection:
     """Exact rejection probability of one test on one tensor."""
-    if kind == testers.BLR:
-        return _blr_rejection(testers.blr_table(f), budget)
-    shape = f.shape
-    pattern, k = testers._tensor_test(kind)
-    total = shape.size ** 2 << (k * shape.d)
-    _check_budget(total, budget, f"{kind} enumeration")
-    plan = _cached(("plan", shape.dims, pattern),
-                   lambda: _tensor_plan(shape, pattern, k, total))
-    return ExactRejection(_apply_plan(f.bits, plan), plan.total)
+    plan = _plan(f.shape, kind, budget)
+    return ExactRejection(int(_apply_plan(f.bits[None], plan)[0]), plan.total)
 
 
-def _blr_plan(n: int) -> _Plan:
-    x = np.repeat(np.arange(n, dtype=np.int64), n)
-    y = np.tile(np.arange(n, dtype=np.int64), n)
-    return _index_plan(testers._blr_queries(x, y), None, n * n)
+def exact_rejections(shape: Shape, kind: str, rows,
+                     budget: int = DEFAULT_BUDGET) -> tuple[np.ndarray, int]:
+    """exact_rejection for every row of a (T, shape.size) 0/1 matrix.
+
+    Returns the int64 rejecting counts and the randomness-space total they
+    are out of.  The budget bounds the space of one tensor, as for a single
+    call.
+    """
+    bits = _bit_rows(shape, rows)
+    plan = _plan(shape, kind, budget)
+    return _apply_plan(bits, plan), plan.total
 
 
 def exact_blr_rejection(table, budget: int = DEFAULT_BUDGET) -> ExactRejection:
-    return _blr_rejection(testers.truth_table(table), budget)
-
-
-def _blr_rejection(t: np.ndarray, budget: int) -> ExactRejection:
-    """exact_blr_rejection on bits already known to form a truth table."""
-    n = t.size
-    _check_budget(n * n, budget, "BLR enumeration")
-    plan = _cached(("blr-plan", n), lambda: _blr_plan(n))
-    return ExactRejection(_apply_plan(t, plan), plan.total)
+    t = testers.truth_table(table)
+    plan = _blr_plan(t.size, budget)
+    return ExactRejection(int(_apply_plan(t[None], plan)[0]), plan.total)
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +216,25 @@ def _blr_rejection(t: np.ndarray, budget: int) -> ExactRejection:
 # ---------------------------------------------------------------------------
 
 
+def _closest(candidates: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: the first candidate at minimum Hamming distance, and that distance."""
+    best = np.empty(len(rows), dtype=np.int64)
+    counts = np.empty(len(rows), dtype=np.int64)
+    for part in _passes(len(rows), candidates.size):
+        disagreements = np.count_nonzero(rows[part, None] != candidates, axis=2)
+        best[part] = disagreements.argmin(axis=1)
+        counts[part] = disagreements.min(axis=1)
+    return best, counts
+
+
 def _ds_candidates(shape: Shape) -> tuple[np.ndarray, list]:
     sums = list(DirectSum.enumerate_all(shape))
     return np.stack([ds.materialize().bits for ds in sums]), sums
+
+
+def _direct_sums(shape: Shape, budget: int) -> tuple[np.ndarray, list]:
+    _check_budget(DirectSum.count(shape), budget, "direct-sum enumeration")
+    return _cached(("direct-sums", shape.dims), lambda: _ds_candidates(shape))
 
 
 def nearest_direct_sum(f: BinaryTensor, budget: int = DEFAULT_BUDGET) -> NearestResult:
@@ -175,13 +245,19 @@ def nearest_direct_sum(f: BinaryTensor, budget: int = DEFAULT_BUDGET) -> Nearest
     shape the direct sums are exactly the affine functions, so the distance
     is also nearest_affine's on the same bits.
     """
-    count = DirectSum.count(f.shape)
-    _check_budget(count, budget, "direct-sum enumeration")
-    matrix, sums = _cached(("direct-sums", f.shape.dims),
-                           lambda: _ds_candidates(f.shape))
-    disagreements = np.count_nonzero(matrix != f.bits, axis=1)
-    best = int(np.argmin(disagreements))
-    return NearestResult(sums[best], Fraction(int(disagreements[best]), f.shape.size))
+    matrix, sums = _direct_sums(f.shape, budget)
+    best, counts = _closest(matrix, f.bits[None])
+    return NearestResult(sums[best[0]], Fraction(int(counts[0]), f.shape.size))
+
+
+def nearest_distances(shape: Shape, rows, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """nearest_direct_sum's disagreement count for every row of a (T, size) 0/1 matrix.
+
+    Returns int64 counts; a row's distance is its count over shape.size.
+    """
+    bits = _bit_rows(shape, rows)
+    matrix, _ = _direct_sums(shape, budget)
+    return _closest(matrix, bits)[1]
 
 
 def _parity_columns(dim: int, mask: int) -> np.ndarray:
@@ -214,9 +290,8 @@ def nearest_affine(table, budget: int = DEFAULT_BUDGET) -> NearestResult:
     dim = n.bit_length() - 1
     _check_budget(2 << dim, budget, "affine enumeration")
     matrix, witnesses = _cached(("affine", dim), lambda: _affine_tables(dim))
-    disagreements = np.count_nonzero(matrix != t, axis=1)
-    best = int(np.argmin(disagreements))
-    return NearestResult(witnesses[best], Fraction(int(disagreements[best]), n))
+    best, counts = _closest(matrix, t[None])
+    return NearestResult(witnesses[best[0]], Fraction(int(counts[0]), n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior and exit codes."""
 
+import pytest
+
 from rank1check import cli
 from rank1check.core import tensor_from_text, tensor_to_text, BinaryTensor, Shape
 from rank1check.agreement import dp_from_text, dp_to_text, DPShape, DPFunction
@@ -114,16 +116,55 @@ class TestOracle:
     def test_violation_exits_one(self, capsys, monkeypatch):
         # The guarantee cannot fail for real, so fake an oracle that claims a
         # rejection probability below the distance and check the wiring.
-        from rank1check import oracles
+        import numpy as np
 
-        def fake(f, kind, budget=0):
-            return oracles.ExactRejection(0, 16)
+        def fake(shape, kind, rows, budget=0):
+            return np.zeros(len(rows), dtype=np.int64), 16
 
-        monkeypatch.setattr(cli.oracles, "exact_rejection", fake)
+        monkeypatch.setattr(cli.oracles, "exact_rejections", fake)
         code, _, err = run(["oracle", "--assert-soundness", "--exhaustive",
                             "--shape", "2,2", "--test", "shapka"], capsys)
         assert code == 1
         assert "violation" in err
+        # Tensor 0 is a direct sum; tensor 1, the indicator of the origin, is
+        # the smallest index at positive distance.
+        assert err == "violation at tensor 1: eps=0 dist=1/4\n"
+
+
+    @pytest.mark.parametrize("dims,test,shift", [
+        ((2, 2, 3), "shapka", 4), ((2, 2, 2), "blr", 12),
+    ])
+    def test_violation_reports_smallest_index(self, capsys, monkeypatch,
+                                              dims, test, shift):
+        # Lower every count by `shift`: still constant on each coset, so the
+        # reported tensor must be the smallest violating index of the whole
+        # space, found here tensor by tensor.
+        import numpy as np
+        from fractions import Fraction
+        from rank1check import oracles
+
+        real = oracles.exact_rejections
+
+        def lowered(shape, kind, rows, budget=oracles.DEFAULT_BUDGET):
+            rej, total = real(shape, kind, rows, budget)
+            return np.maximum(rej - shift, 0), total
+
+        shape = Shape(dims)
+        expected = None
+        for idx in range(1 << shape.size):
+            f = BinaryTensor(shape, [(idx >> i) & 1 for i in range(shape.size)])
+            r = oracles.exact_rejection(f, test)
+            eps = Fraction(max(r.rejecting - shift, 0), r.total)
+            dist = oracles.nearest_direct_sum(f).distance
+            if eps < dist:
+                expected = f"violation at tensor {idx}: eps={eps} dist={dist}\n"
+                break
+        assert expected is not None
+        monkeypatch.setattr(cli.oracles, "exact_rejections", lowered)
+        code, _, err = run(["oracle", "--assert-soundness", "--exhaustive",
+                            "--shape", ",".join(map(str, dims)), "--test", test],
+                           capsys)
+        assert (code, err) == (1, expected)
 
 
 class TestDecode:

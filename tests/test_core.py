@@ -342,3 +342,18 @@ class TestTensorValidation:
         f = BinaryTensor(Shape((2,)), [0, 1])
         with pytest.raises((AttributeError, ValueError)):
             f.bits[0] = 1
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.zeros(4, dtype=np.uint8),
+        lambda: np.zeros((2, 2), dtype=np.uint8),
+        lambda: bytearray(4),
+    ], ids=["flat", "nd", "bytearray"])
+    def test_owns_its_bits(self, make):
+        # Writing to the array the tensor was built from must not reach it.
+        src = make()
+        f = BinaryTensor(Shape((2, 2)), src)
+        h = hash(f)
+        np.asarray(src).reshape(-1)[0] = 1
+        assert f.value((0, 0)) == 0
+        assert hash(f) == h
+        assert f == BinaryTensor.zeros(Shape((2, 2)))

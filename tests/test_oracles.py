@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rank1check.core import (
     BinaryTensor,
@@ -27,13 +29,16 @@ from rank1check.oracles import (
     biased_character_probability_enumerated,
     exact_blr_rejection,
     exact_rejection,
+    exact_rejections,
     is_direct_sum,
     local_view_decode,
     nearest_affine,
     nearest_direct_sum,
+    nearest_distances,
     shapka_residual_identity_check,
 )
 from rank1check.testers import (
+    ALL_TEST_KINDS,
     BLR,
     CONJECTURED,
     SHAPKA,
@@ -392,8 +397,110 @@ class TestRigiditySmall:
         nonzero = dists > 0
         ratios = (rejecting[nonzero] / total) / (dists[nonzero] / 16)
         assert ratios.min() > 0
+        # The public batched oracles agree with this independent enumeration.
+        assert np.array_equal(nearest_distances(sh, tables), dists)
+        assert np.array_equal(exact_rejections(sh, SIC_CUBE, tables[::16])[0],
+                              rejecting[::16])
         # Spot-check the batched values against the per-tensor oracle.
         rng = np.random.default_rng(11)
         for idx in rng.integers(0, 1 << 16, size=8):
             f = BinaryTensor(sh, tables[idx])
             assert exact_rejection(f, SIC_CUBE).rejecting == rejecting[idx]
+
+
+# ---------------------------------------------------------------------------
+# Batched oracles
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def batches(draw, kinds=ALL_TEST_KINDS):
+    """(kind, shape, rows): up to 16 entries, all-binary axes for BLR."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == BLR:
+        dims = (2,) * draw(st.integers(1, 4))
+    else:
+        dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)
+                          .filter(lambda ds: np.prod(ds) <= 16)))
+    shape = Shape(dims)
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=shape.size,
+                                  max_size=shape.size),
+                         min_size=1, max_size=5))
+    return kind, shape, np.array(rows, dtype=np.uint8)
+
+
+class TestBatchedOracles:
+    @settings(max_examples=80, deadline=None)
+    @given(batches())
+    def test_batch_equals_single(self, batch):
+        kind, shape, rows = batch
+        rej, total = exact_rejections(shape, kind, rows)
+        dist = nearest_distances(shape, rows)
+        assert rej.dtype == np.int64 and dist.dtype == np.int64
+        for row, r, d in zip(rows, rej, dist):
+            f = BinaryTensor(shape, row)
+            single = exact_rejection(f, kind)
+            assert (int(r), total) == (single.rejecting, single.total)
+            assert Fraction(int(d), shape.size) == nearest_direct_sum(f).distance
+
+    @settings(max_examples=80, deadline=None)
+    @given(batches(), st.integers(0, 2**32 - 1))
+    def test_coset_invariance(self, batch, seed):
+        # Every test is a parity check that direct sums pass, so adding one
+        # changes neither the rejection count nor the distance.
+        kind, shape, rows = batch
+        s = DirectSum.random(shape, np.random.default_rng(seed)).materialize()
+        shifted = rows ^ s.bits
+        assert np.array_equal(exact_rejections(shape, kind, shifted)[0],
+                              exact_rejections(shape, kind, rows)[0])
+        assert np.array_equal(nearest_distances(shape, shifted),
+                              nearest_distances(shape, rows))
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 1, 2, 0]], [[0, 1, -1, 0]], [[0, 0.5, 1, 0]],
+        [[0, 1, 1]], [[0, 1, 1, 0, 1]], [0, 1, 1, 0], [[[0, 1, 1, 0]]],
+    ], ids=["two", "minus-one", "half", "narrow", "wide", "flat", "3d"])
+    def test_rejects_bad_rows(self, rows):
+        shape = Shape((2, 2))
+        with pytest.raises(ValueError):
+            exact_rejections(shape, SHAPKA, rows)
+        with pytest.raises(ValueError):
+            nearest_distances(shape, rows)
+
+    def test_empty_batch(self):
+        rej, total = exact_rejections(Shape((2, 2)), SIC_SUBSETS, np.zeros((0, 4)))
+        assert rej.shape == (0,) and total == 256
+        assert nearest_distances(Shape((2, 2)), np.zeros((0, 4))).shape == (0,)
+
+    @pytest.mark.parametrize("kind", ALL_TEST_KINDS)
+    def test_budget_message_matches_single(self, kind):
+        shape = Shape((2, 2, 2))
+        f = BinaryTensor(shape, [0, 1, 1, 0, 1, 0, 0, 0])
+        budget = exact_rejection(f, kind).total - 1
+        with pytest.raises(BudgetExceededError) as single:
+            exact_rejection(f, kind, budget)
+        with pytest.raises(BudgetExceededError) as batch:
+            exact_rejections(shape, kind, f.bits[None], budget)
+        assert str(batch.value) == str(single.value)
+        budget = DirectSum.count(shape) - 1
+        with pytest.raises(BudgetExceededError) as single:
+            nearest_direct_sum(f, budget)
+        with pytest.raises(BudgetExceededError) as batch:
+            nearest_distances(shape, f.bits[None], budget)
+        assert str(batch.value) == str(single.value)
+
+    def test_blr_needs_binary_axes(self):
+        with pytest.raises(ValueError, match="BLR needs every axis of size 2"):
+            exact_rejections(Shape((2, 3)), BLR, np.zeros((1, 6)))
+
+    def test_many_passes(self):
+        # A batch larger than one pass of the kernels gives the same counts
+        # as the same tensors one at a time.
+        shape = Shape((2, 2, 3))
+        rows = np.random.default_rng(5).integers(0, 2, size=(300, 12))
+        rej, _ = exact_rejections(shape, SIC_SUBSETS, rows)
+        dist = nearest_distances(shape, rows)
+        for i in range(0, 300, 37):
+            f = BinaryTensor(shape, rows[i])
+            assert rej[i] == exact_rejection(f, SIC_SUBSETS).rejecting
+            assert Fraction(int(dist[i]), 12) == nearest_direct_sum(f).distance
