@@ -1,8 +1,11 @@
 """End-to-end CLI behavior and exit codes."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
-from rank1check import cli
+from rank1check import cli, oracles
 from rank1check.core import tensor_from_text, tensor_to_text, BinaryTensor, Shape
 from rank1check.agreement import dp_from_text, dp_to_text, DPShape, DPFunction
 from rank1check.harness import DEFAULT_SWEEP_CONFIG
@@ -116,8 +119,6 @@ class TestOracle:
     def test_violation_exits_one(self, capsys, monkeypatch):
         # The guarantee cannot fail for real, so fake an oracle that claims a
         # rejection probability below the distance and check the wiring.
-        import numpy as np
-
         def fake(shape, kind, rows, budget=0):
             return np.zeros(len(rows), dtype=np.int64), 16
 
@@ -139,10 +140,6 @@ class TestOracle:
         # Lower every count by `shift`: still constant on each coset, so the
         # reported tensor must be the smallest violating index of the whole
         # space, found here tensor by tensor.
-        import numpy as np
-        from fractions import Fraction
-        from rank1check import oracles
-
         real = oracles.exact_rejections
 
         def lowered(shape, kind, rows, budget=oracles.DEFAULT_BUDGET):

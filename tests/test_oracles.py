@@ -500,7 +500,7 @@ class TestBatchedOracles:
         rows = np.random.default_rng(5).integers(0, 2, size=(300, 12))
         rej, _ = exact_rejections(shape, SIC_SUBSETS, rows)
         dist = nearest_distances(shape, rows)
-        for i in range(0, 300, 37):
+        for i in range(300):
             f = BinaryTensor(shape, rows[i])
             assert rej[i] == exact_rejection(f, SIC_SUBSETS).rejecting
             assert Fraction(int(dist[i]), 12) == nearest_direct_sum(f).distance
