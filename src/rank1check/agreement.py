@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -219,12 +220,26 @@ def default_intersection_size(k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _accepting_pairs(g: DPFunction, tied: tuple[int, ...]) -> int:
+    """Pairs (x, y) that agree on every tied coordinate, in input and in output.
+
+    Points sharing (x_T, g(x)_T) form a group, and every pair inside a group
+    accepts, so the count is the sum of the squared group sizes.
+    """
+    points = np.indices(g.dpshape.sizes).reshape(g.dpshape.k, -1).T
+    keys = np.hstack((points[:, tied], g.table[:, tied]))
+    _, sizes = np.unique(keys, axis=0, return_counts=True)
+    return int(sizes @ sizes)
+
+
 def exact_alpha_rejection(g: DPFunction, alpha: Fraction = DEFAULT_ALPHA,
                           budget: int = DEFAULT_BUDGET) -> ExactRejection:
     """Exact rejection of the agreement test with per-coordinate tie rate alpha.
 
-    Every (x, agreement mask, y) triple is enumerated with integer weights on
-    the common denominator |domain| * q^k * |domain| where alpha = p/q.
+    Counts on the common denominator |domain| * q^k * |domain|, where
+    alpha = p/q.  A tied set T weighs p^|T| * (q-p)^(k-|T|) * prod_{i in T} N_i
+    per pair (x, y) that agrees on T, and its accepting pairs are counted by
+    grouping the points on (x_T, g(x)_T); the rest of the total rejects.
     """
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
@@ -232,62 +247,35 @@ def exact_alpha_rejection(g: DPFunction, alpha: Fraction = DEFAULT_ALPHA,
     shape = g.dpshape
     k = shape.k
     p, q = alpha.numerator, alpha.denominator
-    space = shape.domain_size
-    for n in shape.sizes:
-        space *= n + 1
+    space = shape.domain_size * prod(n + 1 for n in shape.sizes)
     _check_budget(space, budget, "alpha-test enumeration")
     total = shape.domain_size ** 2 * q ** k
-    rejecting = 0
-    points = list(shape.points())
-    for x in points:
-        gx = g.value(x)
-        for mask in range(1 << k):
-            tied = axes_of(mask)
-            w = p ** len(tied) * (q - p) ** (k - len(tied))
-            for i in tied:
-                w *= shape.sizes[i]
-            if w == 0:
-                continue
-            free = [i for i in range(k) if not (mask >> i) & 1]
-            for choice in itertools.product(*(range(shape.sizes[i]) for i in free)):
-                y = list(x)
-                for i, v in zip(free, choice):
-                    y[i] = v
-                gy = g.value(tuple(y))
-                if any(gx[i] != gy[i] for i in tied):
-                    rejecting += w
-    return ExactRejection(rejecting, total)
+    accepting = 0
+    for mask in range(1 << k):
+        tied = axes_of(mask)
+        w = p ** len(tied) * (q - p) ** (k - len(tied))
+        w *= prod(shape.sizes[i] for i in tied)
+        if w:
+            accepting += w * _accepting_pairs(g, tied)
+    return ExactRejection(total - accepting, total)
 
 
 def exact_fixed_t_rejection(g: DPFunction, t: int,
                             budget: int = DEFAULT_BUDGET) -> ExactRejection:
-    """Exact rejection of the fixed-intersection test with |T| = t."""
+    """Exact rejection of the fixed-intersection test with |T| = t.
+
+    Each T of size t weighs prod_{i in T} N_i per pair (x, y) that agrees on
+    T, and its accepting pairs are counted as in exact_alpha_rejection.
+    """
     shape = g.dpshape
     k = shape.k
     if not 0 <= t <= k:
         raise ValueError(f"need 0 <= t <= {k}")
-    from math import comb
-
     space = shape.domain_size * comb(k, t) * shape.domain_size
     _check_budget(space, budget, "fixed-t enumeration")
-    total = space
-    rejecting = 0
-    points = list(shape.points())
-    for x in points:
-        gx = g.value(x)
-        for tset in itertools.combinations(range(k), t):
-            w = 1
-            for i in tset:
-                w *= shape.sizes[i]
-            free = [i for i in range(k) if i not in tset]
-            for choice in itertools.product(*(range(shape.sizes[i]) for i in free)):
-                y = list(x)
-                for i, v in zip(free, choice):
-                    y[i] = v
-                gy = g.value(tuple(y))
-                if any(gx[i] != gy[i] for i in tset):
-                    rejecting += w
-    return ExactRejection(rejecting, total)
+    accepting = sum(prod(shape.sizes[i] for i in tied) * _accepting_pairs(g, tied)
+                    for tied in itertools.combinations(range(k), t))
+    return ExactRejection(space - accepting, space)
 
 
 # ---------------------------------------------------------------------------

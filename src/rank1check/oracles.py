@@ -1,10 +1,13 @@
-"""Exact ground truth by exhaustive enumeration.
+"""Exact ground truth over the full randomness space of each test.
 
-Rejection probabilities are computed over the full randomness space of each
-test and returned as integer counts, never floats.  The space is enumerated
-once per shape and run through the test's query pattern from testers, the
-same one the trials and Monte Carlo apply.  Oracles refuse (raise
-BudgetExceededError) rather than silently sample when a space is too large.
+Rejection probabilities are integer counts, never floats.  A tensor test's
+space is enumerated once per shape and run through its query pattern from
+testers, the one the trials and Monte Carlo apply.  BLR and nearest-affine
+read the integer Walsh-Hadamard transform W of F = (-1)^f on F2^D instead:
+BLR rejects (n^2 - F(0) sum_S W(S)^3 / n) / 2 pairs, c ^ chi_S is at
+distance (n - (-1)^c W(S)) / 2, and by Parseval |sum_S W(S)^3| <= n^3, so
+int64 holds these counts up to D = 20.  Oracles raise BudgetExceededError
+rather than sample when a space is too large or its counts overflow int64.
 
 Each oracle has one kernel that works on a batch of tensors, given as the
 rows of a (T, size) 0/1 matrix: exact_rejections and nearest_distances take
@@ -64,13 +67,25 @@ class AffineWitness:
     mask: int
 
     def table(self, dim: int) -> np.ndarray:
-        return (_parity_columns(dim, self.mask) ^ self.constant).astype(np.uint8)
+        """Its truth table on F2^dim: coordinate i of entry n is bit dim-1-i of n."""
+        n = np.arange(1 << dim)
+        out = np.full(1 << dim, self.constant, dtype=np.uint8)
+        for axis in axes_of(self.mask):
+            out ^= ((n >> (dim - 1 - axis)) & 1).astype(np.uint8)
+        return out
 
 
 def _check_budget(required: int, budget: int, what: str) -> None:
     if required > budget:
         raise BudgetExceededError(
             f"{what} needs {required} tuples, budget is {budget}"
+        )
+
+
+def _check_int64(bound: int, what: str) -> None:
+    if bound >= 1 << 63:
+        raise BudgetExceededError(
+            f"{what} needs counts up to {bound}, beyond the int64 limit 2^63 - 1"
         )
 
 
@@ -103,10 +118,6 @@ class _Plan:
     total: int                   # full randomness-space size
 
 
-def _index_plan(columns, weights: Optional[np.ndarray], total: int) -> _Plan:
-    return _Plan(np.stack(np.broadcast_arrays(*columns)), weights, total)
-
-
 def _tensor_plan(shape: Shape, pattern, k: int, total: int) -> _Plan:
     """Every (a, b) pair with every choice of its k selectors inside delta(a, b).
 
@@ -120,36 +131,22 @@ def _tensor_plan(shape: Shape, pattern, k: int, total: int) -> _Plan:
     diff = (pts[flat_b] - pts[flat_a]) * np.asarray(shape.strides, dtype=np.int64)
     pair, selectors, weights = testers._delta_subsets(diff != 0, k)
     columns = pattern(flat_a[pair], flat_b[pair], diff[pair], *selectors)
-    return _index_plan(columns, weights if k else None, total)
-
-
-def _blr_plan(n: int, budget: int) -> _Plan:
-    """BLR on a truth table of length n: every (x, y) pair."""
-    _check_budget(n * n, budget, "BLR enumeration")
-
-    def build():
-        x = np.repeat(np.arange(n, dtype=np.int64), n)
-        y = np.tile(np.arange(n, dtype=np.int64), n)
-        return _index_plan(testers._blr_queries(x, y), None, n * n)
-
-    return _cached(("blr-plan", n), build)
+    return _Plan(np.stack(columns), weights if k else None, total)
 
 
 def _plan(shape: Shape, kind: str, budget: int) -> _Plan:
-    if kind == testers.BLR:
-        testers._require_binary(shape)
-        return _blr_plan(shape.size, budget)
     pattern, k = testers._tensor_test(kind)
     total = shape.size ** 2 << (k * shape.d)
     _check_budget(total, budget, f"{kind} enumeration")
+    _check_int64(total, f"{kind} enumeration")  # weights and sums are at most total
     return _cached(("plan", shape.dims, pattern),
                    lambda: _tensor_plan(shape, pattern, k, total))
 
 
-# Tensors times plan rows (or candidates times entries) that one pass of a
-# batched kernel holds, so its temporaries stay under a MiB at any batch
-# size; the weighted sum widens parities to int64.  A single tensor always
-# gets a pass of its own.
+# Tensors times plan rows (or times candidates, or times truth-table entries)
+# that one pass of a batched kernel holds, so its temporaries stay near a MiB
+# at any batch size; the weighted sum and the transform work in int64.  A
+# single tensor always gets a pass of its own.
 _PASS_ENTRIES = 1 << 16
 
 
@@ -177,6 +174,35 @@ def _apply_plan(rows: np.ndarray, plan: _Plan) -> np.ndarray:
     return out
 
 
+def _walsh(rows: np.ndarray) -> np.ndarray:
+    """Integer Walsh-Hadamard transform of (-1)^row for each row of a (T, 2^D) bit matrix.
+
+    Entry S of a row's transform is sum_x (-1)^(row[x] ^ chi_S(x)).  It is in
+    mask order: bit i of S is coordinate i, which reversing the axes of the
+    (2,)*D table puts at bit i of the flat index.
+    """
+    count, n = rows.shape
+    dim = n.bit_length() - 1
+    w = rows.reshape((count,) + (2,) * dim).transpose(0, *range(dim, 0, -1))
+    w = 1 - 2 * w.reshape(count, n).astype(np.int64)
+    hadamard = np.array([[1, 1], [1, -1]])
+    for j in range(dim):  # the butterfly on flat index bit dim - 1 - j
+        w = hadamard @ w.reshape(count << j, 2, -1)
+    return w.reshape(count, n)
+
+
+def _blr_rejections(rows: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
+    """BLR rejecting counts of each truth table in a (T, n) bit matrix, out of n^2."""
+    n = rows.shape[1]
+    _check_budget(n * n, budget, "BLR enumeration")
+    _check_int64(n ** 3, "BLR enumeration")  # Parseval: |sum_S W(S)^3| <= n^3
+    out = np.empty(len(rows), dtype=np.int64)
+    for part in _passes(len(rows), n):
+        cubes = (_walsh(rows[part]) ** 3).sum(axis=1) // n
+        out[part] = (n * n - np.where(rows[part, 0], -cubes, cubes)) // 2
+    return out, n * n
+
+
 def _bit_rows(shape: Shape, rows) -> np.ndarray:
     """A (T, shape.size) matrix of 0/1 entries as contiguous uint8."""
     arr = np.asarray(rows)
@@ -188,8 +214,8 @@ def _bit_rows(shape: Shape, rows) -> np.ndarray:
 
 def exact_rejection(f: BinaryTensor, kind: str, budget: int = DEFAULT_BUDGET) -> ExactRejection:
     """Exact rejection probability of one test on one tensor."""
-    plan = _plan(f.shape, kind, budget)
-    return ExactRejection(int(_apply_plan(f.bits[None], plan)[0]), plan.total)
+    rejecting, total = exact_rejections(f.shape, kind, f.bits[None], budget)
+    return ExactRejection(int(rejecting[0]), total)
 
 
 def exact_rejections(shape: Shape, kind: str, rows,
@@ -201,14 +227,16 @@ def exact_rejections(shape: Shape, kind: str, rows,
     call.
     """
     bits = _bit_rows(shape, rows)
+    if kind == testers.BLR:
+        testers._require_binary(shape)
+        return _blr_rejections(bits, budget)
     plan = _plan(shape, kind, budget)
     return _apply_plan(bits, plan), plan.total
 
 
 def exact_blr_rejection(table, budget: int = DEFAULT_BUDGET) -> ExactRejection:
-    t = testers.truth_table(table)
-    plan = _blr_plan(t.size, budget)
-    return ExactRejection(int(_apply_plan(t[None], plan)[0]), plan.total)
+    rejecting, total = _blr_rejections(testers.truth_table(table)[None], budget)
+    return ExactRejection(int(rejecting[0]), total)
 
 
 # ---------------------------------------------------------------------------
@@ -260,26 +288,6 @@ def nearest_distances(shape: Shape, rows, budget: int = DEFAULT_BUDGET) -> np.nd
     return _closest(matrix, bits)[1]
 
 
-def _parity_columns(dim: int, mask: int) -> np.ndarray:
-    """chi_mask evaluated on every point of F2^dim, in table order.
-
-    Table order is row-major: coordinate i of point `n` is bit (dim-1-i).
-    The mask is an axis mask (bit i <-> coordinate i).
-    """
-    n = np.arange(1 << dim)
-    out = np.zeros(1 << dim, dtype=np.uint8)
-    for axis in axes_of(mask):
-        out ^= ((n >> (dim - 1 - axis)) & 1).astype(np.uint8)
-    return out
-
-
-def _affine_tables(dim: int) -> tuple[np.ndarray, list[AffineWitness]]:
-    witnesses = [
-        AffineWitness(c, mask) for c in (0, 1) for mask in range(1 << dim)
-    ]
-    return np.stack([w.table(dim) for w in witnesses]), witnesses
-
-
 def nearest_affine(table, budget: int = DEFAULT_BUDGET) -> NearestResult:
     """Minimum distance over all 2^(D+1) affine functions on F2^D.
 
@@ -289,9 +297,12 @@ def nearest_affine(table, budget: int = DEFAULT_BUDGET) -> NearestResult:
     n = t.size
     dim = n.bit_length() - 1
     _check_budget(2 << dim, budget, "affine enumeration")
-    matrix, witnesses = _cached(("affine", dim), lambda: _affine_tables(dim))
-    best, counts = _closest(matrix, t[None])
-    return NearestResult(witnesses[best[0]], Fraction(int(counts[0]), n))
+    w = _walsh(t[None])[0]
+    # Twice the distance to constant ^ chi_mask, indexed by constant * n + mask.
+    doubled = np.concatenate((n - w, n + w))
+    best = int(doubled.argmin())
+    return NearestResult(AffineWitness(best >> dim, best & (n - 1)),
+                         Fraction(int(doubled[best]) // 2, n))
 
 
 # ---------------------------------------------------------------------------

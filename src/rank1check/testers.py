@@ -1,11 +1,11 @@
 """The direct-sum tests, each defined once as a vectorized query pattern.
 
 A pattern maps a batch of randomness rows to the flat indices the test
-queries; the test rejects a row when f's parity over them is 1.  Three
-consumers apply the same pattern: the one-shot trials below (a batch of
-one), Monte-Carlo estimation in harness (a sampled batch), and the exact
-oracles (the whole randomness space, enumerated once per shape).  Trials are
-pure functions of (tensor, randomness) and safe to run concurrently.
+queries; the test rejects a row when f's parity over them is 1.  The
+one-shot trials below (a batch of one), Monte Carlo in harness (a sampled
+batch) and the tensor tests' exact oracles (the whole randomness space)
+apply the same pattern; BLR's oracle reads a Walsh-Hadamard transform.
+Trials are pure functions of (tensor, randomness) and safe to run concurrently.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Direct-product tests, plurality decoding, samplers, and the affine bridge."""
 
+import itertools
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from rank1check.agreement import (
     sic_to_dp_bridge,
     two_step_alpha_pair_distribution,
 )
-from rank1check.core import BinaryTensor, DirectSum, Shape
+from rank1check.core import BinaryTensor, DirectSum, Shape, axes_of
 from rank1check.harness import rng_for
 
 
@@ -129,6 +131,74 @@ class TestExactRejection:
         bad = corrupt_entries(g, [(0, 0)], rng_for(11))
         r = exact_fixed_t_rejection(bad, 1)
         assert r.rejecting > 0
+
+
+def _pairs_agreeing_on(dsh, x, tied):
+    """Every y equal to x on the tied coordinates."""
+    free = [i for i in range(dsh.k) if i not in tied]
+    for choice in itertools.product(*(range(dsh.sizes[i]) for i in free)):
+        y = list(x)
+        for i, v in zip(free, choice):
+            y[i] = v
+        yield tuple(y)
+
+
+def brute_force_alpha(g, alpha):
+    """(rejecting, total) of the alpha test, (x, tied set, y) by (x, tied set, y)."""
+    dsh = g.dpshape
+    p, q = alpha.numerator, alpha.denominator
+    rejecting = 0
+    for x in dsh.points():
+        gx = g.value(x)
+        for mask in range(1 << dsh.k):
+            tied = axes_of(mask)
+            w = p ** len(tied) * (q - p) ** (dsh.k - len(tied))
+            for i in tied:
+                w *= dsh.sizes[i]
+            for y in _pairs_agreeing_on(dsh, x, tied):
+                gy = g.value(y)
+                if any(gx[i] != gy[i] for i in tied):
+                    rejecting += w
+    return rejecting, dsh.domain_size ** 2 * q ** dsh.k
+
+
+def brute_force_fixed_t(g, t):
+    """(rejecting, total) of the fixed-t test, (x, T, y) by (x, T, y)."""
+    dsh = g.dpshape
+    rejecting = 0
+    for x in dsh.points():
+        gx = g.value(x)
+        for tied in itertools.combinations(range(dsh.k), t):
+            w = 1
+            for i in tied:
+                w *= dsh.sizes[i]
+            for y in _pairs_agreeing_on(dsh, x, tied):
+                gy = g.value(y)
+                if any(gx[i] != gy[i] for i in tied):
+                    rejecting += w
+    return rejecting, dsh.domain_size ** 2 * comb(dsh.k, t)
+
+
+class TestBruteForceReference:
+    @pytest.mark.parametrize("dsh", [
+        DPShape((3,), 3),
+        DPShape((2, 1, 3), 2),   # a size-1 coordinate
+        DPShape((3, 2), 1),      # alphabet 1: every pair accepts
+        DPShape((2, 2, 2), 2),
+        DPShape((3, 2, 2), 3),
+    ], ids=str)
+    def test_matches_enumeration(self, dsh):
+        rng = rng_for(dsh.domain_size + dsh.alphabet)
+        clean = random_direct_product(dsh, rng)
+        noisy = DPFunction(dsh, rng.integers(0, dsh.alphabet, (dsh.domain_size, dsh.k)))
+        for g in (corrupt_entries(clean, [(0, 0), (1, dsh.k - 1)], rng), noisy):
+            for alpha in (Fraction(0), Fraction(1, 2), Fraction(2, 3),
+                          Fraction(3, 4), Fraction(1)):
+                r = exact_alpha_rejection(g, alpha)
+                assert (r.rejecting, r.total) == brute_force_alpha(g, alpha)
+            for t in range(dsh.k + 1):
+                r = exact_fixed_t_rejection(g, t)
+                assert (r.rejecting, r.total) == brute_force_fixed_t(g, t)
 
 
 class TestPluralityDecode:

@@ -12,6 +12,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
     "02_four_point_tests.py",
     "03_exact_oracles.py",
     "04_local_view_decoding.py",
+    "05_agreement_tests.py",
     "07_monte_carlo_sweeps.py",
 ])
 def test_demo_runs(name, capsys):

@@ -88,6 +88,21 @@ class TestExactRejection:
         with pytest.raises(BudgetExceededError):
             exact_rejection(f, SIC_SUBSETS, budget=10)
 
+    @pytest.mark.parametrize("units", [28, 30])
+    def test_refuses_counts_beyond_int64(self, units):
+        # The space has 2^(2 * units + 8) tuples.  From 2^63 on its weights
+        # and sums would wrap in int64, so a raised budget still refuses.
+        f = BinaryTensor(Shape((2, 2) + (1,) * units), [0, 0, 0, 1])
+        with pytest.raises(BudgetExceededError, match="int64 limit"):
+            exact_rejection(f, SIC_SUBSETS, budget=10**40)
+        assert exact_rejection(f, SHAPKA, budget=10**40).total == 16
+
+    def test_blr_refuses_cubes_beyond_int64(self):
+        # sum_S W(S)^3 can reach n^3 = 2^63 at D = 21, past int64.
+        table = np.zeros(1 << 21, dtype=np.uint8)
+        with pytest.raises(BudgetExceededError, match="int64 limit"):
+            exact_blr_rejection(table, budget=2**42)
+
     def test_formulation_equivalence_includes_weighting(self):
         # The cube enumeration weights pairs by cube size; on a shape with
         # unequal axes the weighted total still matches the subsets space.
@@ -160,13 +175,17 @@ class TestBruteForceReference:
             r = exact_rejection(f, kind)
             assert (r.rejecting, r.total) == brute_force_rejection(f, kind)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
     def test_blr(self, dim):
         rng = np.random.default_rng(dim)
-        for _ in range(4):
-            table = [int(v) for v in rng.integers(0, 2, 1 << dim)]
+        rows = rng.integers(0, 2, (4, 1 << dim))
+        rej, total = exact_rejections(Shape((2,) * dim), BLR, rows)
+        for row, batched in zip(rows, rej):
+            table = [int(v) for v in row]
+            brute = brute_force_blr(table)
+            assert (int(batched), total) == brute
             r = exact_blr_rejection(table)
-            assert (r.rejecting, r.total) == brute_force_blr(table)
+            assert (r.rejecting, r.total) == brute
             f = BinaryTensor(Shape((2,) * dim), table)
             assert exact_rejection(f, BLR) == r
 
@@ -231,15 +250,20 @@ class TestNearestAffine:
         assert res.witness == AffineWitness(0, 1)  # the first coordinate
 
     def test_matches_brute_force(self):
+        # The witness is the smallest (constant, mask) among the minimisers,
+        # so a wrong map from transform index to mask shows up here.
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            t = rng.integers(0, 2, 8, dtype=np.uint8)
-            res = nearest_affine(t)
-            brute = min(
-                int(np.count_nonzero(AffineWitness(c, m).table(3) != t))
-                for c in (0, 1) for m in range(8)
-            )
-            assert res.distance == Fraction(brute, 8)
+        for dim in (1, 2, 3, 4):
+            n = 1 << dim
+            for _ in range(20):
+                t = rng.integers(0, 2, n, dtype=np.uint8)
+                res = nearest_affine(t)
+                dist, c, m = min(
+                    (int(np.count_nonzero(AffineWitness(c, m).table(dim) != t)), c, m)
+                    for c in (0, 1) for m in range(n)
+                )
+                assert res.distance == Fraction(dist, n)
+                assert res.witness == AffineWitness(c, m)
 
 
 class TestLocalViewDecode:
