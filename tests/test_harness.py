@@ -103,6 +103,18 @@ class TestWilson:
         w10000 = np.subtract(*wilson_interval(2500, 10000)[::-1])
         assert w10000 < w100 / 5
 
+    @pytest.mark.parametrize("rejections,trials,expected", [
+        (0, 1, (0.0, 0.7934506856227626)),
+        (1, 1, (0.20654931437723745, 1.0)),
+        (7, 20000, (0.00016955317759555281, 0.0007223484532697996)),
+        (2500, 10000, (0.24161019318292498, 0.2585818060024132)),
+        (0, 100000, (0.0, 3.841311258303963e-05)),
+        # A quantile one ulp low gives hi = 0.47041738000949995 here.
+        (9270, 20000, (0.45659663862259564, 0.4704173800095)),
+    ])
+    def test_bounds_pinned(self, rejections, trials, expected):
+        assert wilson_interval(rejections, trials) == expected
+
     def test_validation(self):
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
