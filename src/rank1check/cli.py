@@ -104,7 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectral", help="skeleton spectrum report as CSV")
     p.add_argument("--parts", action="append", required=True,
                    help="comma-separated part sizes; repeatable")
-    p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("-o", "--output", help="CSV output (default stdout)")
     return parser
 
@@ -226,6 +225,8 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.master_seed < 0:
+        raise ValueError(f"--master-seed must be nonnegative, got {args.master_seed}")
     config = harness.parse_sweep_config(_read_input(args.config))
     rows, summary = harness.run_sweep(config, args.master_seed)
     _write_output(args.output, harness.sweep_csv(rows))
@@ -240,7 +241,7 @@ def _cmd_spectral(args) -> int:
     lines = [spectral.SPECTRUM_CSV_HEADER]
     for parts_text in args.parts:
         graph = spectral.build_skeleton(_parse_dims(parts_text))
-        report = spectral.verify_spectrum(graph, args.tolerance)
+        report = spectral.verify_spectrum(graph)
         lines.append(spectral.spectrum_csv_row(report))
     _write_output(args.output, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import BinaryTensor, DirectSum, Shape
 from . import oracles, testers
@@ -27,9 +26,14 @@ _STREAM_TRIALS = 1
 
 
 def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for (seed, stream); streams never collide."""
+    """Counter-based generator for (seed, stream); streams never collide.
+
+    Seeds must lie in [0, 2^64): wider values would wrap onto another seed.
+    """
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed {seed} outside [0, 2^64)")
     return np.random.Generator(
-        np.random.Philox(key=[seed & _MASK64, stream & _MASK64])
+        np.random.Philox(key=[seed, stream & _MASK64])
     )
 
 
@@ -115,9 +119,12 @@ def generate(spec: GeneratorSpec) -> BinaryTensor:
 # ---------------------------------------------------------------------------
 
 
-def wilson_interval(rejections: int, trials: int,
-                    confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+# Two-sided 95% normal quantile, Phi^-1(0.975), as the exact double.
+_Z95 = 1.959963984540054
+
+
+def wilson_interval(rejections: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.
 
     Chosen over the normal approximation because it stays meaningful at zero
     rejections, which completeness runs hit constantly.
@@ -125,7 +132,6 @@ def wilson_interval(rejections: int, trials: int,
     Args:
         rejections: observed count of rejecting trials.
         trials: total number of trials, at least 1.
-        confidence: two-sided coverage level in (0, 1).
 
     Returns:
         (lower, upper) bounds on the true rejection probability.
@@ -134,7 +140,7 @@ def wilson_interval(rejections: int, trials: int,
         raise ValueError("need at least one trial")
     if not 0 <= rejections <= trials:
         raise ValueError("rejections outside [0, trials]")
-    z = float(norm.ppf(0.5 + confidence / 2))
+    z = _Z95
     p = rejections / trials
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -323,6 +329,8 @@ def parse_sweep_config(text: str) -> SweepConfig:
         raise SweepConfigError(lineno, "seeds", str(e)) from e
     if not seeds:
         raise SweepConfigError(lineno, "seeds", "needs at least one seed")
+    if any(s < 0 for s in seeds):
+        raise SweepConfigError(lineno, "seeds", "seeds must be nonnegative")
 
     oracle_budget = oracles.DEFAULT_BUDGET
     if "oracle_budget" in seen:

@@ -87,7 +87,7 @@ class SpectrumReport:
         return self.second_largest() <= tolerance
 
 
-def verify_spectrum(g: SkeletonGraph, tolerance: float = 1e-9) -> SpectrumReport:
+def verify_spectrum(g: SkeletonGraph) -> SpectrumReport:
     """Full spectrum of the walk matrix, classified against the three targets.
 
     The walk is reversible with a stationary measure uniform inside each

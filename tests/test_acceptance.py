@@ -163,7 +163,7 @@ def test_criterion_07_skeleton_spectrum():
     for d in range(2, 6):
         expected_nonzero = sorted(float(v) for v in quotient_spectrum(d))
         for parts in itertools.product((1, 2, 3), repeat=d):
-            rep = verify_spectrum(build_skeleton(parts), tolerance=1e-9)
+            rep = verify_spectrum(build_skeleton(parts))
             n = sum(parts)
             if (rep.count_top, rep.count_zero, rep.count_negative) != (1, n - d, d - 1):
                 ok = False

@@ -1,6 +1,10 @@
 """End-to-end CLI behavior and exit codes."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +54,15 @@ class TestGen:
         assert err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("seed", ["-1", "-2", str(2**64)])
+    def test_seed_outside_uint64(self, capsys, seed):
+        code, out, err = run(["gen", "--shape", "4,4", "--kind",
+                              "uniform-random", "--seed", seed], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: seed {seed} outside [0, 2^64)\n"
+
+
 class TestTest:
     def test_direct_sum_estimates_zero(self, capsys, tmp_path):
         out = tmp_path / "f.tensor"
@@ -60,6 +73,15 @@ class TestTest:
         assert code == 0
         assert "rejections=0" in text
         assert "est=0" in text
+
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "f.tensor"
+        path.write_text("shape 2 2 2\n00010110\n")
+        code, out, err = run(["test", "--input", str(path), "--test",
+                              "sic-subsets", "--seed", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed -1 outside [0, 2^64)\n"
 
     def test_malformed_tensor_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.tensor"
@@ -232,6 +254,23 @@ class TestSweep:
         assert code == 2
         assert "error" in err
 
+    def test_negative_seed_in_config(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("shapes = 2,2\ntests = shapka\nkinds = direct-sum\n"
+                       "trials = 1\nseeds = -1\n")
+        code, _, err = run(["sweep", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err == ("error: line 5, key 'seeds': "
+                       "seeds must be nonnegative\n")
+
+    def test_negative_master_seed(self, capsys, tmp_path):
+        cfg = tmp_path / "default.cfg"
+        cfg.write_text(DEFAULT_SWEEP_CONFIG)
+        code, _, err = run(["sweep", "--config", str(cfg), "--master-seed",
+                            "-3"], capsys)
+        assert code == 2
+        assert err == "error: --master-seed must be nonnegative, got -3\n"
+
     def test_default_config_runs(self, capsys, tmp_path):
         cfg = tmp_path / "default.cfg"
         cfg.write_text(DEFAULT_SWEEP_CONFIG)
@@ -264,6 +303,12 @@ class TestSpectral:
         code, _, err = run(["spectral", "--parts", "5"], capsys)
         assert code == 2
 
+    def test_no_tolerance_flag(self, capsys):
+        code, _, err = run(["spectral", "--parts", "2,3", "--tolerance",
+                            "1e-9"], capsys)
+        assert code == 2
+        assert "unrecognized arguments: --tolerance" in err
+
 
 class TestUsage:
     def test_no_command(self, capsys):
@@ -274,3 +319,17 @@ class TestUsage:
 
     def test_bad_choice(self, capsys):
         assert cli.main(["test", "--input", "x", "--test", "nope"]) == 2
+
+
+def test_import_loads_no_scipy():
+    # The package runs on numpy alone; scipy's import dominated CLI start-up.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    probe = ("import sys, rank1check.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -1,4 +1,4 @@
-"""The demos that call the tester, oracle and Monte-Carlo API run cleanly."""
+"""Every demo runs cleanly and prints something."""
 
 import runpy
 from pathlib import Path
@@ -9,10 +9,12 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 @pytest.mark.parametrize("name", [
+    "01_tensors_and_direct_sums.py",
     "02_four_point_tests.py",
     "03_exact_oracles.py",
     "04_local_view_decoding.py",
     "05_agreement_tests.py",
+    "06_skeleton_spectra.py",
     "07_monte_carlo_sweeps.py",
 ])
 def test_demo_runs(name, capsys):

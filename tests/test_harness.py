@@ -87,6 +87,33 @@ class TestGenerate:
             GeneratorSpec("direct-sum", sh, 0, rate=Fraction(1, 2))
 
 
+class TestRngFor:
+    @pytest.mark.parametrize("seed,stream,draws", [
+        (0, 0, [106500010600983629, 2227898105101312729]),
+        (0, 1, [7501867102099269819, 6929809256754480050]),
+        (1, 0, [2799920918907928943, 7827956549285775127]),
+        (2**32, 1, [3417855389719769178, 4496318755766134434]),
+        (2**63 - 1, 0, [8539059778737004569, 1674689969096962102]),
+    ])
+    def test_streams_pinned(self, seed, stream, draws):
+        assert rng_for(seed, stream).integers(0, 2**63, 2).tolist() == draws
+
+    @pytest.mark.parametrize("seed", [-1, -2, 2**64, 2**64 + 1])
+    def test_rejects_seed_outside_uint64(self, seed):
+        # Each of these used to give seed 0's stream.
+        with pytest.raises(ValueError, match=f"seed {seed} outside"):
+            rng_for(seed)
+
+    def test_generate_rejects_negative_seed(self):
+        with pytest.raises(ValueError):
+            generate(GeneratorSpec("uniform-random", Shape((4, 4)), -1))
+
+    def test_estimate_rejects_negative_seed(self):
+        f = generate(GeneratorSpec("uniform-random", Shape((2, 2, 2)), 0))
+        with pytest.raises(ValueError):
+            estimate_rejection(f, SIC_SUBSETS, 100, -1)
+
+
 class TestWilson:
     def test_single_trial_spans(self):
         lo, hi = wilson_interval(0, 1)
@@ -200,6 +227,14 @@ class TestSweepConfig:
         with pytest.raises(SweepConfigError) as err:
             parse_sweep_config(text)
         assert err.value.field == field
+
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(SweepConfigError) as err:
+            parse_sweep_config("shapes = 2,2\ntests = shapka\n"
+                               "kinds = direct-sum\ntrials = 1\nseeds = 1; -1\n")
+        assert (err.value.field, err.value.line) == ("seeds", 5)
+        assert "nonnegative" in str(err.value)
 
 
 SMALL_CONFIG = """\
