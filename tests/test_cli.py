@@ -53,7 +53,6 @@ class TestGen:
         assert code == 2
         assert err.startswith("error: ")
 
-
     @pytest.mark.parametrize("seed", ["-1", "-2", str(2**64)])
     def test_seed_outside_uint64(self, capsys, seed):
         code, out, err = run(["gen", "--shape", "4,4", "--kind",
@@ -322,7 +321,8 @@ class TestUsage:
 
 
 def test_import_loads_no_scipy():
-    # The package runs on numpy alone; scipy's import dominated CLI start-up.
+    # The package needs numpy only; importing scipy would add about a second
+    # to the start-up of every CLI process.
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -100,18 +100,8 @@ class TestRngFor:
 
     @pytest.mark.parametrize("seed", [-1, -2, 2**64, 2**64 + 1])
     def test_rejects_seed_outside_uint64(self, seed):
-        # Each of these used to give seed 0's stream.
         with pytest.raises(ValueError, match=f"seed {seed} outside"):
             rng_for(seed)
-
-    def test_generate_rejects_negative_seed(self):
-        with pytest.raises(ValueError):
-            generate(GeneratorSpec("uniform-random", Shape((4, 4)), -1))
-
-    def test_estimate_rejects_negative_seed(self):
-        f = generate(GeneratorSpec("uniform-random", Shape((2, 2, 2)), 0))
-        with pytest.raises(ValueError):
-            estimate_rejection(f, SIC_SUBSETS, 100, -1)
 
 
 class TestWilson:
@@ -212,6 +202,8 @@ class TestSweepConfig:
          "trials"),
         ("shapes = 2,2\ntests = shapka\nkinds = direct-sum\ntrials = 1\n",
          "seeds"),
+        ("shapes = 2,2\ntests = shapka\nkinds = direct-sum\ntrials = 1\n"
+         "seeds = 1; -1\n", "seeds"),
         ("shapes = 2,2\ntests = shapka\nkinds = corrupted-direct-sum\ntrials = 1\n"
          "seeds = 1\n", "rates"),
         ("shapes = 2,2\ntests = shapka\nkinds = corrupted-direct-sum\nrates = 1/0\n"
@@ -227,14 +219,6 @@ class TestSweepConfig:
         with pytest.raises(SweepConfigError) as err:
             parse_sweep_config(text)
         assert err.value.field == field
-
-
-    def test_rejects_negative_seed(self):
-        with pytest.raises(SweepConfigError) as err:
-            parse_sweep_config("shapes = 2,2\ntests = shapka\n"
-                               "kinds = direct-sum\ntrials = 1\nseeds = 1; -1\n")
-        assert (err.value.field, err.value.line) == ("seeds", 5)
-        assert "nonnegative" in str(err.value)
 
 
 SMALL_CONFIG = """\
