@@ -21,7 +21,15 @@ from rank1check.harness import (
     worker_count,
 )
 from rank1check.oracles import exact_rejection, nearest_direct_sum
-from rank1check.testers import SHAPKA, SIC_SUBSETS
+from rank1check.testers import (
+    ALL_TEST_KINDS,
+    BLR,
+    CONJECTURED,
+    SHAPKA,
+    SIC_CUBE,
+    SIC_SUBSETS,
+    TENSOR_TEST_KINDS,
+)
 
 
 class TestGenerate:
@@ -174,6 +182,106 @@ class TestEstimate:
         f = generate(GeneratorSpec("direct-sum", Shape((2, 2)), 0))
         with pytest.raises(ValueError):
             estimate_rejection(f, SHAPKA, 0, 0)
+
+
+_STREAM_BLOCK = 1 << 17
+_SELECTORS = {SIC_SUBSETS: 2, SIC_CUBE: 2, SHAPKA: 0, CONJECTURED: 1}
+
+
+def reference_rejections(f, kind, trials, seed):
+    """estimate_rejection's count, re-derived with public Generator calls.
+
+    The trials stream (stream 1 of the seed) is read in blocks of 2^17
+    trials.  Per block a tensor test draws a's coordinates axis by axis, then
+    b's, then each selector as an (n, d) 0/1 array; BLR draws x, then y.
+    Queries are built from coordinates, independently of testers' flat
+    offsets.
+    """
+    rng = rng_for(seed, 1)
+    dims = f.shape.dims
+    d = len(dims)
+    table = f.bits.reshape(dims)
+    rejections = 0
+    for start in range(0, trials, _STREAM_BLOCK):
+        n = min(_STREAM_BLOCK, trials - start)
+        if kind == BLR:
+            x, y = (rng.integers(0, f.shape.size, size=n, dtype=np.int64)
+                    for _ in range(2))
+            rejections += int(np.count_nonzero(
+                f.bits[0] ^ f.bits[x] ^ f.bits[y] ^ f.bits[x ^ y]))
+            continue
+        a, b = (np.stack([rng.integers(0, m, size=n, dtype=np.int64) for m in dims],
+                         axis=1)
+                for _ in range(2))
+        sels = [rng.integers(0, 2, size=(n, d), dtype=np.int64).astype(bool)
+                for _ in range(_SELECTORS[kind])]
+
+        def value(p):
+            return table[tuple(p.T)]
+
+        if kind in (SIC_SUBSETS, SIC_CUBE):
+            s, t = sels
+            bad = (value(a) ^ value(np.where(s, b, a)) ^ value(np.where(t, b, a))
+                   ^ value(np.where(s ^ t, b, a)))
+        elif kind == CONJECTURED:
+            (x,) = sels
+            bad = value(a) ^ value(np.where(x, b, a)) ^ value(b) ^ value(np.where(x, a, b))
+        else:
+            bad = value(b)
+            for j in range(d):
+                hybrid = a.copy()
+                hybrid[:, j] = b[:, j]
+                bad = bad ^ value(hybrid)
+            if d % 2 == 0:
+                bad = bad ^ value(a)
+        rejections += int(np.count_nonzero(bad))
+    return rejections
+
+
+def lemire_skips(words, m, n):
+    """Words skipped while drawing n values below m from a next_uint32 stream.
+
+    Lemire's rule: a word w is skipped when (w * m) mod 2^32 falls below
+    (2^32 - m) mod m.
+    """
+    kept = ((words.astype(np.uint64) * m) & 0xFFFFFFFF) >= (2**32 - m) % m
+    used = int(np.searchsorted(np.cumsum(kept), n)) + 1
+    return used - n
+
+
+class TestMonteCarloStream:
+    """estimate_rejection reproduces the per-axis Generator.integers stream."""
+
+    @pytest.mark.parametrize("trials", [1, 8191, 8192, 8193, 131072, 131073])
+    @pytest.mark.parametrize("kind", ALL_TEST_KINDS)
+    def test_matches_reference(self, kind, trials):
+        dims = (2,) * 5 if kind == BLR else (3, 5, 2)
+        f = generate(GeneratorSpec("uniform-random", Shape(dims), 21))
+        est = estimate_rejection(f, kind, trials, 22)
+        assert est.rejections == reference_rejections(f, kind, trials, 22)
+
+    # A tensor with a single axis of size above 1 is a direct sum, so its
+    # counts are 0 whatever the stream: every shape here has two such axes.
+    @pytest.mark.parametrize("kind", TENSOR_TEST_KINDS)
+    @pytest.mark.parametrize("dims", [(2, 1, 2), (1, 3, 2)])
+    def test_size_one_axes_draw_nothing(self, dims, kind):
+        f = generate(GeneratorSpec("uniform-random", Shape(dims), 23))
+        est = estimate_rejection(f, kind, 131073, 24)
+        assert est.rejections == reference_rejections(f, kind, 131073, 24)
+
+    def test_skipped_words_carry_into_the_next_block(self):
+        # On (100003, 2) sic-subsets draws 8 words per trial and only axis 0
+        # can skip words, so the first block ends on a high half-word exactly
+        # when a's and b's axis 0 skip an odd number together.
+        m, n, seed = 100003, _STREAM_BLOCK, 5
+        words = rng_for(seed, 1).integers(0, 2**32, size=4 * n + 64, dtype=np.uint32)
+        skip_a = lemire_skips(words, m, n)
+        skip_b = lemire_skips(words[2 * n + skip_a:], m, n)
+        assert skip_a > 0 and skip_b > 0 and (skip_a + skip_b) % 2 == 1
+        f = generate(GeneratorSpec("uniform-random", Shape((m, 2)), 25))
+        est = estimate_rejection(f, SIC_SUBSETS, 150000, seed)
+        assert est.rejections > 0
+        assert est.rejections == reference_rejections(f, SIC_SUBSETS, 150000, seed)
 
 
 class TestSweepConfig:

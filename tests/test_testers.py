@@ -261,7 +261,71 @@ class TestSymmetries:
             assert oracles.exact_rejection(flip(f), kind).value == base
 
 
+# Three sample_randomness draws per kind, then the generator's next
+# integers(0, 2**32): tensor kinds on (3, 2, 5), BLR on (2, 2, 2).
+_C = CubePoint
+SAMPLER_PINS = {
+    ("rng_for(99)", SIC_SUBSETS): ([
+        SicSubsetsRandomness((1, 0, 2), (0, 0, 2), 4, 2),
+        SicSubsetsRandomness((1, 0, 1), (2, 1, 1), 0, 4),
+        SicSubsetsRandomness((1, 1, 1), (2, 1, 3), 6, 2)], 704315946),
+    ("rng_for(99)", SIC_CUBE): ([
+        SicCubeRandomness((1, 0, 2), (0, 0, 2), _C(1, 0), _C(1, 0)),
+        SicCubeRandomness((1, 0, 1), (2, 1, 1), _C(3, 0), _C(3, 0)),
+        SicCubeRandomness((1, 1, 1), (2, 1, 3), _C(5, 4), _C(5, 0))], 704315946),
+    ("rng_for(99)", SHAPKA): ([
+        ShapkaRandomness((1, 0, 2), (0, 0, 2)),
+        ShapkaRandomness((1, 0, 3), (1, 1, 1)),
+        ShapkaRandomness((1, 0, 1), (2, 1, 1))], 2087282063),
+    ("rng_for(99)", CONJECTURED): ([
+        ConjecturedRandomness((1, 0, 2), (0, 0, 2), _C(1, 0)),
+        ConjecturedRandomness((1, 1, 1), (1, 0, 1), _C(2, 2)),
+        ConjecturedRandomness((1, 0, 0), (1, 0, 3), _C(4, 0))], 3965242118),
+    ("rng_for(99)", BLR): ([
+        BlrRandomness(4, 0), BlrRandomness(4, 0), BlrRandomness(1, 4)], 1625487683),
+    ("default_rng(5)", SIC_SUBSETS): ([
+        SicSubsetsRandomness((2, 1, 0), (2, 0, 2), 5, 0),
+        SicSubsetsRandomness((1, 0, 0), (0, 0, 0), 2, 3),
+        SicSubsetsRandomness((0, 0, 1), (2, 0, 4), 3, 2)], 2859874686),
+    ("default_rng(5)", SIC_CUBE): ([
+        SicCubeRandomness((2, 1, 0), (2, 0, 2), _C(6, 4), _C(6, 0)),
+        SicCubeRandomness((1, 0, 0), (0, 0, 0), _C(1, 0), _C(1, 1)),
+        SicCubeRandomness((0, 0, 1), (2, 0, 4), _C(5, 1), _C(5, 0))], 2859874686),
+    ("default_rng(5)", SHAPKA): ([
+        ShapkaRandomness((2, 1, 0), (2, 0, 2)),
+        ShapkaRandomness((1, 0, 4), (0, 0, 1)),
+        ShapkaRandomness((1, 0, 0), (0, 0, 0))], 639154320),
+    ("default_rng(5)", CONJECTURED): ([
+        ConjecturedRandomness((2, 1, 0), (2, 0, 2), _C(6, 4)),
+        ConjecturedRandomness((0, 0, 1), (1, 0, 0), _C(5, 0)),
+        ConjecturedRandomness((0, 1, 0), (1, 1, 1), _C(5, 0))], 4184097840),
+    ("default_rng(5)", BLR): ([
+        BlrRandomness(5, 6), BlrRandomness(0, 6), BlrRandomness(3, 4)], 2706834550),
+}
+
+
 class TestSampling:
+    @pytest.mark.parametrize("source,kind", list(SAMPLER_PINS), ids=str)
+    def test_pinned_draws_and_generator_state(self, source, kind):
+        from rank1check.harness import rng_for
+        rng = rng_for(99) if source == "rng_for(99)" else np.random.default_rng(5)
+        shape = Shape((2, 2, 2)) if kind == BLR else Shape((3, 2, 5))
+        draws, after = SAMPLER_PINS[source, kind]
+        assert [sample_randomness(kind, shape, rng) for _ in range(3)] == draws
+        assert int(rng.integers(0, 2**32)) == after
+
+    def test_skipped_words_match_integers(self):
+        # Below 3 * 2^30 Lemire's rule skips a quarter of all 32-bit words.
+        dims = (3 * 2**30, 5)
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            coords = [int(rng.integers(0, m)) for m in dims * 2]
+            after = int(rng.integers(0, 2**32))
+            rng = np.random.default_rng(seed)
+            r = sample_randomness(SHAPKA, Shape(dims), rng)
+            assert r == ShapkaRandomness(tuple(coords[:2]), tuple(coords[2:]))
+            assert int(rng.integers(0, 2**32)) == after
+
     def test_deterministic_in_seed(self):
         from rank1check.harness import rng_for
         sh = Shape((3, 2, 3))
