@@ -27,11 +27,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
+def _parse_dims(text: str, what: str = "shape") -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError as e:
-        raise ValueError(f"bad shape {text!r}: {e}") from e
+        raise ValueError(f"bad {what} {text!r}: {e}") from e
 
 
 def _read_input(path: str) -> str:
@@ -215,7 +215,7 @@ def _cmd_decode(args) -> int:
     if args.anchor == "best":
         anchor, ds, dist = oracles.best_anchor_decode(f)
     else:
-        anchor = f.shape.require_point(_parse_dims(args.anchor))
+        anchor = f.shape.require_point(_parse_dims(args.anchor, "anchor"))
         ds = oracles.local_view_decode(f, anchor)
         dist = distance(f, ds.materialize())
     _write_output(args.output, tensor_to_text(ds.materialize()))

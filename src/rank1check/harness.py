@@ -164,25 +164,50 @@ class RejectionEstimate:
 _CHUNK = 1 << 17
 
 
+def _philox_words(bit_generator: np.random.Philox):
+    """Word source for testers' draws: the generator's next_uint32 stream.
+
+    Philox hands out the low and then the high half of each 64-bit output.
+    The outputs are read in bulk, and an odd count leaves a high half over
+    to open the next request.
+    """
+    carry = np.empty(0, dtype=np.uint32)
+
+    def words(count: int) -> np.ndarray:
+        nonlocal carry
+        raw = bit_generator.random_raw((count - carry.size + 1) // 2)
+        halves = raw.astype("<u8", copy=False).view("<u4")
+        out = np.concatenate((carry, halves)) if carry.size else halves
+        carry = out[count:].copy()  # not a view that keeps the block alive
+        return out[:count]
+
+    return words
+
+
 def estimate_rejection(f: BinaryTensor, kind: str, trials: int,
                        seed: int) -> RejectionEstimate:
     """Monte-Carlo rejection estimate with a 95% Wilson interval.
 
-    Trial i's randomness is a fixed function of (seed, i): one counter-based
-    stream is consumed in fixed-size blocks, so reruns with the same seed and
-    trial count reproduce every outcome.  Each block is drawn by the test's
-    sampler and run through its query pattern, both defined in testers.
+    Trial i's randomness is a fixed function of (seed, i): the Philox
+    stream rng_for(seed, 1) is consumed in blocks of _CHUNK trials, so reruns
+    with the same seed and trial count reproduce every outcome.  Per block,
+    testers._draw reads the stream's 32-bit words in one bulk request: a's
+    axes, b's axes, then the selectors row-major (BLR: x, then y), each value
+    decoded by Lemire's rule as Generator.integers decodes next_uint32, with
+    size-1 axes reading no word.  The counts therefore equal those of
+    per-axis Generator.integers draws.  Each sub-block then runs through the
+    test's query pattern, both defined in testers.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = rng_for(seed, _STREAM_TRIALS)
+    words = _philox_words(rng_for(seed, _STREAM_TRIALS).bit_generator)
     remaining = trials
     rejections = 0
     while remaining:
         step = min(_CHUNK, remaining)
-        randomness = testers._draw(kind, f.shape, step, rng)
-        columns = testers._query_columns(kind, f.shape, randomness)
-        rejections += int(np.count_nonzero(testers._parity(f.bits, columns)))
+        for randomness in testers._draw(kind, f.shape, step, words):
+            columns = testers._query_columns(kind, f.shape, randomness)
+            rejections += int(np.count_nonzero(testers._parity(f.bits, columns)))
         remaining -= step
     lo, hi = wilson_interval(rejections, trials)
     return RejectionEstimate(trials, rejections, seed, lo, hi)

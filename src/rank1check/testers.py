@@ -166,26 +166,104 @@ def _tensor_test(kind: str) -> tuple:
         raise ValueError(f"unknown test kind {kind!r}") from None
 
 
-def _draw(kind: str, shape: Shape, n: int, rng: np.random.Generator) -> tuple:
-    """n trials' randomness as arrays, from the test's distribution.
+# Monte Carlo applies a pattern to at most this many trials at a time, so
+# that a sub-block's int64 temporaries stay in cache.
+_SUB_BLOCK = 1 << 13
 
-    Tensor tests: a and b as (n, d) int64 coordinates, each drawn axis by
-    axis, then each selector as an (n, d) 0/1 array.  BLR: x and y as table
-    indices.  This draw order fixes estimate_rejection's counts per seed.
+_WORD = 1 << 32
+
+
+def _below(words: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The values below m (uint64) that 32-bit words decode to: (w * m) >> 32."""
+    values = words * m
+    values >>= 32
+    return values.view(np.int64)
+
+
+def _kept_words(groups: list, words) -> np.ndarray:
+    """The words behind consecutive groups of bounded draws, skips removed.
+
+    Group (m, count) draws count values below m, 1 < m <= 2^32, the way
+    numpy's Generator.integers does: Lemire's rule skips a word w when
+    (w * m) mod 2^32 < (2^32 - m) mod m, which never happens for a power of
+    two.  `words(count)` returns the stream's next count 32-bit words;
+    exactly the words the draws consume are read.  Returns the kept words of
+    all groups in draw order.
+    """
+    buf = words(sum(count for _, count in groups))
+    pos = 0
+
+    def take(count):
+        nonlocal buf, pos
+        if pos + count > buf.size:  # skipped words pushed the draws past buf
+            buf = np.concatenate((buf[pos:], words(pos + count - buf.size)))
+            pos = 0
+        pos += count
+        return buf[pos - count:pos]
+
+    kept = []
+    skipped = False
+    for m, count in groups:
+        group = take(count)
+        threshold = (_WORD - m) % m
+        while threshold:
+            ok = group * np.uint32(m) >= threshold  # the product wraps mod 2^32
+            missing = count - int(np.count_nonzero(ok))
+            if not missing:
+                break
+            skipped = True
+            group = np.concatenate((group[ok], take(missing)))
+        kept.append(group)
+    return np.concatenate(kept) if skipped else buf
+
+
+def _draw(kind: str, shape: Shape, n: int, words):
+    """n trials' randomness from the test's distribution, in sub-blocks.
+
+    The draws read the 32-bit word stream `words(count)` in this order:
+    tensor tests take a's coordinates axis by axis (n per axis), then b's,
+    then each selector as an (n, d) 0/1 array filled row-major; BLR takes
+    n values of x, then of y.  A value below m is decoded from its word as
+    numpy's Generator.integers decodes next_uint32 (Lemire's rule), and a
+    size-1 axis reads no word, so the values match per-axis integers calls
+    on the generator the words come from.  This order fixes
+    estimate_rejection's counts per seed.  All words are read before this
+    returns; the result yields the randomness of up to _SUB_BLOCK trials at
+    a time, laid out as _query_columns takes it: a and b as (rows, d) int64
+    coordinates and (rows, d) 0/1 selectors, or BLR's x and y as table
+    indices.  Sizes above 2^32 are refused.
     """
     if kind == BLR:
         _require_binary(shape)
-        return tuple(rng.integers(0, shape.size, size=n, dtype=np.int64)
-                     for _ in range(2))
-    _, k = _tensor_test(kind)
-    points = [
-        np.stack([rng.integers(0, m, size=n, dtype=np.int64) for m in shape.dims],
-                 axis=1)
-        for _ in range(2)
-    ]
-    selectors = [rng.integers(0, 2, size=(n, shape.d), dtype=np.int64)
-                 for _ in range(k)]
-    return (*points, *selectors)
+        dims, k = (shape.size,), 0
+    else:
+        dims = shape.dims
+        _, k = _tensor_test(kind)
+    if max(dims) > _WORD:
+        raise ValueError(f"cannot draw below {max(dims)}: Monte-Carlo draws are "
+                         "limited to sizes up to 2^32")
+    d = len(dims)
+    drawn = [m > 1 for m in dims]
+    groups = [(m, n) for m in dims if m > 1] * 2 + [(2, n * d)] * k
+    stream = _kept_words(groups, words)
+    # Both points' words as (2, d, n); a size-1 axis gets zero words, which
+    # decode to 0 below any m.
+    if all(drawn):
+        points = stream[:2 * d * n].reshape(2, d, n)
+    else:
+        points = np.zeros((2, d, n), dtype=np.uint32)
+        points[:, drawn] = stream[:2 * sum(drawn) * n].reshape(2, -1, n)
+    selectors = stream[stream.size - k * n * d:].reshape(k, n, d)
+    moduli = np.array(dims, dtype=np.uint64)[:, None]
+
+    def rows(i):
+        j = i + _SUB_BLOCK
+        a, b = _below(points[:, :, i:j], moduli).transpose(0, 2, 1)
+        if kind == BLR:
+            return a[:, 0], b[:, 0]
+        return (a, b, *_below(selectors[:, i:j], np.uint64(2)))
+
+    return map(rows, range(0, n, _SUB_BLOCK))
 
 
 def _query_columns(kind: str, shape: Shape, randomness) -> tuple:
@@ -333,9 +411,13 @@ def sample_randomness(kind: str, shape: Shape, rng: np.random.Generator) -> Tria
     """Draw one trial's randomness from the test's stated distribution.
 
     This is the Monte-Carlo sampler at n = 1, so it is deterministic in the
-    generator state and uses the same draw order.
+    generator state and uses the same draw order.  It reads the generator's
+    32-bit words through rng.integers, which leaves rng in the state that
+    per-axis rng.integers draws would.
     """
-    arrays = _draw(kind, shape, 1, rng)
+    arrays = next(_draw(
+        kind, shape, 1,
+        lambda count: rng.integers(0, _WORD, size=count, dtype=np.uint32)))
     if kind == BLR:
         return BlrRandomness(*(int(v[0]) for v in arrays))
     a, b = (tuple(int(v) for v in p[0]) for p in arrays[:2])

@@ -1,0 +1,71 @@
+"""tools/bench_compare.py on two hand-made record directories."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_compare.py"
+spec = importlib.util.spec_from_file_location("bench_compare", TOOL)
+bench_compare = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_compare)
+
+
+def write_records(directory, sha, runs):
+    directory.mkdir()
+    for (workload, seed), (ops, rss) in runs.items():
+        record = {
+            "workload": workload, "seed": seed, "trace": 0, "git_sha": sha,
+            "versions": {"python": "3.11.7", "numpy": "2.4.6"},
+            "nproc": 2, "RANK1CHECK_THREADS": "2",
+            "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"},
+                        "peak_rss_mb": {"value": rss, "unit": "MB"}},
+        }
+        path = directory / f"record-{workload}-seed{seed}-trace0.json"
+        path.write_text(json.dumps(record))
+
+
+def test_pairs_by_workload_and_seed(tmp_path):
+    write_records(tmp_path / "parent", "aaa", {
+        ("mc-large", 1): (10.0, 300.0), ("mc-large", 2): (12.0, 300.0),
+        ("mc-large", 3): (11.0, 301.0), ("mc-large", 4): (99.0, 1.0),
+        ("cli-session", 1): (0.5, 100.0)})
+    write_records(tmp_path / "change", "bbb", {
+        ("mc-large", 1): (15.0, 290.0), ("mc-large", 2): (11.0, 300.0),
+        ("mc-large", 3): (16.0, 290.0), ("cli-session", 1): (0.6, 100.0)})
+    out = tmp_path / "bench.json"
+    assert bench_compare.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                               "-o", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["parent"] == {"git_sha": "aaa", "nproc": 2, "RANK1CHECK_THREADS": "2",
+                                "versions": {"python": "3.11.7", "numpy": "2.4.6"}}
+    assert result["change"]["git_sha"] == "bbb"
+    mc = result["workloads"]["mc-large"]
+    assert mc["seeds"] == [1, 2, 3]  # seed 4 ran on the parent only
+    ops = mc["metrics"]["ops_per_s"]
+    assert ops["parent"] == {"q1": 10.5, "median": 11.0, "q3": 11.5}
+    assert ops["change"] == {"q1": 13.0, "median": 15.0, "q3": 15.5}
+    assert (ops["pairs"], ops["change_better"], ops["better"]) == (3, 2, "higher")
+    rss = mc["metrics"]["peak_rss_mb"]
+    assert (rss["change_better"], rss["better"], rss["bound"]) == (2, "lower", 0.05)
+    assert result["workloads"]["cli-session"]["metrics"]["ops_per_s"]["pairs"] == 1
+
+
+def test_refuses_mixed_thread_counts(tmp_path, capsys):
+    write_records(tmp_path / "parent", "aaa", {("mc-large", 1): (10.0, 300.0)})
+    write_records(tmp_path / "change", "bbb", {("mc-large", 1): (10.0, 300.0)})
+    extra = json.loads((tmp_path / "change" / "record-mc-large-seed1-trace0.json").read_text())
+    extra["RANK1CHECK_THREADS"] = "1"
+    (tmp_path / "change" / "record-mc-large-seed2-trace0.json").write_text(json.dumps(extra))
+    code = bench_compare.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                               "-o", str(tmp_path / "bench.json")])
+    assert code == 2
+    assert "disagree on RANK1CHECK_THREADS" in capsys.readouterr().err
+
+
+def test_refuses_a_directory_without_records(tmp_path, capsys):
+    write_records(tmp_path / "parent", "aaa", {("mc-large", 1): (10.0, 300.0)})
+    (tmp_path / "change").mkdir()
+    code = bench_compare.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                               "-o", str(tmp_path / "bench.json")])
+    assert code == 2
+    assert "no record-*-trace0.json files" in capsys.readouterr().err

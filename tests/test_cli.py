@@ -209,6 +209,15 @@ class TestDecode:
         assert "anchor=1,0" in err
         assert out.startswith("shape 2 2\n")
 
+    def test_unparsable_anchor_is_named(self, capsys, tmp_path):
+        src = tmp_path / "f.tensor"
+        run(["gen", "--shape", "2,2", "--kind", "uniform-random",
+             "--seed", "3", "-o", str(src)], capsys)
+        code, out, err = run(["decode", "--input", str(src), "--mode",
+                              "local-view", "--anchor", "x"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad anchor 'x': ")
+
     def test_plurality(self, capsys, tmp_path):
         g = DPFunction(DPShape((3, 3), 2),
                        [[0, 0], [0, 1], [0, 0], [1, 0], [1, 1], [1, 0],

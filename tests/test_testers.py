@@ -375,3 +375,17 @@ class TestSampling:
         from rank1check.harness import rng_for
         with pytest.raises(ValueError):
             sample_randomness(BLR, Shape((3, 2)), rng_for(0))
+
+    def test_axis_of_size_2_32_matches_integers(self):
+        from rank1check.harness import rng_for
+        rng = rng_for(3)
+        coords = [int(rng.integers(0, m)) for m in (2**32, 3) * 2]
+        r = sample_randomness(SHAPKA, Shape((2**32, 3)), rng_for(3))
+        assert r == ShapkaRandomness(tuple(coords[:2]), tuple(coords[2:]))
+
+    @pytest.mark.parametrize("kind,dims", [(SHAPKA, (2**32 + 1, 2)),
+                                           (BLR, (2,) * 33)])
+    def test_refuses_sizes_above_2_32(self, kind, dims):
+        from rank1check.harness import rng_for
+        with pytest.raises(ValueError, match=r"up to 2\^32"):
+            sample_randomness(kind, Shape(dims), rng_for(0))

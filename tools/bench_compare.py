@@ -1,0 +1,108 @@
+"""Compare benchmark runs of two checkouts, one pair of runs per seed.
+
+Usage (from the root of a checkout):
+
+    python3 tools/bench_compare.py PARENT_DIR CHANGE_DIR -o BENCH_<n>.json
+
+PARENT_DIR and CHANGE_DIR are the `.perfbench_out/` directories of two
+checkouts.  Each holds the `record-<workload>-seed<seed>-trace0.json` files
+that `perfbench/run.py --trace 0` writes, one per (workload, seed).  Runs
+are paired by (workload, seed); a seed recorded on one side only is left
+out.  For every end-to-end metric the output gives each side's median and
+quartiles over the paired runs and the number of pairs in which the change
+reads better, with the direction and bound from BENCHMARK.json.  The git
+sha, package versions, nproc and RANK1CHECK_THREADS of each side are
+recorded; a side whose records disagree on them is refused.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RECORD = re.compile(r"record-(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json")
+ENVIRONMENT = ("git_sha", "versions", "nproc", "RANK1CHECK_THREADS")
+
+
+def load_side(directory: Path) -> tuple[dict, dict]:
+    """(environment, {(workload, seed): metrics}) of one side's records."""
+    records = {}
+    env = {}
+    for path in sorted(directory.glob("record-*-trace0.json")):
+        match = RECORD.fullmatch(path.name)
+        if match is None:
+            continue
+        record = json.loads(path.read_text(encoding="utf-8"))
+        for key in ENVIRONMENT:
+            if env.setdefault(key, record[key]) != record[key]:
+                raise ValueError(f"{directory}: records disagree on {key} "
+                                 f"({env[key]!r} and {record[key]!r})")
+        key = (match["workload"], int(match["seed"]))
+        records[key] = {name: m["value"] for name, m in record["metrics"].items()}
+    if not records:
+        raise ValueError(f"{directory}: no record-*-trace0.json files")
+    return env, records
+
+
+def spread(values: list) -> dict:
+    """Median and quartiles (inclusive method; one value is its own quartiles)."""
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": statistics.median(values), "q3": q3}
+
+
+def compare(parent: dict, change: dict, metrics: dict) -> dict:
+    """Per workload and metric: both sides' spreads and the pairs won."""
+    out = {}
+    for workload in sorted({w for w, _ in parent}):
+        seeds = sorted(s for w, s in parent if w == workload and (w, s) in change)
+        if not seeds:
+            continue
+        rows = {}
+        for name, spec in metrics.items():
+            pairs = [(parent[workload, s][name], change[workload, s][name])
+                     for s in seeds
+                     if name in parent[workload, s] and name in change[workload, s]]
+            if not pairs:
+                continue
+            sign = 1 if spec["better"] == "higher" else -1
+            rows[name] = {
+                "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+                "parent": spread([p for p, _ in pairs]),
+                "change": spread([c for _, c in pairs]),
+                "pairs": len(pairs),
+                "change_better": sum(sign * (c - p) > 0 for p, c in pairs),
+            }
+        out[workload] = {"seeds": seeds, "metrics": rows}
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent_dir", type=Path)
+    p.add_argument("change_dir", type=Path)
+    p.add_argument("-o", "--output", type=Path, required=True)
+    args = p.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    try:
+        parent_env, parent = load_side(args.parent_dir)
+        change_env, change = load_side(args.change_dir)
+    except (OSError, ValueError, KeyError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    result = {"parent": parent_env, "change": change_env,
+              "workloads": compare(parent, change, metrics)}
+    args.output.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
