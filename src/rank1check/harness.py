@@ -195,8 +195,8 @@ def estimate_rejection(f: BinaryTensor, kind: str, trials: int,
     axes, b's axes, then the selectors row-major (BLR: x, then y), each value
     decoded by Lemire's rule as Generator.integers decodes next_uint32, with
     size-1 axes reading no word.  The counts therefore equal those of
-    per-axis Generator.integers draws.  Each sub-block then runs through the
-    test's query pattern, both defined in testers.
+    per-axis Generator.integers draws.  Each sub-block of the draw then runs
+    through the test's query pattern in testers.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
