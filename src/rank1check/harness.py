@@ -169,7 +169,8 @@ def _philox_words(bit_generator: np.random.Philox):
 
     Philox hands out the low and then the high half of each 64-bit output.
     The outputs are read in bulk, and an odd count leaves a high half over
-    to open the next request.
+    to open the next request.  Same words as Generator.integers(0, 2**32,
+    dtype=uint32), which fills them one next_uint32 call at a time.
     """
     carry = np.empty(0, dtype=np.uint32)
 

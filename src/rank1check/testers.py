@@ -173,9 +173,13 @@ _SUB_BLOCK = 1 << 13
 _WORD = 1 << 32
 
 
-def _below(words: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The values below m (uint64) that 32-bit words decode to: (w * m) >> 32."""
-    values = words * m
+def _below(words: np.ndarray, m) -> np.ndarray:
+    """The values below m that 32-bit words decode to: (w * m) >> 32.
+
+    The product is taken in uint64 whatever the operands' dtypes, so it
+    never wraps under either numpy's value-based or NEP 50 promotion.
+    """
+    values = np.multiply(words, m, dtype=np.uint64)
     values >>= 32
     return values.view(np.int64)
 
@@ -247,7 +251,8 @@ def _draw(kind: str, shape: Shape, n: int, words):
     groups = [(m, n) for m in dims if m > 1] * 2 + [(2, n * d)] * k
     stream = _kept_words(groups, words)
     # Both points' words as (2, d, n); a size-1 axis gets zero words, which
-    # decode to 0 below any m.
+    # decode to 0 below any m.  Without size-1 axes the words are a view of
+    # the stream, which saves a zero-filled copy of the whole block.
     if all(drawn):
         points = stream[:2 * d * n].reshape(2, d, n)
     else:
@@ -261,7 +266,7 @@ def _draw(kind: str, shape: Shape, n: int, words):
         a, b = _below(points[:, :, i:j], moduli).transpose(0, 2, 1)
         if kind == BLR:
             return a[:, 0], b[:, 0]
-        return (a, b, *_below(selectors[:, i:j], np.uint64(2)))
+        return (a, b, *_below(selectors[:, i:j], 2))
 
     return map(rows, range(0, n, _SUB_BLOCK))
 

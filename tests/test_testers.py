@@ -326,6 +326,18 @@ class TestSampling:
             assert r == ShapkaRandomness(tuple(coords[:2]), tuple(coords[2:]))
             assert int(rng.integers(0, 2**32)) == after
 
+    def test_word_decode_takes_the_product_in_64_bits(self):
+        # numpy 1 keeps uint32 * (small scalar) in uint32 and numpy 2 keeps
+        # uint32 * uint32 there; either way a wrapped product decodes wrong.
+        from rank1check.testers import _below
+        words = np.array([0, 1, 2**31 - 1, 2**31, 3 << 30, 2**32 - 1],
+                         dtype=np.uint32)
+        for m in (2, 5, 2**32 - 1):
+            want = [(int(w) * m) >> 32 for w in words]
+            for operand in (m, np.uint32(m), np.uint64(m),
+                            np.array([m], dtype=np.uint32)):
+                assert _below(words, operand).tolist() == want
+
     def test_deterministic_in_seed(self):
         from rank1check.harness import rng_for
         sh = Shape((3, 2, 3))
