@@ -73,6 +73,21 @@ class TestTest:
         assert "rejections=0" in text
         assert "est=0" in text
 
+    def test_stdout_independent_of_threads(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "f.tensor"
+        run(["gen", "--shape", "4,4,4,4", "--kind", "uniform-random", "--seed",
+             "3", "-o", str(path)], capsys)
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RANK1CHECK_THREADS", threads)
+            code, text, _ = run(["test", "--input", str(path), "--test",
+                                 "sic-subsets", "--trials", "300000", "--seed",
+                                 "4"], capsys)
+            assert code == 0
+            outputs.append(text)
+        assert outputs[0] == outputs[1]
+        assert "rejections=0 " not in outputs[0]
+
     def test_negative_seed_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "f.tensor"
         path.write_text("shape 2 2 2\n00010110\n")

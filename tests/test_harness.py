@@ -1,5 +1,6 @@
 """Generators, Wilson intervals, estimation, sweep configs, CSV determinism."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,19 @@ class TestGenerate:
         mean = total / n
         sigma = np.sqrt(64 * (1 / 8) * (7 / 8))
         assert abs(mean - 8.0) <= 3 * sigma / np.sqrt(n)
+
+    # sha256 of the bits, pinned before the rate mask was drawn in chunks:
+    # (8,)^8 is exactly 16 chunks of 2^20 entries, (1000, 1500) ends on a
+    # partial one.
+    @pytest.mark.parametrize("dims, seed, rate, sha", [
+        ((8,) * 8, 7, Fraction(1, 16),
+         "d88e4895e0f73234e99e0ff5c1a2e0829b0ddabb50b134907a65c4780570164d"),
+        ((1000, 1500), 8, Fraction(1, 3),
+         "20d1bdea37bcd8c8b202667a4b90da3f4b0d93bc4841260e737c0156c977740c"),
+    ])
+    def test_rate_bits_pinned(self, dims, seed, rate, sha):
+        f = generate(GeneratorSpec("corrupted-direct-sum", Shape(dims), seed, rate=rate))
+        assert hashlib.sha256(f.bits.tobytes()).hexdigest() == sha
 
     def test_indicator_has_weight_one(self):
         f = generate(GeneratorSpec("single-point-indicator", Shape((3, 3)), 4))
@@ -282,6 +296,40 @@ class TestMonteCarloStream:
         est = estimate_rejection(f, SIC_SUBSETS, 150000, seed)
         assert est.rejections > 0
         assert est.rejections == reference_rejections(f, SIC_SUBSETS, 150000, seed)
+
+
+class TestThreadCount:
+    """Monte-Carlo counts are the same under every RANK1CHECK_THREADS."""
+
+    @staticmethod
+    def counts(monkeypatch, f, kind, trials, seed):
+        out = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("RANK1CHECK_THREADS", threads)
+            out.append(estimate_rejection(f, kind, trials, seed).rejections)
+        return out
+
+    @pytest.mark.parametrize("trials", [1, 8193, 131073, 150000])
+    @pytest.mark.parametrize("kind", ALL_TEST_KINDS)
+    def test_counts_independent_of_threads(self, monkeypatch, kind, trials):
+        dims = (2,) * 5 if kind == BLR else (3, 5, 2)
+        f = generate(GeneratorSpec("uniform-random", Shape(dims), 31))
+        first, *rest = self.counts(monkeypatch, f, kind, trials, 32)
+        assert rest == [first, first]
+
+    @pytest.mark.parametrize("kind", TENSOR_TEST_KINDS)
+    @pytest.mark.parametrize("dims", [(2, 1, 2), (1, 3, 2)])
+    def test_size_one_axes(self, monkeypatch, dims, kind):
+        f = generate(GeneratorSpec("uniform-random", Shape(dims), 33))
+        first, *rest = self.counts(monkeypatch, f, kind, 131073, 34)
+        assert rest == [first, first]
+
+    def test_skipped_words(self, monkeypatch):
+        # The (100003, 2) case of TestMonteCarloStream: its first block ends
+        # on a carried half-word.
+        f = generate(GeneratorSpec("uniform-random", Shape((100003, 2)), 25))
+        first, *rest = self.counts(monkeypatch, f, SIC_SUBSETS, 150000, 5)
+        assert first > 0 and rest == [first, first]
 
 
 class TestSweepConfig:
