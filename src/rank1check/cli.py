@@ -240,7 +240,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_spectral(args) -> int:
     lines = [spectral.SPECTRUM_CSV_HEADER]
     for parts_text in args.parts:
-        graph = spectral.build_skeleton(_parse_dims(parts_text))
+        graph = spectral.build_skeleton(_parse_dims(parts_text, "parts"))
         report = spectral.verify_spectrum(graph)
         lines.append(spectral.spectrum_csv_row(report))
     _write_output(args.output, "\n".join(lines) + "\n")

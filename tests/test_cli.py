@@ -326,6 +326,12 @@ class TestSpectral:
         code, _, err = run(["spectral", "--parts", "5"], capsys)
         assert code == 2
 
+    def test_unparsable_parts_are_named(self, capsys):
+        code, out, err = run(["spectral", "--parts", "x"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad parts 'x': ")
+
     def test_no_tolerance_flag(self, capsys):
         code, _, err = run(["spectral", "--parts", "2,3", "--tolerance",
                             "1e-9"], capsys)
