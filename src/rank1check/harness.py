@@ -8,6 +8,7 @@ execution order.  Exact oracle columns never depend on any seed.
 from __future__ import annotations
 
 import concurrent.futures
+import copy
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +52,16 @@ def worker_count() -> int:
     return value
 
 
+def _on_threads(parts: int, task) -> list:
+    """[task(0), ..., task(parts - 1)], run at once: task(0) on this thread."""
+    if parts == 1:
+        return [task(0)]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=parts - 1) as pool:
+        later = [pool.submit(task, t) for t in range(1, parts)]
+        first = task(0)
+        return [first] + [job.result() for job in later]
+
+
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
@@ -91,6 +102,9 @@ class GeneratorSpec:
             raise ValueError(f"kind {self.kind!r} takes no corruption parameter")
 
 
+_RATE_CHUNK = 1 << 20
+
+
 def generate(spec: GeneratorSpec) -> BinaryTensor:
     """Deterministic tensor for the spec; same spec, same bits."""
     rng = rng_for(spec.seed, _STREAM_GENERATE)
@@ -106,8 +120,13 @@ def generate(spec: GeneratorSpec) -> BinaryTensor:
         return base
     bits = base.bits.copy()
     if spec.rate is not None:
-        mask = rng.random(shape.size) < float(spec.rate)
-        bits ^= mask.astype(np.uint8)
+        # One double per entry, drawn a chunk at a time: the same doubles in
+        # the same order as a single rng.random(shape.size), without the
+        # whole-tensor float64 array.
+        rate = float(spec.rate)
+        for i in range(0, shape.size, _RATE_CHUNK):
+            chunk = bits[i:i + _RATE_CHUNK]
+            chunk ^= rng.random(chunk.size) < rate
     elif spec.flips:
         idx = rng.choice(shape.size, size=spec.flips, replace=False)
         bits[idx] ^= 1
@@ -163,21 +182,67 @@ class RejectionEstimate:
 
 _CHUNK = 1 << 17
 
+# Outputs a thread reads from Philox per random_raw call, and the fewest
+# outputs worth a thread of their own.
+_RAW_PIECE = 1 << 15
 
-def _philox_words(bit_generator: np.random.Philox):
+
+def _philox_raw(bit_generator: np.random.Philox, n: int,
+                workers: int) -> np.ndarray:
+    """bit_generator.random_raw(n), filled by up to `workers` threads.
+
+    Philox is counter-based.  After the r outputs left in its 4-output
+    buffer, output r + 4c + j of the draw is lane j of the (c + 1)-th
+    counter past the current one.  The draw is split at counter boundaries
+    into contiguous ranges, one per thread and none under _RAW_PIECE
+    outputs.  The first range is read from bit_generator itself, buffer
+    first.  Range t > 0 starts at output r + 4c_t, where a copy of the
+    generator advanced by c_t counters starts (advance drops the buffer).
+    Every output therefore lands where a single random_raw(n) puts it.  Each
+    thread writes its range into the result _RAW_PIECE outputs at a time.
+    bit_generator is left in the state random_raw(n) leaves.
+    """
+    state = bit_generator.state
+    buffered = 4 - state["buffer_pos"]
+    counters = -(-(n - buffered) // 4)
+    parts = max(1, min(workers, counters, n // _RAW_PIECE))
+    firsts = [counters * t // parts for t in range(1, parts)]
+    bounds = [0] + [buffered + 4 * c for c in firsts] + [n]
+    sources = [bit_generator]
+    for c in firsts:
+        source = copy.deepcopy(bit_generator)
+        source.advance(c)
+        sources.append(source)
+    out = np.empty(n, dtype="<u8")
+
+    def fill(t):
+        for i in range(bounds[t], bounds[t + 1], _RAW_PIECE):
+            j = min(i + _RAW_PIECE, bounds[t + 1])
+            out[i:j] = sources[t].random_raw(j - i)
+
+    _on_threads(parts, fill)
+    if parts > 1:
+        end = sources[-1].state  # advance cleared the half-word next_uint32 keeps
+        end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
+        bit_generator.state = end
+    return out
+
+
+def _philox_words(bit_generator: np.random.Philox, workers: int):
     """Word source for testers' draws: the generator's next_uint32 stream.
 
     Philox hands out the low and then the high half of each 64-bit output.
-    The outputs are read in bulk, and an odd count leaves a high half over
-    to open the next request.  Same words as Generator.integers(0, 2**32,
-    dtype=uint32), which fills them one next_uint32 call at a time.
+    The outputs are read in bulk by _philox_raw, and an odd count leaves a
+    high half over to open the next request.  Same words as
+    Generator.integers(0, 2**32, dtype=uint32), which fills them one
+    next_uint32 call at a time.
     """
     carry = np.empty(0, dtype=np.uint32)
 
     def words(count: int) -> np.ndarray:
         nonlocal carry
-        raw = bit_generator.random_raw((count - carry.size + 1) // 2)
-        halves = raw.astype("<u8", copy=False).view("<u4")
+        raw = _philox_raw(bit_generator, (count - carry.size + 1) // 2, workers)
+        halves = raw.view("<u4")
         out = np.concatenate((carry, halves)) if carry.size else halves
         carry = out[count:].copy()  # not a view that keeps the block alive
         return out[:count]
@@ -198,17 +263,37 @@ def estimate_rejection(f: BinaryTensor, kind: str, trials: int,
     size-1 axes reading no word.  The counts therefore equal those of
     per-axis Generator.integers draws.  Each sub-block of the draw then runs
     through the test's query pattern in testers.
+
+    Each block runs on up to worker_count() threads in two phases.  The
+    bulk read is split by Philox counter (_philox_raw), so every word stays
+    where one sequential read puts it; then the threads take the sub-blocks
+    in turn and sum their rejections.  Counts do not depend on the thread
+    count.
     """
+    return _estimate_rejection(f, kind, trials, seed, worker_count())
+
+
+def _estimate_rejection(f: BinaryTensor, kind: str, trials: int, seed: int,
+                        workers: int) -> RejectionEstimate:
+    """estimate_rejection on at most `workers` threads."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    words = _philox_words(rng_for(seed, _STREAM_TRIALS).bit_generator)
+    words = _philox_words(rng_for(seed, _STREAM_TRIALS).bit_generator, workers)
     remaining = trials
     rejections = 0
     while remaining:
         step = min(_CHUNK, remaining)
-        for randomness in testers._draw(kind, f.shape, step, words):
-            columns = testers._query_columns(kind, f.shape, randomness)
-            rejections += int(np.count_nonzero(testers._parity(f.bits, columns)))
+        decode, starts = testers._draw(kind, f.shape, step, words)
+        parts = min(workers, len(starts))
+
+        def apply(t):
+            count = 0
+            for i in starts[t::parts]:
+                columns = testers._query_columns(kind, f.shape, decode(i))
+                count += int(np.count_nonzero(testers._parity(f.bits, columns)))
+            return count
+
+        rejections += sum(_on_threads(parts, apply))
         remaining -= step
     lo, hi = wilson_interval(rejections, trials)
     return RejectionEstimate(trials, rejections, seed, lo, hi)
@@ -430,13 +515,13 @@ def _param_values(kind: str, config: SweepConfig) -> list[tuple[str, dict]]:
     return out
 
 
-def _compute_row(config: SweepConfig, master_seed: int, dims: tuple[int, ...],
-                 test: str, kind: str, param: str, extra: dict,
-                 seed: int) -> SweepRow:
+def _compute_row(config: SweepConfig, master_seed: int, mc_workers: int,
+                 dims: tuple[int, ...], test: str, kind: str, param: str,
+                 extra: dict, seed: int) -> SweepRow:
     shape = Shape(dims)
     eff_seed = _row_seed(master_seed, seed)
     tensor = generate(GeneratorSpec(kind, shape, eff_seed, **extra))
-    est = estimate_rejection(tensor, test, config.trials, eff_seed)
+    est = _estimate_rejection(tensor, test, config.trials, eff_seed, mc_workers)
     exact_rej = exact_dist = None
     try:
         exact_rej = oracles.exact_rejection(tensor, test, config.oracle_budget).value
@@ -457,6 +542,8 @@ def run_sweep(config: SweepConfig,
     exact-rejection / exact-distance ratio over rows with positive distance
     (the empirical soundness constant at this scale).  Rows are pure
     functions of (config, master_seed); worker threads only change timing.
+    While rows run on more than one thread, each row's Monte Carlo runs on
+    one, so threads never nest.
     """
     jobs = []
     for dims in config.shapes:
@@ -467,14 +554,12 @@ def run_sweep(config: SweepConfig,
                         jobs.append((dims, test, kind, param, extra, seed))
     workers = min(worker_count(), max(1, len(jobs)))
     if workers == 1:
-        rows = [
-            _compute_row(config, master_seed, dims, test, kind, param, extra, seed)
-            for dims, test, kind, param, extra, seed in jobs
-        ]
+        rows = [_compute_row(config, master_seed, worker_count(), *job)
+                for job in jobs]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(
-                pool.map(lambda job: _compute_row(config, master_seed, *job), jobs)
+                pool.map(lambda job: _compute_row(config, master_seed, 1, *job), jobs)
             )
     rows.sort(key=SweepRow.key)
     summary: dict[str, Fraction] = {}

@@ -222,7 +222,7 @@ def _kept_words(groups: list, words) -> np.ndarray:
 
 
 def _draw(kind: str, shape: Shape, n: int, words):
-    """n trials' randomness from the test's distribution, in sub-blocks.
+    """n trials' randomness from the test's distribution, as sub-blocks.
 
     The draws read the 32-bit word stream `words(count)` in this order:
     tensor tests take a's coordinates axis by axis (n per axis), then b's,
@@ -232,10 +232,13 @@ def _draw(kind: str, shape: Shape, n: int, words):
     size-1 axis reads no word, so the values match per-axis integers calls
     on the generator the words come from.  This order fixes
     estimate_rejection's counts per seed.  All words are read before this
-    returns; the result yields the randomness of up to _SUB_BLOCK trials at
-    a time, laid out as _query_columns takes it: a and b as (rows, d) int64
-    coordinates and (rows, d) 0/1 selectors, or BLR's x and y as table
-    indices.  Sizes above 2^32 are refused.
+    returns (estimate_rejection's word source splits that read by Philox
+    counter across threads).  Returns (decode, starts): decode(i) is the
+    randomness of the up to _SUB_BLOCK trials from start i, laid out as
+    _query_columns takes it: a and b as (rows, d) int64 coordinates and
+    (rows, d) 0/1 selectors, or BLR's x and y as table indices.  decode only
+    reads the words, so threads may decode different starts at once.  Sizes
+    above 2^32 are refused.
     """
     if kind == BLR:
         _require_binary(shape)
@@ -268,7 +271,7 @@ def _draw(kind: str, shape: Shape, n: int, words):
             return a[:, 0], b[:, 0]
         return (a, b, *_below(selectors[:, i:j], 2))
 
-    return map(rows, range(0, n, _SUB_BLOCK))
+    return rows, range(0, n, _SUB_BLOCK)
 
 
 def _query_columns(kind: str, shape: Shape, randomness) -> tuple:
@@ -420,9 +423,10 @@ def sample_randomness(kind: str, shape: Shape, rng: np.random.Generator) -> Tria
     32-bit words through rng.integers, which leaves rng in the state that
     per-axis rng.integers draws would.
     """
-    arrays = next(_draw(
+    decode, starts = _draw(
         kind, shape, 1,
-        lambda count: rng.integers(0, _WORD, size=count, dtype=np.uint32)))
+        lambda count: rng.integers(0, _WORD, size=count, dtype=np.uint32))
+    arrays = decode(starts[0])
     if kind == BLR:
         return BlrRandomness(*(int(v[0]) for v in arrays))
     a, b = (tuple(int(v) for v in p[0]) for p in arrays[:2])

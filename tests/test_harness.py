@@ -1,11 +1,13 @@
 """Generators, Wilson intervals, estimation, sweep configs, CSV determinism."""
 
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rank1check import harness
 from rank1check.core import Shape
 from rank1check.harness import (
     CSV_HEADER,
@@ -84,6 +86,17 @@ class TestGenerate:
     def test_rate_bits_pinned(self, dims, seed, rate, sha):
         f = generate(GeneratorSpec("corrupted-direct-sum", Shape(dims), seed, rate=rate))
         assert hashlib.sha256(f.bits.tobytes()).hexdigest() == sha
+
+    def test_rate_mask_drawn_in_chunks(self):
+        # A whole-tensor float64 mask alone would take 128 MiB here.
+        tracemalloc.start()
+        try:
+            generate(GeneratorSpec("corrupted-direct-sum", Shape((8,) * 8), 7,
+                                   rate=Fraction(1, 16)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
 
     def test_indicator_has_weight_one(self):
         f = generate(GeneratorSpec("single-point-indicator", Shape((3, 3)), 4))
@@ -298,6 +311,41 @@ class TestMonteCarloStream:
         assert est.rejections == reference_rejections(f, SIC_SUBSETS, 150000, seed)
 
 
+def philox_state(bit_generator):
+    """A Philox state as plain values, for equality checks."""
+    state = bit_generator.state
+    return (tuple(state["state"]["counter"]), tuple(state["state"]["key"]),
+            tuple(state["buffer"]), state["buffer_pos"], state["has_uint32"],
+            state["uinteger"])
+
+
+class TestPhiloxRaw:
+    """The counter-split fill reads exactly what one random_raw(n) reads."""
+
+    @staticmethod
+    def generator(buffer_pos):
+        bit_generator = rng_for(41, 1).bit_generator
+        bit_generator.random_raw(4)  # fill the buffer from the first counter
+        state = bit_generator.state
+        state["buffer_pos"] = buffer_pos
+        # A pending next_uint32 half-word must survive the split.
+        state["has_uint32"], state["uinteger"] = 1, 12345
+        bit_generator.state = state
+        return bit_generator
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 5, 2 * harness._RAW_PIECE - 1,
+                                   4 * harness._RAW_PIECE + 7])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("buffer_pos", [0, 1, 2, 3, 4])
+    def test_equals_random_raw(self, buffer_pos, workers, n):
+        expected_source = self.generator(buffer_pos)
+        expected = expected_source.random_raw(n)
+        source = self.generator(buffer_pos)
+        got = harness._philox_raw(source, n, workers)
+        assert np.array_equal(got, expected)
+        assert philox_state(source) == philox_state(expected_source)
+
+
 class TestThreadCount:
     """Monte-Carlo counts are the same under every RANK1CHECK_THREADS."""
 
@@ -470,6 +518,24 @@ class TestWorkerCount:
         monkeypatch.setenv("RANK1CHECK_THREADS", "0")
         with pytest.raises(ValueError):
             worker_count()
+
+    def test_sweep_rows_run_monte_carlo_on_one_thread(self, monkeypatch):
+        seen = []
+        inner = harness._estimate_rejection
+
+        def spy(f, kind, trials, seed, workers):
+            seen.append(workers)
+            return inner(f, kind, trials, seed, workers)
+
+        monkeypatch.setattr(harness, "_estimate_rejection", spy)
+        monkeypatch.setenv("RANK1CHECK_THREADS", "2")
+        run_sweep(parse_sweep_config(SMALL_CONFIG), master_seed=8)
+        assert len(seen) > 1 and set(seen) == {1}
+        seen.clear()
+        one_row = ("shapes = 2,2\ntests = shapka\nkinds = direct-sum\n"
+                   "trials = 2000\nseeds = 1\n")
+        run_sweep(parse_sweep_config(one_row), master_seed=8)
+        assert seen == [2]
 
     def test_single_worker_sweep_matches(self, monkeypatch):
         cfg = parse_sweep_config(SMALL_CONFIG)
