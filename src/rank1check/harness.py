@@ -8,7 +8,6 @@ execution order.  Exact oracle columns never depend on any seed.
 from __future__ import annotations
 
 import concurrent.futures
-import copy
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -183,8 +182,14 @@ class RejectionEstimate:
 _CHUNK = 1 << 17
 
 # Outputs a thread reads from Philox per random_raw call, and the fewest
-# outputs worth a thread of their own.
+# outputs worth starting a thread for.
 _RAW_PIECE = 1 << 15
+_RAW_PER_THREAD = 1 << 17
+
+# Sub-blocks stay on one thread when a trial reads at most this many words:
+# their numpy calls are then too short to gain from more threads, which
+# would spend the time handing the GIL back and forth.
+_SERIAL_WORDS_PER_TRIAL = 8
 
 
 def _philox_raw(bit_generator: np.random.Philox, n: int,
@@ -194,10 +199,10 @@ def _philox_raw(bit_generator: np.random.Philox, n: int,
     Philox is counter-based.  After the r outputs left in its 4-output
     buffer, output r + 4c + j of the draw is lane j of the (c + 1)-th
     counter past the current one.  The draw is split at counter boundaries
-    into contiguous ranges, one per thread and none under _RAW_PIECE
-    outputs.  The first range is read from bit_generator itself, buffer
-    first.  Range t > 0 starts at output r + 4c_t, where a copy of the
-    generator advanced by c_t counters starts (advance drops the buffer).
+    into contiguous ranges, one per thread and none much under
+    _RAW_PER_THREAD outputs.  The first range is read from bit_generator
+    itself, buffer first.  Range t > 0 starts at output r + 4c_t, where a
+    generator set to the current counter and advanced by c_t starts.
     Every output therefore lands where a single random_raw(n) puts it.  Each
     thread writes its range into the result _RAW_PIECE outputs at a time.
     bit_generator is left in the state random_raw(n) leaves.
@@ -205,14 +210,14 @@ def _philox_raw(bit_generator: np.random.Philox, n: int,
     state = bit_generator.state
     buffered = 4 - state["buffer_pos"]
     counters = -(-(n - buffered) // 4)
-    parts = max(1, min(workers, counters, n // _RAW_PIECE))
+    parts = max(1, min(workers, counters, n // _RAW_PER_THREAD))
     firsts = [counters * t // parts for t in range(1, parts)]
     bounds = [0] + [buffered + 4 * c for c in firsts] + [n]
     sources = [bit_generator]
     for c in firsts:
-        source = copy.deepcopy(bit_generator)
-        source.advance(c)
-        sources.append(source)
+        source = np.random.Philox(counter=state["state"]["counter"],
+                                  key=state["state"]["key"])
+        sources.append(source.advance(c))
     out = np.empty(n, dtype="<u8")
 
     def fill(t):
@@ -222,7 +227,7 @@ def _philox_raw(bit_generator: np.random.Philox, n: int,
 
     _on_threads(parts, fill)
     if parts > 1:
-        end = sources[-1].state  # advance cleared the half-word next_uint32 keeps
+        end = sources[-1].state  # without the half-word next_uint32 keeps
         end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
         bit_generator.state = end
     return out
@@ -267,8 +272,9 @@ def estimate_rejection(f: BinaryTensor, kind: str, trials: int,
     Each block runs on up to worker_count() threads in two phases.  The
     bulk read is split by Philox counter (_philox_raw), so every word stays
     where one sequential read puts it; then the threads take the sub-blocks
-    in turn and sum their rejections.  Counts do not depend on the thread
-    count.
+    in turn and sum their rejections (tests that read at most
+    _SERIAL_WORDS_PER_TRIAL words a trial apply them on one thread).
+    Counts do not depend on the thread count.
     """
     return _estimate_rejection(f, kind, trials, seed, worker_count())
 
@@ -279,12 +285,17 @@ def _estimate_rejection(f: BinaryTensor, kind: str, trials: int, seed: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     words = _philox_words(rng_for(seed, _STREAM_TRIALS).bit_generator, workers)
+    _, _, groups = testers._word_groups(kind, f.shape, 1)
+    if sum(count for _, count in groups) <= _SERIAL_WORDS_PER_TRIAL:
+        apply_workers = 1
+    else:
+        apply_workers = workers
     remaining = trials
     rejections = 0
     while remaining:
         step = min(_CHUNK, remaining)
         decode, starts = testers._draw(kind, f.shape, step, words)
-        parts = min(workers, len(starts))
+        parts = min(apply_workers, len(starts))
 
         def apply(t):
             count = 0

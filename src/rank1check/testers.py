@@ -221,6 +221,22 @@ def _kept_words(groups: list, words) -> np.ndarray:
     return np.concatenate(kept) if skipped else buf
 
 
+def _word_groups(kind: str, shape: Shape, n: int) -> tuple:
+    """The layout of n trials' draws: (dims, k, groups).
+
+    dims are the sizes drawn below per point, k is the number of (n, d) 0/1
+    selectors, and groups lists each (m, count) run of bounded draws in
+    stream order.
+    """
+    if kind == BLR:
+        _require_binary(shape)
+        dims, k = (shape.size,), 0
+    else:
+        dims = shape.dims
+        _, k = _tensor_test(kind)
+    return dims, k, [(m, n) for m in dims if m > 1] * 2 + [(2, n * len(dims))] * k
+
+
 def _draw(kind: str, shape: Shape, n: int, words):
     """n trials' randomness from the test's distribution, as sub-blocks.
 
@@ -240,18 +256,12 @@ def _draw(kind: str, shape: Shape, n: int, words):
     reads the words, so threads may decode different starts at once.  Sizes
     above 2^32 are refused.
     """
-    if kind == BLR:
-        _require_binary(shape)
-        dims, k = (shape.size,), 0
-    else:
-        dims = shape.dims
-        _, k = _tensor_test(kind)
+    dims, k, groups = _word_groups(kind, shape, n)
     if max(dims) > _WORD:
         raise ValueError(f"cannot draw below {max(dims)}: Monte-Carlo draws are "
                          "limited to sizes up to 2^32")
     d = len(dims)
     drawn = [m > 1 for m in dims]
-    groups = [(m, n) for m in dims if m > 1] * 2 + [(2, n * d)] * k
     stream = _kept_words(groups, words)
     # Both points' words as (2, d, n); a size-1 axis gets zero words, which
     # decode to 0 below any m.  Without size-1 axes the words are a view of

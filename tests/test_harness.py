@@ -333,8 +333,8 @@ class TestPhiloxRaw:
         bit_generator.state = state
         return bit_generator
 
-    @pytest.mark.parametrize("n", [0, 1, 3, 5, 2 * harness._RAW_PIECE - 1,
-                                   4 * harness._RAW_PIECE + 7])
+    @pytest.mark.parametrize("n", [0, 1, 3, 5, 2 * harness._RAW_PER_THREAD - 1,
+                                   4 * harness._RAW_PER_THREAD + 7])
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     @pytest.mark.parametrize("buffer_pos", [0, 1, 2, 3, 4])
     def test_equals_random_raw(self, buffer_pos, workers, n):
