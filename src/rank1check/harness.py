@@ -7,7 +7,9 @@ execution order.  Exact oracle columns never depend on any seed.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
+import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,14 +53,36 @@ def worker_count() -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
+def _pool(threads: int) -> concurrent.futures.ThreadPoolExecutor:
+    """A pool of `threads` threads, kept for the life of the process."""
+    return concurrent.futures.ThreadPoolExecutor(max_workers=threads)
+
+
+# A forked child inherits the pools but none of their threads.
+os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def _on_threads(parts: int, task) -> list:
-    """[task(0), ..., task(parts - 1)], run at once: task(0) on this thread."""
+    """task()'s results from `parts` threads at once, this one among them."""
     if parts == 1:
-        return [task(0)]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=parts - 1) as pool:
-        later = [pool.submit(task, t) for t in range(1, parts)]
-        first = task(0)
-        return [first] + [job.result() for job in later]
+        return [task()]
+    later = [_pool(parts - 1).submit(task) for _ in range(1, parts)]
+    first = task()
+    return [first] + [job.result() for job in later]
+
+
+def _taken(shared: collections.deque):
+    """Items popped from the left of a deque that threads share, until empty.
+
+    Each thread takes the next item when it is ready for it, so a thread
+    that falls behind takes fewer.
+    """
+    while True:
+        try:
+            yield shared.popleft()
+        except IndexError:
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +205,8 @@ class RejectionEstimate:
 
 _CHUNK = 1 << 17
 
-# Outputs a thread reads from Philox per random_raw call, and the fewest
-# outputs worth starting a thread for.
+# Outputs per random_raw call: whole counters, and a piece a thread takes at
+# a time.  A draw gets one thread per _RAW_PER_THREAD outputs at most.
 _RAW_PIECE = 1 << 15
 _RAW_PER_THREAD = 1 << 17
 
@@ -198,38 +222,39 @@ def _philox_raw(bit_generator: np.random.Philox, n: int,
 
     Philox is counter-based.  After the r outputs left in its 4-output
     buffer, output r + 4c + j of the draw is lane j of the (c + 1)-th
-    counter past the current one.  The draw is split at counter boundaries
-    into contiguous ranges, one per thread and none much under
-    _RAW_PER_THREAD outputs.  The first range is read from bit_generator
-    itself, buffer first.  Range t > 0 starts at output r + 4c_t, where a
-    generator set to the current counter and advanced by c_t starts.
-    Every output therefore lands where a single random_raw(n) puts it.  Each
-    thread writes its range into the result _RAW_PIECE outputs at a time.
-    bit_generator is left in the state random_raw(n) leaves.
+    counter past the current one.  So the draw splits at counter
+    boundaries: piece p > 0 is outputs [r + pP, r + (p + 1)P) with
+    P = _RAW_PIECE, and piece 0 is the buffer and the first P outputs after
+    it.  Each thread starts from a copy of the generator and takes the next
+    piece when it is ready; it reaches a later piece by advancing its copy
+    over the whole counters in between (advance also drops the buffer).
+    Every output therefore lands where a single random_raw(n) puts it, and
+    bit_generator is left in the state that random_raw(n) leaves.
     """
     state = bit_generator.state
     buffered = 4 - state["buffer_pos"]
-    counters = -(-(n - buffered) // 4)
-    parts = max(1, min(workers, counters, n // _RAW_PER_THREAD))
-    firsts = [counters * t // parts for t in range(1, parts)]
-    bounds = [0] + [buffered + 4 * c for c in firsts] + [n]
-    sources = [bit_generator]
-    for c in firsts:
-        source = np.random.Philox(counter=state["state"]["counter"],
-                                  key=state["state"]["key"])
-        sources.append(source.advance(c))
+    pieces = collections.deque(range(max(1, -(-(n - buffered) // _RAW_PIECE))))
     out = np.empty(n, dtype="<u8")
+    ends = []
 
-    def fill(t):
-        for i in range(bounds[t], bounds[t + 1], _RAW_PIECE):
-            j = min(i + _RAW_PIECE, bounds[t + 1])
-            out[i:j] = sources[t].random_raw(j - i)
+    def fill():
+        source = np.random.Philox(key=state["state"]["key"])
+        source.state = state
+        at = 0  # the piece whose first output source reads next
+        for p in _taken(pieces):
+            if p != at:
+                source.advance((p - at) * (_RAW_PIECE // 4))
+            i = buffered + p * _RAW_PIECE if p else 0
+            j = min(buffered + (p + 1) * _RAW_PIECE, n)
+            out[i:j] = source.random_raw(j - i)
+            at = p + 1
+            if j == n:
+                ends.append(source)
 
-    _on_threads(parts, fill)
-    if parts > 1:
-        end = sources[-1].state  # without the half-word next_uint32 keeps
-        end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
-        bit_generator.state = end
+    _on_threads(max(1, min(workers, n // _RAW_PER_THREAD)), fill)
+    end = ends[0].state  # without the half-word next_uint32 keeps
+    end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
+    bit_generator.state = end
     return out
 
 
@@ -271,10 +296,10 @@ def estimate_rejection(f: BinaryTensor, kind: str, trials: int,
 
     Each block runs on up to worker_count() threads in two phases.  The
     bulk read is split by Philox counter (_philox_raw), so every word stays
-    where one sequential read puts it; then the threads take the sub-blocks
-    in turn and sum their rejections (tests that read at most
-    _SERIAL_WORDS_PER_TRIAL words a trial apply them on one thread).
-    Counts do not depend on the thread count.
+    where one sequential read puts it; then each thread takes the next
+    sub-block when it is ready and the threads' rejections are summed
+    (tests that read at most _SERIAL_WORDS_PER_TRIAL words a trial apply
+    them on one thread).  Counts do not depend on the thread count.
     """
     return _estimate_rejection(f, kind, trials, seed, worker_count())
 
@@ -295,16 +320,16 @@ def _estimate_rejection(f: BinaryTensor, kind: str, trials: int, seed: int,
     while remaining:
         step = min(_CHUNK, remaining)
         decode, starts = testers._draw(kind, f.shape, step, words)
-        parts = min(apply_workers, len(starts))
+        pending = collections.deque(starts)
 
-        def apply(t):
+        def apply():
             count = 0
-            for i in starts[t::parts]:
+            for i in _taken(pending):
                 columns = testers._query_columns(kind, f.shape, decode(i))
                 count += int(np.count_nonzero(testers._parity(f.bits, columns)))
             return count
 
-        rejections += sum(_on_threads(parts, apply))
+        rejections += sum(_on_threads(min(apply_workers, len(starts)), apply))
         remaining -= step
     lo, hi = wilson_interval(rejections, trials)
     return RejectionEstimate(trials, rejections, seed, lo, hi)
