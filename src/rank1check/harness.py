@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
-import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,21 +52,9 @@ def worker_count() -> int:
     return value
 
 
-@functools.lru_cache(maxsize=None)
-def _pool(threads: int) -> concurrent.futures.ThreadPoolExecutor:
-    """A pool of `threads` threads, kept for the life of the process."""
-    return concurrent.futures.ThreadPoolExecutor(max_workers=threads)
-
-
-# A forked child inherits the pools but none of their threads.
-os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
-def _on_threads(parts: int, task) -> list:
-    """task()'s results from `parts` threads at once, this one among them."""
-    if parts == 1:
-        return [task()]
-    later = [_pool(parts - 1).submit(task) for _ in range(1, parts)]
+def _on_threads(pool: concurrent.futures.Executor, parts: int, task) -> list:
+    """task()'s results from `parts` threads at once: this one and pool's."""
+    later = [pool.submit(task) for _ in range(1, parts)]
     first = task()
     return [first] + [job.result() for job in later]
 
@@ -217,7 +204,7 @@ _SERIAL_WORDS_PER_TRIAL = 8
 
 
 def _philox_raw(bit_generator: np.random.Philox, n: int,
-                workers: int) -> np.ndarray:
+                pool: concurrent.futures.Executor, workers: int) -> np.ndarray:
     """bit_generator.random_raw(n), filled by up to `workers` threads.
 
     Philox is counter-based.  After the r outputs left in its 4-output
@@ -251,14 +238,15 @@ def _philox_raw(bit_generator: np.random.Philox, n: int,
             if j == n:
                 ends.append(source)
 
-    _on_threads(max(1, min(workers, n // _RAW_PER_THREAD)), fill)
+    _on_threads(pool, max(1, min(workers, n // _RAW_PER_THREAD)), fill)
     end = ends[0].state  # without the half-word next_uint32 keeps
     end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
     bit_generator.state = end
     return out
 
 
-def _philox_words(bit_generator: np.random.Philox, workers: int):
+def _philox_words(bit_generator: np.random.Philox,
+                  pool: concurrent.futures.Executor, workers: int):
     """Word source for testers' draws: the generator's next_uint32 stream.
 
     Philox hands out the low and then the high half of each 64-bit output.
@@ -271,7 +259,8 @@ def _philox_words(bit_generator: np.random.Philox, workers: int):
 
     def words(count: int) -> np.ndarray:
         nonlocal carry
-        raw = _philox_raw(bit_generator, (count - carry.size + 1) // 2, workers)
+        raw = _philox_raw(bit_generator, (count - carry.size + 1) // 2, pool,
+                          workers)
         halves = raw.view("<u4")
         out = np.concatenate((carry, halves)) if carry.size else halves
         carry = out[count:].copy()  # not a view that keeps the block alive
@@ -309,28 +298,28 @@ def _estimate_rejection(f: BinaryTensor, kind: str, trials: int, seed: int,
     """estimate_rejection on at most `workers` threads."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    words = _philox_words(rng_for(seed, _STREAM_TRIALS).bit_generator, workers)
     _, _, groups = testers._word_groups(kind, f.shape, 1)
-    if sum(count for _, count in groups) <= _SERIAL_WORDS_PER_TRIAL:
-        apply_workers = 1
-    else:
-        apply_workers = workers
-    remaining = trials
+    light = sum(count for _, count in groups) <= _SERIAL_WORDS_PER_TRIAL
+    apply_workers = 1 if light else workers
     rejections = 0
-    while remaining:
-        step = min(_CHUNK, remaining)
-        decode, starts = testers._draw(kind, f.shape, step, words)
-        pending = collections.deque(starts)
+    # The pool starts a thread only when work is first handed to it.
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        words = _philox_words(rng_for(seed, _STREAM_TRIALS).bit_generator, pool,
+                              workers)
+        for start in range(0, trials, _CHUNK):
+            decode, starts = testers._draw(kind, f.shape,
+                                           min(_CHUNK, trials - start), words)
+            pending = collections.deque(starts)
 
-        def apply():
-            count = 0
-            for i in _taken(pending):
-                columns = testers._query_columns(kind, f.shape, decode(i))
-                count += int(np.count_nonzero(testers._parity(f.bits, columns)))
-            return count
+            def apply():
+                count = 0
+                for i in _taken(pending):
+                    columns = testers._query_columns(kind, f.shape, decode(i))
+                    count += int(np.count_nonzero(testers._parity(f.bits, columns)))
+                return count
 
-        rejections += sum(_on_threads(min(apply_workers, len(starts)), apply))
-        remaining -= step
+            parts = min(apply_workers, len(starts))
+            rejections += sum(_on_threads(pool, parts, apply))
     lo, hi = wilson_interval(rejections, trials)
     return RejectionEstimate(trials, rejections, seed, lo, hi)
 

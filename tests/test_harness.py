@@ -1,8 +1,7 @@
 """Generators, Wilson intervals, estimation, sweep configs, CSV determinism."""
 
+import concurrent.futures
 import hashlib
-import multiprocessing
-import os
 import tracemalloc
 from fractions import Fraction
 
@@ -343,7 +342,8 @@ class TestPhiloxRaw:
         expected_source = self.generator(buffer_pos)
         expected = expected_source.random_raw(n)
         source = self.generator(buffer_pos)
-        got = harness._philox_raw(source, n, workers)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            got = harness._philox_raw(source, n, pool, workers)
         assert np.array_equal(got, expected)
         assert philox_state(source) == philox_state(expected_source)
 
@@ -373,23 +373,6 @@ class TestThreadCount:
         f = generate(GeneratorSpec("uniform-random", Shape(dims), 33))
         first, *rest = self.counts(monkeypatch, f, kind, 131073, 34)
         assert rest == [first, first]
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_forked_child_starts_its_own_threads(self, monkeypatch):
-        # The parent's pool threads do not exist in a forked child.
-        monkeypatch.setenv("RANK1CHECK_THREADS", "2")
-        f = generate(GeneratorSpec("uniform-random", Shape((4,) * 6), 35))
-        expected = estimate_rejection(f, SIC_SUBSETS, 131072, 36).rejections
-        context = multiprocessing.get_context("fork")
-        queue = context.Queue()
-        child = context.Process(target=lambda: queue.put(
-            estimate_rejection(f, SIC_SUBSETS, 131072, 36).rejections))
-        child.start()
-        try:
-            assert queue.get(timeout=60) == expected
-        finally:
-            child.kill()  # a child stuck waiting on missing threads
-            child.join()
 
     def test_skipped_words(self, monkeypatch):
         # The (100003, 2) case of TestMonteCarloStream: its first block ends
