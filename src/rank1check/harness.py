@@ -193,14 +193,14 @@ class RejectionEstimate:
 _CHUNK = 1 << 17
 
 # Outputs per random_raw call: whole counters, and a piece a thread takes at
-# a time.  A draw gets one thread per _RAW_PER_THREAD outputs at most.
+# a time.
 _RAW_PIECE = 1 << 15
-_RAW_PER_THREAD = 1 << 17
 
-# Sub-blocks stay on one thread when a trial reads at most this many words:
-# their numpy calls are then too short to gain from more threads, which
-# would spend the time handing the GIL back and forth.
-_SERIAL_WORDS_PER_TRIAL = 8
+# A block is shared among threads only in shares of at least this many
+# 32-bit words.  Thread hand-offs and waiting for the slowest thread cost
+# about the same whatever the share, and on a loaded host smaller shares
+# ran slower on two threads than on one.
+_WORDS_PER_THREAD = 1 << 20
 
 
 def _philox_raw(bit_generator: np.random.Philox, n: int,
@@ -238,7 +238,7 @@ def _philox_raw(bit_generator: np.random.Philox, n: int,
             if j == n:
                 ends.append(source)
 
-    _on_threads(pool, max(1, min(workers, n // _RAW_PER_THREAD)), fill)
+    _on_threads(pool, max(1, min(workers, 2 * n // _WORDS_PER_THREAD)), fill)
     end = ends[0].state  # without the half-word next_uint32 keeps
     end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
     bit_generator.state = end
@@ -283,12 +283,12 @@ def estimate_rejection(f: BinaryTensor, kind: str, trials: int,
     per-axis Generator.integers draws.  Each sub-block of the draw then runs
     through the test's query pattern in testers.
 
-    Each block runs on up to worker_count() threads in two phases.  The
-    bulk read is split by Philox counter (_philox_raw), so every word stays
-    where one sequential read puts it; then each thread takes the next
-    sub-block when it is ready and the threads' rejections are summed
-    (tests that read at most _SERIAL_WORDS_PER_TRIAL words a trial apply
-    them on one thread).  Counts do not depend on the thread count.
+    Each block runs on up to worker_count() threads, one per
+    _WORDS_PER_THREAD words it reads, in two phases.  The bulk read is split
+    by Philox counter (_philox_raw), so every word stays where one
+    sequential read puts it; then each thread takes the next sub-block when
+    it is ready and the threads' rejections are summed.  Counts do not
+    depend on the thread count.
     """
     return _estimate_rejection(f, kind, trials, seed, worker_count())
 
@@ -299,16 +299,15 @@ def _estimate_rejection(f: BinaryTensor, kind: str, trials: int, seed: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     _, _, groups = testers._word_groups(kind, f.shape, 1)
-    light = sum(count for _, count in groups) <= _SERIAL_WORDS_PER_TRIAL
-    apply_workers = 1 if light else workers
+    per_trial = sum(count for _, count in groups)
     rejections = 0
     # The pool starts a thread only when work is first handed to it.
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         words = _philox_words(rng_for(seed, _STREAM_TRIALS).bit_generator, pool,
                               workers)
         for start in range(0, trials, _CHUNK):
-            decode, starts = testers._draw(kind, f.shape,
-                                           min(_CHUNK, trials - start), words)
+            step = min(_CHUNK, trials - start)
+            decode, starts = testers._draw(kind, f.shape, step, words)
             pending = collections.deque(starts)
 
             def apply():
@@ -318,7 +317,8 @@ def _estimate_rejection(f: BinaryTensor, kind: str, trials: int, seed: int,
                     count += int(np.count_nonzero(testers._parity(f.bits, columns)))
                 return count
 
-            parts = min(apply_workers, len(starts))
+            shares = step * per_trial // _WORDS_PER_THREAD
+            parts = max(1, min(workers, shares, len(starts)))
             rejections += sum(_on_threads(pool, parts, apply))
     lo, hi = wilson_interval(rejections, trials)
     return RejectionEstimate(trials, rejections, seed, lo, hi)

@@ -334,8 +334,9 @@ class TestPhiloxRaw:
         bit_generator.state = state
         return bit_generator
 
-    @pytest.mark.parametrize("n", [0, 1, 3, 5, 2 * harness._RAW_PER_THREAD - 1,
-                                   4 * harness._RAW_PER_THREAD + 7])
+    # A draw of n outputs gets a thread per _WORDS_PER_THREAD / 2 of them.
+    @pytest.mark.parametrize("n", [0, 1, 3, 5, harness._WORDS_PER_THREAD - 1,
+                                   2 * harness._WORDS_PER_THREAD + 7])
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     @pytest.mark.parametrize("buffer_pos", [0, 1, 2, 3, 4])
     def test_equals_random_raw(self, buffer_pos, workers, n):
@@ -349,7 +350,13 @@ class TestPhiloxRaw:
 
 
 class TestThreadCount:
-    """Monte-Carlo counts are the same under every RANK1CHECK_THREADS."""
+    """Monte-Carlo counts are the same under every RANK1CHECK_THREADS.
+
+    A block is split only into shares of harness._WORDS_PER_THREAD words,
+    so the tensor shapes here read at least 16 words a trial, which splits a
+    block of 2^17 trials.  BLR reads 2 words a trial and always runs on one
+    thread.
+    """
 
     @staticmethod
     def counts(monkeypatch, f, kind, trials, seed):
@@ -362,24 +369,34 @@ class TestThreadCount:
     @pytest.mark.parametrize("trials", [1, 8193, 131073, 150000])
     @pytest.mark.parametrize("kind", ALL_TEST_KINDS)
     def test_counts_independent_of_threads(self, monkeypatch, kind, trials):
-        dims = (2,) * 5 if kind == BLR else (3, 5, 2)
+        dims = (2,) * 5 if kind == BLR else (3, 5, 2, 3, 2, 3, 2, 5)
         f = generate(GeneratorSpec("uniform-random", Shape(dims), 31))
         first, *rest = self.counts(monkeypatch, f, kind, trials, 32)
         assert rest == [first, first]
 
     @pytest.mark.parametrize("kind", TENSOR_TEST_KINDS)
-    @pytest.mark.parametrize("dims", [(2, 1, 2), (1, 3, 2)])
+    @pytest.mark.parametrize("dims", [(2, 1, 2, 3, 2, 1, 2, 2, 3, 2, 2),
+                                      (1, 3, 2, 2, 2, 2, 1, 2, 2, 2, 3)])
     def test_size_one_axes(self, monkeypatch, dims, kind):
         f = generate(GeneratorSpec("uniform-random", Shape(dims), 33))
         first, *rest = self.counts(monkeypatch, f, kind, 131073, 34)
         assert rest == [first, first]
 
-    def test_skipped_words(self, monkeypatch):
-        # The (100003, 2) case of TestMonteCarloStream: its first block ends
-        # on a carried half-word.
-        f = generate(GeneratorSpec("uniform-random", Shape((100003, 2)), 25))
-        first, *rest = self.counts(monkeypatch, f, SIC_SUBSETS, 150000, 5)
-        assert first > 0 and rest == [first, first]
+    def test_split_read_after_skipped_words(self, monkeypatch):
+        # On (100003,) + (2,)*7 sic-subsets reads 32 words a trial and only
+        # axis 0 skips words.  With seed 6 the first block skips 2 + 1, so
+        # the second block's split read opens on a carried half-word with 2
+        # outputs left in Philox's buffer.
+        m, n, seed = 100003, _STREAM_BLOCK, 6
+        words = rng_for(seed, 1).integers(0, 2**32, size=9 * n + 64, dtype=np.uint32)
+        skip_a = lemire_skips(words, m, n)
+        skip_b = lemire_skips(words[8 * n + skip_a:], m, n)
+        outputs = -(-(32 * n + skip_a + skip_b) // 2)
+        assert (skip_a + skip_b) % 2 == 1 and -outputs % 4 == 2
+        f = generate(GeneratorSpec("uniform-random", Shape((m,) + (2,) * 7), 25))
+        first, *rest = self.counts(monkeypatch, f, SIC_SUBSETS, 2 * n, seed)
+        assert rest == [first, first]
+        assert first == reference_rejections(f, SIC_SUBSETS, 2 * n, seed)
 
 
 class TestSweepConfig:
