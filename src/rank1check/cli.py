@@ -112,6 +112,8 @@ def _cmd_gen(args) -> int:
     shape = Shape(_parse_dims(args.shape))
     try:
         rate = Fraction(args.rate) if args.rate is not None else None
+    except ValueError as e:
+        raise ValueError(f"bad rate {args.rate!r}: {e}") from e
     except ZeroDivisionError as e:
         raise ValueError(f"bad rate {args.rate!r}: zero denominator") from e
     spec = harness.GeneratorSpec(args.kind, shape, args.seed, rate=rate,

@@ -192,9 +192,9 @@ class RejectionEstimate:
 
 _CHUNK = 1 << 17
 
-# Outputs per random_raw call: whole counters, and a piece a thread takes at
-# a time.
-_RAW_PIECE = 1 << 15
+# Outputs a thread reads from one Philox it builds, and a piece a thread
+# takes at a time.  Building the generator costs about 10-20 us.
+_RAW_PIECE = 1 << 16
 
 # A block is shared among threads only in shares of at least this many
 # 32-bit words.  Thread hand-offs and waiting for the slowest thread cost
@@ -203,68 +203,50 @@ _RAW_PIECE = 1 << 15
 _WORDS_PER_THREAD = 1 << 20
 
 
-def _philox_raw(bit_generator: np.random.Philox, n: int,
-                pool: concurrent.futures.Executor, workers: int) -> np.ndarray:
-    """bit_generator.random_raw(n), filled by up to `workers` threads.
+def _philox_outputs(key: np.ndarray, start: int, n: int,
+                    pool: concurrent.futures.Executor, workers: int) -> np.ndarray:
+    """Outputs [start, start + n) of a fresh Philox(key), on `workers` threads.
 
-    Philox is counter-based.  After the r outputs left in its 4-output
-    buffer, output r + 4c + j of the draw is lane j of the (c + 1)-th
-    counter past the current one.  So the draw splits at counter
-    boundaries: piece p > 0 is outputs [r + pP, r + (p + 1)P) with
-    P = _RAW_PIECE, and piece 0 is the buffer and the first P outputs after
-    it.  Each thread starts from a copy of the generator and takes the next
-    piece when it is ready; it reaches a later piece by advancing its copy
-    over the whole counters in between (advance also drops the buffer).
-    Every output therefore lands where a single random_raw(n) puts it, and
-    bit_generator is left in the state that random_raw(n) leaves.
+    Philox is counter-based: output k of a fresh generator is lane k % 4 of
+    counter k // 4 + 1, and Philox(key, counter=c) reads counter c + 1
+    first.  So any range of the stream is read from its position alone.
+    The range is cut into pieces of _RAW_PIECE outputs; each thread takes
+    the next piece when it is ready and reads it from a generator built at
+    the piece's counter, skipping the lanes before the piece's first output.
+    Every output therefore lands where one sequential read puts it.
     """
-    state = bit_generator.state
-    buffered = 4 - state["buffer_pos"]
-    pieces = collections.deque(range(max(1, -(-(n - buffered) // _RAW_PIECE))))
     out = np.empty(n, dtype="<u8")
-    ends = []
+    pieces = collections.deque(range(0, n, _RAW_PIECE))
 
     def fill():
-        source = np.random.Philox(key=state["state"]["key"])
-        source.state = state
-        at = 0  # the piece whose first output source reads next
-        for p in _taken(pieces):
-            if p != at:
-                source.advance((p - at) * (_RAW_PIECE // 4))
-            i = buffered + p * _RAW_PIECE if p else 0
-            j = min(buffered + (p + 1) * _RAW_PIECE, n)
-            out[i:j] = source.random_raw(j - i)
-            at = p + 1
-            if j == n:
-                ends.append(source)
+        for i in _taken(pieces):
+            k, size = start + i, min(_RAW_PIECE, n - i)
+            source = np.random.Philox(key=key, counter=k // 4)
+            out[i:i + size] = source.random_raw(k % 4 + size)[k % 4:]
 
     _on_threads(pool, max(1, min(workers, 2 * n // _WORDS_PER_THREAD)), fill)
-    end = ends[0].state  # without the half-word next_uint32 keeps
-    end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
-    bit_generator.state = end
     return out
 
 
-def _philox_words(bit_generator: np.random.Philox,
-                  pool: concurrent.futures.Executor, workers: int):
-    """Word source for testers' draws: the generator's next_uint32 stream.
+def _philox_words(key: np.ndarray, pool: concurrent.futures.Executor,
+                  workers: int):
+    """Word source for testers' draws: Philox(key)'s next_uint32 stream.
 
-    Philox hands out the low and then the high half of each 64-bit output.
-    The outputs are read in bulk by _philox_raw, and an odd count leaves a
-    high half over to open the next request.  Same words as
-    Generator.integers(0, 2**32, dtype=uint32), which fills them one
-    next_uint32 call at a time.
+    Philox hands out the low and then the high half of each 64-bit output,
+    so word w is half w % 2 of output w // 2.  Each request reads the
+    outputs behind its words with _philox_outputs; one that opens on a high
+    half reads that output again and drops its low half.  Same words as
+    Generator.integers(0, 2**32, dtype=uint32) on a fresh Philox(key),
+    which fills them one next_uint32 call at a time.
     """
-    carry = np.empty(0, dtype=np.uint32)
+    position = 0
 
     def words(count: int) -> np.ndarray:
-        nonlocal carry
-        raw = _philox_raw(bit_generator, (count - carry.size + 1) // 2, pool,
-                          workers)
-        halves = raw.view("<u4")
-        out = np.concatenate((carry, halves)) if carry.size else halves
-        carry = out[count:].copy()  # not a view that keeps the block alive
-        return out[:count]
+        nonlocal position
+        first, skip = divmod(position, 2)
+        raw = _philox_outputs(key, first, (skip + count + 1) // 2, pool, workers)
+        position += count
+        return raw.view("<u4")[skip:skip + count]
 
     return words
 
@@ -284,11 +266,12 @@ def estimate_rejection(f: BinaryTensor, kind: str, trials: int,
     through the test's query pattern in testers.
 
     Each block runs on up to worker_count() threads, one per
-    _WORDS_PER_THREAD words it reads, in two phases.  The bulk read is split
-    by Philox counter (_philox_raw), so every word stays where one
-    sequential read puts it; then each thread takes the next sub-block when
-    it is ready and the threads' rejections are summed.  Counts do not
-    depend on the thread count.
+    _WORDS_PER_THREAD words it reads, in two phases.  The stream's words
+    are read by their position in it (_philox_words), so the threads can
+    read a block's words in pieces and every word stays where one sequential
+    read puts it; then each thread takes the next sub-block when it is ready
+    and the threads' rejections are summed.  Counts do not depend on the
+    thread count.
     """
     return _estimate_rejection(f, kind, trials, seed, worker_count())
 
@@ -303,8 +286,9 @@ def _estimate_rejection(f: BinaryTensor, kind: str, trials: int, seed: int,
     rejections = 0
     # The pool starts a thread only when work is first handed to it.
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        words = _philox_words(rng_for(seed, _STREAM_TRIALS).bit_generator, pool,
-                              workers)
+        # The key numpy built, which for seeds of 2^63 or more is rounded.
+        key = rng_for(seed, _STREAM_TRIALS).bit_generator.state["state"]["key"]
+        words = _philox_words(key, pool, workers)
         for start in range(0, trials, _CHUNK):
             step = min(_CHUNK, trials - start)
             decode, starts = testers._draw(kind, f.shape, step, words)
@@ -416,6 +400,12 @@ def parse_sweep_config(text: str) -> SweepConfig:
             raise SweepConfigError(lineno, "tests", f"unknown test {t!r}")
     if not tests:
         raise SweepConfigError(lineno, "tests", "needs at least one test")
+    if testers.BLR in tests:
+        for dims in shapes:
+            try:
+                testers._require_binary(Shape(dims))
+            except ValueError as e:
+                raise SweepConfigError(lineno, "tests", str(e)) from e
 
     lineno, value = require("kinds")
     kinds = tuple(_split_list(value))
@@ -446,6 +436,12 @@ def parse_sweep_config(text: str) -> SweepConfig:
             raise SweepConfigError(lineno, "counts", str(e)) from e
         if any(c < 0 for c in flip_counts):
             raise SweepConfigError(lineno, "counts", "counts must be nonnegative")
+        smallest = min(Shape(dims).size for dims in shapes)
+        if KIND_CORRUPTED in kinds and any(c > smallest for c in flip_counts):
+            raise SweepConfigError(
+                lineno, "counts",
+                f"flip count {max(flip_counts)} exceeds the {smallest} entries "
+                "of the smallest shape")
 
     if KIND_CORRUPTED in kinds and not rates and not flip_counts:
         raise SweepConfigError(0, "rates", "corrupted kind needs rates or counts")

@@ -248,8 +248,8 @@ def _draw(kind: str, shape: Shape, n: int, words):
     size-1 axis reads no word, so the values match per-axis integers calls
     on the generator the words come from.  This order fixes
     estimate_rejection's counts per seed.  All words are read before this
-    returns (estimate_rejection's word source splits that read by Philox
-    counter across threads).  Returns (decode, starts): decode(i) is the
+    returns (estimate_rejection's word source reads them by position, in
+    pieces across threads).  Returns (decode, starts): decode(i) is the
     randomness of the up to _SUB_BLOCK trials from start i, laid out as
     _query_columns takes it: a and b as (rows, d) int64 coordinates and
     (rows, d) 0/1 selectors, or BLR's x and y as table indices.  decode only

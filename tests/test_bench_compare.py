@@ -50,6 +50,36 @@ def test_pairs_by_workload_and_seed(tmp_path):
     assert result["workloads"]["cli-session"]["metrics"]["ops_per_s"]["pairs"] == 1
 
 
+def test_verdicts_against_the_bound(tmp_path):
+    # ops_per_s (bound 0.25, higher is better) has a tight parent spread;
+    # peak_rss_mb (bound 0.05, lower is better) a wide one.
+    write_records(tmp_path / "parent", "aaa", {
+        ("mc-large", 1): (10.0, 100.0), ("mc-large", 2): (10.5, 120.0),
+        ("mc-large", 3): (9.5, 80.0),
+        ("oracle-mid", 1): (10.0, 100.0), ("oracle-mid", 2): (10.5, 120.0),
+        ("oracle-mid", 3): (9.5, 80.0)})
+    write_records(tmp_path / "change", "bbb", {
+        ("mc-large", 1): (7.0, 101.0), ("mc-large", 2): (7.2, 99.0),
+        ("mc-large", 3): (7.4, 100.0),
+        ("oracle-mid", 1): (8.0, 70.0), ("oracle-mid", 2): (8.2, 75.0),
+        ("oracle-mid", 3): (8.4, 78.0)})
+    out = tmp_path / "bench.json"
+    assert bench_compare.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                               "-o", str(out)]) == 0
+    workloads = json.loads(out.read_text())["workloads"]
+    verdicts = {(w, name): (m["worse_beyond_bound"], m["unresolved"])
+                for w, rows in workloads.items() for name, m in rows["metrics"].items()}
+    assert verdicts == {
+        # 7.2 is below 0.75 x 10.0; 8.2 is not.
+        ("mc-large", "ops_per_s"): (True, False),
+        ("oracle-mid", "ops_per_s"): (False, False),
+        # The parent's 20 MB spread exceeds 0.05 x 100 MB: unresolved unless
+        # every change run reads below every parent run.
+        ("mc-large", "peak_rss_mb"): (False, True),
+        ("oracle-mid", "peak_rss_mb"): (False, False),
+    }
+
+
 def test_refuses_mixed_thread_counts(tmp_path, capsys):
     write_records(tmp_path / "parent", "aaa", {("mc-large", 1): (10.0, 300.0)})
     write_records(tmp_path / "change", "bbb", {("mc-large", 1): (10.0, 300.0)})

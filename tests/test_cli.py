@@ -53,6 +53,12 @@ class TestGen:
         assert code == 2
         assert err.startswith("error: ")
 
+    def test_unparsable_rate_is_named(self, capsys):
+        code, out, err = run(["gen", "--shape", "2,2", "--kind",
+                              "corrupted-direct-sum", "--rate", "abc"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad rate 'abc': ")
+
     @pytest.mark.parametrize("seed", ["-1", "-2", str(2**64)])
     def test_seed_outside_uint64(self, capsys, seed):
         code, out, err = run(["gen", "--shape", "4,4", "--kind",

@@ -312,41 +312,20 @@ class TestMonteCarloStream:
         assert est.rejections == reference_rejections(f, SIC_SUBSETS, 150000, seed)
 
 
-def philox_state(bit_generator):
-    """A Philox state as plain values, for equality checks."""
-    state = bit_generator.state
-    return (tuple(state["state"]["counter"]), tuple(state["state"]["key"]),
-            tuple(state["buffer"]), state["buffer_pos"], state["has_uint32"],
-            state["uinteger"])
-
-
 class TestPhiloxRaw:
-    """The counter-split fill reads exactly what one random_raw(n) reads."""
+    """The threaded read by position equals one sequential random_raw."""
 
-    @staticmethod
-    def generator(buffer_pos):
-        bit_generator = rng_for(41, 1).bit_generator
-        bit_generator.random_raw(4)  # fill the buffer from the first counter
-        state = bit_generator.state
-        state["buffer_pos"] = buffer_pos
-        # A pending next_uint32 half-word must survive the split.
-        state["has_uint32"], state["uinteger"] = 1, 12345
-        bit_generator.state = state
-        return bit_generator
-
-    # A draw of n outputs gets a thread per _WORDS_PER_THREAD / 2 of them.
+    # A read of n outputs gets a thread per _WORDS_PER_THREAD / 2 of them.
     @pytest.mark.parametrize("n", [0, 1, 3, 5, harness._WORDS_PER_THREAD - 1,
                                    2 * harness._WORDS_PER_THREAD + 7])
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    @pytest.mark.parametrize("buffer_pos", [0, 1, 2, 3, 4])
-    def test_equals_random_raw(self, buffer_pos, workers, n):
-        expected_source = self.generator(buffer_pos)
-        expected = expected_source.random_raw(n)
-        source = self.generator(buffer_pos)
+    @pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 6, 2**20 + 5])
+    def test_equals_random_raw(self, start, workers, n):
+        key = rng_for(41, 1).bit_generator.state["state"]["key"]
+        expected = np.random.Philox(key=key).random_raw(start + n)[start:]
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            got = harness._philox_raw(source, n, pool, workers)
+            got = harness._philox_outputs(key, start, n, pool, workers)
         assert np.array_equal(got, expected)
-        assert philox_state(source) == philox_state(expected_source)
 
 
 class TestThreadCount:
@@ -437,6 +416,10 @@ class TestSweepConfig:
          "trials = 1\nseeds = 1\n", "shapes"),
         ("shapes\ntests = shapka\nkinds = direct-sum\ntrials = 1\nseeds = 1\n",
          "shapes"),
+        ("shapes = 2,2,2; 2,2\ntests = shapka\nkinds = corrupted-direct-sum\n"
+         "counts = 1; 9\ntrials = 1\nseeds = 1\n", "counts"),
+        ("shapes = 2,2; 2,3\ntests = shapka; blr\nkinds = direct-sum\ntrials = 1\n"
+         "seeds = 1\n", "tests"),
     ])
     def test_rejects_bad_config(self, text, field):
         with pytest.raises(SweepConfigError) as err:

@@ -10,7 +10,11 @@ that `perfbench/run.py --trace 0` writes, one per (workload, seed).  Runs
 are paired by (workload, seed); a seed recorded on one side only is left
 out.  For every end-to-end metric the output gives each side's median and
 quartiles over the paired runs and the number of pairs in which the change
-reads better, with the direction and bound from BENCHMARK.json.  The git
+reads better, with the direction and bound from BENCHMARK.json, and two
+verdicts.  `worse_beyond_bound`: the change's median is worse than the
+parent's by more than bound x the parent's median.  `unresolved`: the
+parent's q3 - q1 exceeds that same margin, and not every change run reads
+better than every parent run.  The git
 sha, package versions, nproc and RANK1CHECK_THREADS of each side are
 recorded; a side whose records disagree on them is refused.
 """
@@ -73,12 +77,20 @@ def compare(parent: dict, change: dict, metrics: dict) -> dict:
             if not pairs:
                 continue
             sign = 1 if spec["better"] == "higher" else -1
+            before = spread([p for p, _ in pairs])
+            after = spread([c for _, c in pairs])
+            margin = spec["bound"] * abs(before["median"])
             rows[name] = {
                 "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
-                "parent": spread([p for p, _ in pairs]),
-                "change": spread([c for _, c in pairs]),
+                "parent": before,
+                "change": after,
                 "pairs": len(pairs),
                 "change_better": sum(sign * (c - p) > 0 for p, c in pairs),
+                "worse_beyond_bound":
+                    sign * (after["median"] - before["median"]) < -margin,
+                "unresolved": (before["q3"] - before["q1"] > margin
+                               and min(sign * c for _, c in pairs)
+                               <= max(sign * p for p, _ in pairs)),
             }
         out[workload] = {"seeds": seeds, "metrics": rows}
     return out
