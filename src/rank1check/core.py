@@ -247,9 +247,6 @@ class BinaryTensor:
     def __getitem__(self, point: Sequence[int]) -> int:
         return self.value(point)
 
-    def value_at(self, index: int) -> int:
-        return int(self.bits[index])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryTensor):
             return NotImplemented

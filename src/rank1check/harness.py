@@ -114,11 +114,19 @@ class GeneratorSpec:
 
 _RATE_CHUNK = 1 << 20
 
+# generate refuses larger shapes before allocating: a tensor holds a byte
+# per entry and the corrupted kinds copy it, about 512 MiB at the ceiling.
+MAX_GENERATE_ENTRIES = 1 << 28
+
 
 def generate(spec: GeneratorSpec) -> BinaryTensor:
     """Deterministic tensor for the spec; same spec, same bits."""
-    rng = rng_for(spec.seed, _STREAM_GENERATE)
     shape = spec.shape
+    if shape.size > MAX_GENERATE_ENTRIES:
+        raise oracles.BudgetExceededError(
+            f"shape {shape.dims} has {shape.size} entries, beyond the "
+            f"{MAX_GENERATE_ENTRIES}-entry ceiling for generated tensors")
+    rng = rng_for(spec.seed, _STREAM_GENERATE)
     if spec.kind == KIND_UNIFORM:
         return BinaryTensor(shape, rng.integers(0, 2, size=shape.size, dtype=np.uint8))
     if spec.kind == KIND_INDICATOR:

@@ -1,13 +1,18 @@
 """Exact ground truth over the full randomness space of each test.
 
-Rejection probabilities are integer counts, never floats.  A tensor test's
-space is enumerated once per shape and run through its query pattern from
-testers, the one the trials and Monte Carlo apply.  BLR and nearest-affine
-read the integer Walsh-Hadamard transform W of F = (-1)^f on F2^D instead:
-BLR rejects (n^2 - F(0) sum_S W(S)^3 / n) / 2 pairs, c ^ chi_S is at
-distance (n - (-1)^c W(S)) / 2, and by Parseval |sum_S W(S)^3| <= n^3, so
-int64 holds these counts up to D = 20.  Oracles raise BudgetExceededError
-rather than sample when a space is too large or its counts overflow int64.
+Rejection probabilities are integer counts, never floats.  shapka's and the
+conjectured test's spaces are enumerated once per shape and run through
+their query patterns from testers, the ones the trials and Monte Carlo
+apply.  The other counts read the integer Walsh-Hadamard transform W of
+F = (-1)^g for a table g on F2^D, with n = 2^D:
+- BLR on g rejects (n^2 - F(0) sum_S W(S)^3 / n) / 2 of its n^2 pairs, and
+  c ^ chi_S is at distance (n - (-1)^c W(S)) / 2 from g.
+- sic-subsets and sic-cube are BLR on the cube each pair (a, b) spans: g(x)
+  is f at the splice of b onto a along x in F2^w, w = |delta(a, b)|, and
+  each of the pair's 4^w selections on delta stands for 4^(d - w) tuples.
+By Parseval |sum_S W(S)^3| <= n^3, so int64 holds these counts up to D = 20.
+Oracles raise BudgetExceededError rather than sample when a space is too
+large or its counts overflow int64.
 
 Each oracle has one kernel that works on a batch of tensors, given as the
 rows of a (T, size) 0/1 matrix: exact_rejections and nearest_distances take
@@ -19,8 +24,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
-
 import numpy as np
 
 from .core import (
@@ -105,48 +108,62 @@ def _cached(key, build):
 
 
 # ---------------------------------------------------------------------------
-# Enumeration plans
+# Tensor tests
 # ---------------------------------------------------------------------------
-# A plan is a test's query pattern applied to its whole randomness space over
-# one shape, flattened to an index matrix (one row per query column, one
-# entry per tuple) plus optional integer tuple weights.
+# shapka and the conjectured test are counted from a plan: the test's query
+# pattern applied to its whole randomness space over one shape, as a
+# (queries, rows) int64 matrix of flat indices, one row per tuple, and the
+# (rows,) int64 tuple weights or None for all-ones.  sic-subsets and
+# sic-cube are counted from the cube table: the splices of b onto a for
+# every pair (a, b).
 
-@dataclass(frozen=True)
-class _Plan:
-    indices: np.ndarray          # (queries, rows) int64 flat indices
-    weights: Optional[np.ndarray]  # (rows,) int64, None means all-ones
-    total: int                   # full randomness-space size
-
-
-def _tensor_plan(shape: Shape, pattern, k: int, total: int) -> _Plan:
-    """Every (a, b) pair with every choice of its k selectors inside delta(a, b).
-
-    Each row stands for the 2^((d - |delta|) * k) tuples that agree with it
-    on delta; shapka draws no selectors, so its plan stays unweighted.
-    """
+def _pairs(shape: Shape) -> tuple:
+    """flat_a, flat_b and diff = (b - a) * strides of every (a, b) pair, a-major."""
     n = shape.size
     pts = shape.point_array()
     flat_a = np.repeat(np.arange(n, dtype=np.int64), n)
     flat_b = np.tile(np.arange(n, dtype=np.int64), n)
     diff = (pts[flat_b] - pts[flat_a]) * np.asarray(shape.strides, dtype=np.int64)
+    return flat_a, flat_b, diff
+
+
+def _tensor_plan(shape: Shape, pattern, k: int) -> tuple:
+    """Every (a, b) pair with every choice of its k selectors inside delta(a, b).
+
+    Each row stands for the 2^((d - |delta|) * k) tuples that agree with it
+    on delta; shapka draws no selectors, so its plan stays unweighted.
+    """
+    flat_a, flat_b, diff = _pairs(shape)
     pair, selectors, weights = testers._delta_subsets(diff != 0, k)
     columns = pattern(flat_a[pair], flat_b[pair], diff[pair], *selectors)
-    return _Plan(np.stack(columns), weights if k else None, total)
+    return np.stack(columns), weights if k else None
 
 
-def _plan(shape: Shape, kind: str, budget: int) -> _Plan:
-    pattern, k = testers._tensor_test(kind)
-    total = shape.size ** 2 << (k * shape.d)
-    _check_budget(total, budget, f"{kind} enumeration")
-    _check_int64(total, f"{kind} enumeration")  # weights and sums are at most total
-    return _cached(("plan", shape.dims, pattern),
-                   lambda: _tensor_plan(shape, pattern, k, total))
+def _cube_table(shape: Shape) -> list:
+    """The cube of every pair (a, b) with w = |delta(a, b)| >= 2, grouped by w.
+
+    A list of (w, cubes): row p of the (pairs, 2^w) int64 `cubes` holds the
+    flat index of the splice of b onto a along each x in F2^w, x in the
+    row-major order of _delta_subsets, so column 0 is a.  Pairs with w < 2
+    are left out: their four selections always cancel in pairs.
+    """
+    flat_a, _, diff = _pairs(shape)
+    differ = diff != 0
+    width = differ.sum(axis=1)
+    table = []
+    for w in range(2, shape.d + 1):
+        keep = np.flatnonzero(width == w)
+        if keep.size:
+            pair, (x,), _ = testers._delta_subsets(differ[keep], 1)
+            cubes = testers._spliced(flat_a[keep][pair], diff[keep][pair], x)
+            table.append((w, cubes.reshape(keep.size, 1 << w)))
+    return table
 
 
-# Tensors times plan rows (or times candidates, or times truth-table entries)
-# that one pass of a batched kernel holds, so its temporaries stay near a MiB
-# at any batch size; the weighted sum and the transform work in int64.  A
-# single tensor always gets a pass of its own.
+# Tensors times plan rows (or times cube entries, candidates or truth-table
+# entries) that one pass of a batched kernel holds, so its temporaries stay
+# near a MiB at any batch size; the weighted sum and the transform work in
+# int64.  A single tensor always gets a pass of its own.
 _PASS_ENTRIES = 1 << 16
 
 
@@ -155,23 +172,30 @@ def _passes(count: int, width: int):
     return (slice(i, i + step) for i in range(0, count, step))
 
 
-def _apply_plan(rows: np.ndarray, plan: _Plan) -> np.ndarray:
+def _apply_plan(rows: np.ndarray, plan: tuple) -> np.ndarray:
     """Rejecting count of each tensor of a (T, size) bit matrix.
 
     Gathers each query column of the plan and XORs them into the per-tuple
     parity; the weighted sum of the parities is the count.
     """
+    indices, weights = plan
     out = np.empty(len(rows), dtype=np.int64)
-    for part in _passes(len(rows), plan.indices.shape[1]):
+    for part in _passes(len(rows), indices.shape[1]):
         block = rows[part]
-        parity = np.take(block, plan.indices[0], axis=1)
-        for column in plan.indices[1:]:
+        parity = np.take(block, indices[0], axis=1)
+        for column in indices[1:]:
             parity ^= np.take(block, column, axis=1)
-        if plan.weights is None:
+        if weights is None:
             out[part] = np.count_nonzero(parity, axis=1)
         else:
-            out[part] = parity @ plan.weights
+            out[part] = parity @ weights
     return out
+
+
+# Butterflies on one flat index bit, and on two adjacent bits at once: half
+# the matmuls, which ran about 20% faster on every size measured.
+_HADAMARD_2 = np.array([[1, 1], [1, -1]])
+_HADAMARD_4 = np.kron(_HADAMARD_2, _HADAMARD_2)
 
 
 def _walsh(rows: np.ndarray) -> np.ndarray:
@@ -185,10 +209,21 @@ def _walsh(rows: np.ndarray) -> np.ndarray:
     dim = n.bit_length() - 1
     w = rows.reshape((count,) + (2,) * dim).transpose(0, *range(dim, 0, -1))
     w = 1 - 2 * w.reshape(count, n).astype(np.int64)
-    hadamard = np.array([[1, 1], [1, -1]])
-    for j in range(dim):  # the butterfly on flat index bit dim - 1 - j
-        w = hadamard @ w.reshape(count << j, 2, -1)
+    for j in range(0, dim, 2):  # the butterflies on flat index bits dim - 1 - j and below
+        hadamard = _HADAMARD_4 if j + 1 < dim else _HADAMARD_2
+        w = hadamard @ w.reshape(count << j, len(hadamard), -1)
     return w.reshape(count, n)
+
+
+def _blr_counts(tables: np.ndarray) -> np.ndarray:
+    """BLR rejecting count of each row of a (T, n) bit matrix, out of n^2.
+
+    sum_S W(S)^3 / n is exact: it is the sum over (x, y) of F(x) F(y) F(x ^ y).
+    """
+    n = tables.shape[1]
+    w = _walsh(tables)
+    cubes = np.einsum("ij,ij,ij->i", w, w, w) // n
+    return (n * n - np.where(tables[:, 0], -cubes, cubes)) // 2
 
 
 def _blr_rejections(rows: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
@@ -198,9 +233,23 @@ def _blr_rejections(rows: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
     _check_int64(n ** 3, "BLR enumeration")  # Parseval: |sum_S W(S)^3| <= n^3
     out = np.empty(len(rows), dtype=np.int64)
     for part in _passes(len(rows), n):
-        cubes = (_walsh(rows[part]) ** 3).sum(axis=1) // n
-        out[part] = (n * n - np.where(rows[part, 0], -cubes, cubes)) // 2
+        out[part] = _blr_counts(rows[part])
     return out, n * n
+
+
+def _sic_rejections(rows: np.ndarray, shape: Shape) -> np.ndarray:
+    """sic-subsets and sic-cube rejecting count of each row of a (T, size) bit matrix.
+
+    A pair of width w rejects BLR's count on its cube, each of them standing
+    for 4^(d - w) tuples.  That count is at most 4^w and its cubes at most
+    8^w, below the total size^2 * 4^d >= 16^w that passed _check_int64.
+    """
+    out = np.zeros(len(rows), dtype=np.int64)
+    for w, cubes in _cached(("cubes", shape.dims), lambda: _cube_table(shape)):
+        for part in _passes(len(rows), cubes.size):
+            counts = _blr_counts(np.take(rows[part], cubes, axis=1).reshape(-1, 1 << w))
+            out[part] += counts.reshape(-1, len(cubes)).sum(axis=1) << 2 * (shape.d - w)
+    return out
 
 
 def _bit_rows(shape: Shape, rows) -> np.ndarray:
@@ -230,8 +279,14 @@ def exact_rejections(shape: Shape, kind: str, rows,
     if kind == testers.BLR:
         testers._require_binary(shape)
         return _blr_rejections(bits, budget)
-    plan = _plan(shape, kind, budget)
-    return _apply_plan(bits, plan), plan.total
+    pattern, k = testers._tensor_test(kind)
+    total = shape.size ** 2 << (k * shape.d)
+    _check_budget(total, budget, f"{kind} enumeration")
+    _check_int64(total, f"{kind} enumeration")  # weights and sums are at most total
+    if kind in (testers.SIC_SUBSETS, testers.SIC_CUBE):
+        return _sic_rejections(bits, shape), total
+    plan = _cached(("plan", shape.dims, pattern), lambda: _tensor_plan(shape, pattern, k))
+    return _apply_plan(bits, plan), total
 
 
 def exact_blr_rejection(table, budget: int = DEFAULT_BUDGET) -> ExactRejection:

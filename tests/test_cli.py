@@ -59,6 +59,15 @@ class TestGen:
         assert (code, out) == (2, "")
         assert err.startswith("error: bad rate 'abc': ")
 
+    def test_oversized_shape_is_refused(self, capsys):
+        # 10^13 entries: refused from the entry count, before any allocation.
+        code, out, err = run(["gen", "--shape", "100000,100000,1000", "--kind",
+                              "uniform-random"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: shape (100000, 100000, 1000) has 10000000000000 "
+                       "entries, beyond the 268435456-entry ceiling for "
+                       "generated tensors\n")
+
     @pytest.mark.parametrize("seed", ["-1", "-2", str(2**64)])
     def test_seed_outside_uint64(self, capsys, seed):
         code, out, err = run(["gen", "--shape", "4,4", "--kind",

@@ -364,8 +364,10 @@ class TestThreadCount:
     def test_split_read_after_skipped_words(self, monkeypatch):
         # On (100003,) + (2,)*7 sic-subsets reads 32 words a trial and only
         # axis 0 skips words.  With seed 6 the first block skips 2 + 1, so
-        # the second block's split read opens on a carried half-word with 2
-        # outputs left in Philox's buffer.
+        # it reads 2^22 + 3 words: 2^21 + 2 outputs, two lanes into a
+        # counter, the last of them half used.  The second block's split
+        # read therefore opens on an odd word position, the high half of
+        # that output, in the middle of a counter.
         m, n, seed = 100003, _STREAM_BLOCK, 6
         words = rng_for(seed, 1).integers(0, 2**32, size=9 * n + 64, dtype=np.uint32)
         skip_a = lemire_skips(words, m, n)

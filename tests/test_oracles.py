@@ -1,5 +1,6 @@
 """Exact oracles: enumeration counts, nearest codewords, decoders, identities."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rank1check import oracles
 from rank1check.core import (
     BinaryTensor,
     CubePoint,
@@ -24,6 +26,7 @@ from rank1check.core import (
 from rank1check.oracles import (
     AffineWitness,
     BudgetExceededError,
+    ExactRejection,
     best_anchor_decode,
     biased_character_probability,
     biased_character_probability_enumerated,
@@ -45,6 +48,9 @@ from rank1check.testers import (
     SIC_CUBE,
     SIC_SUBSETS,
     TENSOR_TEST_KINDS,
+    SicCubeRandomness,
+    SicSubsetsRandomness,
+    run_trial,
 )
 
 
@@ -125,12 +131,13 @@ def brute_force_rejection(f, kind):
     sh = f.shape
     d = sh.d
     rejecting = total = 0
+    value = {p: f.value(p) for p in sh.points()}
 
     def add(queries, weight=1):
         nonlocal rejecting, total
         parity = 0
         for q in queries:
-            parity ^= f.value(q)
+            parity ^= value[tuple(q)]
         rejecting += parity * weight
         total += weight
 
@@ -138,9 +145,10 @@ def brute_force_rejection(f, kind):
         for b in sh.points():
             m = delta(a, b)
             if kind == SIC_SUBSETS:
+                picks = [splice(b, a, u) for u in range(1 << d)]
                 for s in range(1 << d):
                     for t in range(1 << d):
-                        add([a] + [splice(b, a, u) for u in (s, t, s ^ t)])
+                        add([a, picks[s], picks[t], picks[s ^ t]])
             elif kind == SIC_CUBE:
                 for x in cube_points(m):
                     for y in cube_points(m):
@@ -165,7 +173,8 @@ def brute_force_blr(table):
 
 
 class TestBruteForceReference:
-    @pytest.mark.parametrize("dims", [(1,), (3,), (2, 2), (3, 2), (2, 1, 2), (2, 2, 2)])
+    @pytest.mark.parametrize("dims", [(1,), (3,), (2, 2), (3, 2), (2, 1, 2), (2, 2, 2),
+                                      (3, 3), (2, 3, 2), (3, 1, 2), (2, 2, 2, 2)])
     @pytest.mark.parametrize("kind", TENSOR_TEST_KINDS)
     def test_tensor_tests(self, dims, kind):
         sh = Shape(dims)
@@ -174,6 +183,31 @@ class TestBruteForceReference:
             f = BinaryTensor(sh, rng.integers(0, 2, sh.size))
             r = exact_rejection(f, kind)
             assert (r.rejecting, r.total) == brute_force_rejection(f, kind)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 1, 3), (4, 2), (2, 2, 2)])
+    @pytest.mark.parametrize("kind", [SIC_SUBSETS, SIC_CUBE])
+    def test_sic_against_trials(self, dims, kind):
+        # The whole randomness space of the trial, run through the public
+        # run_trial: the pattern-derived count the cube kernel must meet.
+        sh = Shape(dims)
+        d = sh.d
+        rng = np.random.default_rng(len(dims) * 10 + sum(dims))
+        for _ in range(2):
+            f = BinaryTensor(sh, rng.integers(0, 2, sh.size))
+            rejecting = 0
+            for a in sh.points():
+                for b in sh.points():
+                    m = delta(a, b)
+                    if kind == SIC_SUBSETS:
+                        space = [(SicSubsetsRandomness(a, b, s, t), 1)
+                                 for s in range(1 << d) for t in range(1 << d)]
+                    else:
+                        space = [(SicCubeRandomness(a, b, x, y), 4 ** (d - m.bit_count()))
+                                 for x in cube_points(m) for y in cube_points(m)]
+                    rejecting += sum(weight for r, weight in space
+                                     if not run_trial(f, kind, r).accepted)
+            assert exact_rejection(f, kind) == ExactRejection(rejecting,
+                                                              sh.size ** 2 << 2 * d)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
     def test_blr(self, dim):
@@ -188,6 +222,48 @@ class TestBruteForceReference:
             assert (r.rejecting, r.total) == brute
             f = BinaryTensor(Shape((2,) * dim), table)
             assert exact_rejection(f, BLR) == r
+
+
+class TestSicCubeKernel:
+    """sic-subsets and sic-cube are counted from each pair's cube, with no plan."""
+
+    @staticmethod
+    def one_flip(d):
+        sh = Shape((2,) * d)
+        bits = DirectSum.random(sh, np.random.default_rng(d)).materialize().bits.copy()
+        bits[3 % sh.size] ^= 1
+        return BinaryTensor(sh, bits)
+
+    @staticmethod
+    def one_flip_count(d):
+        # A tuple rejects when an odd number of its four queries hit the
+        # flipped point.  Summed over the cubes the pairs span, that is
+        # 4 (8^d - 3 6^d + 2 5^d) of the 16^d tuples.
+        return 4 * (8 ** d - 3 * 6 ** d + 2 * 5 ** d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_one_flip_closed_form(self, d):
+        f = self.one_flip(d)
+        assert brute_force_rejection(f, SIC_SUBSETS) == (self.one_flip_count(d), 16 ** d)
+
+    @pytest.mark.parametrize("kind", [SIC_SUBSETS, SIC_CUBE])
+    def test_seven_binary_axes_without_a_plan(self, monkeypatch, kind):
+        # A plan of this space would hold 128 * 5^7 rows of 4 queries, which
+        # peaked at 1.5 GiB; the cube table holds 128 * 3^7 indices.
+        def no_plan(*args):
+            raise AssertionError("an enumeration plan was built")
+
+        monkeypatch.setattr(oracles, "_tensor_plan", no_plan)
+        monkeypatch.setattr(oracles, "_cache", {})  # build the cube table cold
+        f = self.one_flip(7)
+        tracemalloc.start()
+        try:
+            r = exact_rejection(f, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (r.rejecting, r.total) == (self.one_flip_count(7), 16 ** 7)
+        assert peak < 64 << 20
 
 
 class TestNearestDirectSum:
