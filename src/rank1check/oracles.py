@@ -209,7 +209,7 @@ def _walsh(rows: np.ndarray) -> np.ndarray:
     dim = n.bit_length() - 1
     w = rows.reshape((count,) + (2,) * dim).transpose(0, *range(dim, 0, -1))
     w = 1 - 2 * w.reshape(count, n).astype(np.int64)
-    for j in range(0, dim, 2):  # the butterflies on flat index bits dim - 1 - j and below
+    for j in range(0, dim, 2):  # flat index bits dim - 1 - j and dim - 2 - j, if any
         hadamard = _HADAMARD_4 if j + 1 < dim else _HADAMARD_2
         w = hadamard @ w.reshape(count << j, len(hadamard), -1)
     return w.reshape(count, n)
