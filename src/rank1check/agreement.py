@@ -342,7 +342,7 @@ def sic_to_dp_bridge(f: BinaryTensor, anchor: Point,
     differ = points != a_row
     # One row per vertex of each cube, the cubes in point order and each in
     # row-major table order: table axis j is the cube's j-th differing axis.
-    pair, (vertex,), _ = testers._delta_subsets(differ, 1)
+    pair, vertex = testers._delta_subsets(differ)
     diff = (points - a_row) * strides
     flats = testers._spliced(f.shape.index_of(anchor), diff[pair], vertex)
     cube_tables = np.split(g.bits[flats], np.cumsum(1 << differ.sum(axis=1))[:-1])
@@ -493,13 +493,3 @@ def dp_from_text(text: str) -> DPFunction:
         return DPFunction(shape, table)
     except ValueError as e:
         raise DPFormatError(str(e)) from e
-
-
-def write_dp(g: DPFunction, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dp_to_text(g))
-
-
-def read_dp(path) -> DPFunction:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return dp_from_text(fh.read())

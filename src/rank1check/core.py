@@ -122,15 +122,6 @@ def full_mask(d: int) -> int:
     return (1 << d) - 1
 
 
-def mask_of(axes: Sequence[int], d: int) -> int:
-    m = 0
-    for i in axes:
-        if not 0 <= i < d:
-            raise ValueError(f"axis {i} outside 0..{d - 1}")
-        m |= 1 << i
-    return m
-
-
 def axes_of(mask: int) -> tuple[int, ...]:
     if mask < 0:
         raise ValueError("axis masks are nonnegative")
@@ -394,10 +385,6 @@ def point_with(a: Sequence[int], axis: int, value: int) -> Point:
     return tuple(value if i == axis else x for i, x in enumerate(a))
 
 
-def eval_direct_sum(ds: DirectSum, point: Sequence[int]) -> int:
-    return ds.eval(point)
-
-
 def materialize(ds: DirectSum) -> BinaryTensor:
     return ds.materialize()
 
@@ -470,13 +457,3 @@ def tensor_from_text(text: str) -> BinaryTensor:
         raise TensorFormatError("bit string may contain only 0 and 1")
     return BinaryTensor(shape, np.frombuffer(body.encode("ascii"), dtype=np.uint8)
                         - ord("0"))
-
-
-def write_tensor(f: BinaryTensor, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(tensor_to_text(f))
-
-
-def read_tensor(path) -> BinaryTensor:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return tensor_from_text(fh.read())

@@ -1,15 +1,22 @@
 """Exact ground truth over the full randomness space of each test.
 
-Rejection probabilities are integer counts, never floats.  shapka's and the
-conjectured test's spaces are enumerated once per shape and run through
-their query patterns from testers, the ones the trials and Monte Carlo
-apply.  The other counts read the integer Walsh-Hadamard transform W of
-F = (-1)^g for a table g on F2^D, with n = 2^D:
-- BLR on g rejects (n^2 - F(0) sum_S W(S)^3 / n) / 2 of its n^2 pairs, and
-  c ^ chi_S is at distance (n - (-1)^c W(S)) / 2 from g.
-- sic-subsets and sic-cube are BLR on the cube each pair (a, b) spans: g(x)
-  is f at the splice of b onto a along x in F2^w, w = |delta(a, b)|, and
-  each of the pair's 4^w selections on delta stands for 4^(d - w) tuples.
+Rejection probabilities are integer counts, never floats.  No tuple is
+enumerated: each count comes from a closed form over a small per-shape
+table, and the test suite checks it against the query patterns of testers,
+the tests' one definition, run as trials over the whole space.
+- BLR and the sic tests read the integer Walsh-Hadamard transform W of
+  F = (-1)^g for a table g on F2^D, with n = 2^D.  BLR on g rejects
+  (n^2 - F(0) sum_S W(S)^3 / n) / 2 of its n^2 pairs, and c ^ chi_S is at
+  distance (n - (-1)^c W(S)) / 2 from g.
+- sic-subsets, sic-cube and the conjectured test read the cube each pair
+  (a, b) spans: g(x) is f at the splice of b onto a along x in F2^w,
+  w = |delta(a, b)|.  The sic tests are BLR on g, each of the pair's 4^w
+  selections standing for 4^(d - w) tuples.  The conjectured test rejects
+  the x with g(0) ^ g(x) ^ g(1...1) ^ g(~x) = 1, each standing for
+  2^(d - w) tuples.
+- shapka reads the axis lines through every anchor a.  By the residual
+  identity its (a, b) parity is f(b) ^ local_view_decode(f, a)(b), so it
+  rejects sum_a |f ^ local_view_decode(f, a)| pairs.
 By Parseval |sum_S W(S)^3| <= n^3, so int64 holds these counts up to D = 20.
 Oracles raise BudgetExceededError rather than sample when a space is too
 large or its counts overflow int64.
@@ -33,7 +40,6 @@ from .core import (
     Shape,
     as_bits,
     axes_of,
-    distance,
 )
 from . import testers
 
@@ -92,7 +98,7 @@ def _check_int64(bound: int, what: str) -> None:
         )
 
 
-# Enumeration plans and candidate tables depend only on the shape, so they
+# Cube, line and candidate tables depend only on the shape, so they
 # are built once per process and shared between threads.
 _cache: dict = {}
 _cache_lock = threading.Lock()
@@ -110,86 +116,64 @@ def _cached(key, build):
 # ---------------------------------------------------------------------------
 # Tensor tests
 # ---------------------------------------------------------------------------
-# shapka and the conjectured test are counted from a plan: the test's query
-# pattern applied to its whole randomness space over one shape, as a
-# (queries, rows) int64 matrix of flat indices, one row per tuple, and the
-# (rows,) int64 tuple weights or None for all-ones.  sic-subsets and
-# sic-cube are counted from the cube table: the splices of b onto a for
-# every pair (a, b).
-
-def _pairs(shape: Shape) -> tuple:
-    """flat_a, flat_b and diff = (b - a) * strides of every (a, b) pair, a-major."""
-    n = shape.size
-    pts = shape.point_array()
-    flat_a = np.repeat(np.arange(n, dtype=np.int64), n)
-    flat_b = np.tile(np.arange(n, dtype=np.int64), n)
-    diff = (pts[flat_b] - pts[flat_a]) * np.asarray(shape.strides, dtype=np.int64)
-    return flat_a, flat_b, diff
-
-
-def _tensor_plan(shape: Shape, pattern, k: int) -> tuple:
-    """Every (a, b) pair with every choice of its k selectors inside delta(a, b).
-
-    Each row stands for the 2^((d - |delta|) * k) tuples that agree with it
-    on delta; shapka draws no selectors, so its plan stays unweighted.
-    """
-    flat_a, flat_b, diff = _pairs(shape)
-    pair, selectors, weights = testers._delta_subsets(diff != 0, k)
-    columns = pattern(flat_a[pair], flat_b[pair], diff[pair], *selectors)
-    return np.stack(columns), weights if k else None
+# sic-subsets, sic-cube and the conjectured test are counted from the cube
+# table: the splices of b onto a for every pair (a, b).  shapka is counted
+# from the line table: the axis lines through every anchor a.
 
 
 def _cube_table(shape: Shape) -> list:
     """The cube of every pair (a, b) with w = |delta(a, b)| >= 2, grouped by w.
 
     A list of (w, cubes): row p of the (pairs, 2^w) int64 `cubes` holds the
-    flat index of the splice of b onto a along each x in F2^w, x in the
-    row-major order of _delta_subsets, so column 0 is a.  Pairs with w < 2
-    are left out: their four selections always cancel in pairs.
+    flat index of the splice of b onto a along each x in F2^w, x in row-major
+    order with the first differing axis most significant, so column 0 is a,
+    the last column is b and column 2^w - 1 - x is x's complement.  Pairs are
+    a-major.  Pairs with w < 2 are left out: every test's queries on them
+    cancel in pairs.
     """
-    flat_a, _, diff = _pairs(shape)
+    n, d = shape.size, shape.d
+    pts = shape.point_array()
+    diff = (pts[None] - pts[:, None]).reshape(-1, d) * np.asarray(shape.strides)
     differ = diff != 0
     width = differ.sum(axis=1)
     table = []
-    for w in range(2, shape.d + 1):
+    for w in range(2, d + 1):
         keep = np.flatnonzero(width == w)
         if keep.size:
-            pair, (x,), _ = testers._delta_subsets(differ[keep], 1)
-            cubes = testers._spliced(flat_a[keep][pair], diff[keep][pair], x)
-            table.append((w, cubes.reshape(keep.size, 1 << w)))
+            steps = diff[keep][differ[keep]].reshape(-1, w)
+            cubes = (keep // n)[:, None]
+            for j in range(w - 1, -1, -1):  # doubling, so the first axis ends most significant
+                cubes = np.hstack((cubes, cubes + steps[:, j:j + 1]))
+            table.append((w, cubes))
     return table
 
 
-# Tensors times plan rows (or times cube entries, candidates or truth-table
-# entries) that one pass of a batched kernel holds, so its temporaries stay
-# near a MiB at any batch size; the weighted sum and the transform work in
-# int64.  A single tensor always gets a pass of its own.
+def _line_table(shape: Shape) -> tuple:
+    """The axis lines through every anchor, and each point's place on them.
+
+    lines is (size, sum n_i) int64: row a lists the flat indices of the line
+    through a along axis 0, then along axis 1, and so on.  columns is
+    (d, size) int64: entry (i, b) is the column of row a holding a with
+    coordinate i set to b's.
+    """
+    pts = shape.point_array()
+    flat = np.arange(shape.size, dtype=np.int64)[:, None]
+    lines = np.hstack([flat + (np.arange(n) - pts[:, i:i + 1]) * stride
+                       for i, (n, stride) in enumerate(zip(shape.dims, shape.strides))])
+    offsets = np.cumsum((0,) + shape.dims[:-1])
+    return lines, pts.T + offsets[:, None]
+
+
+# Tensors times cube entries (or anchors times line points, candidates or
+# truth-table entries) that one pass of a batched kernel holds, so its
+# temporaries stay near a MiB at any batch size; the weighted sum and the
+# transform work in int64.  A single tensor always gets a pass of its own.
 _PASS_ENTRIES = 1 << 16
 
 
 def _passes(count: int, width: int):
     step = max(1, _PASS_ENTRIES // width)
     return (slice(i, i + step) for i in range(0, count, step))
-
-
-def _apply_plan(rows: np.ndarray, plan: tuple) -> np.ndarray:
-    """Rejecting count of each tensor of a (T, size) bit matrix.
-
-    Gathers each query column of the plan and XORs them into the per-tuple
-    parity; the weighted sum of the parities is the count.
-    """
-    indices, weights = plan
-    out = np.empty(len(rows), dtype=np.int64)
-    for part in _passes(len(rows), indices.shape[1]):
-        block = rows[part]
-        parity = np.take(block, indices[0], axis=1)
-        for column in indices[1:]:
-            parity ^= np.take(block, column, axis=1)
-        if weights is None:
-            out[part] = np.count_nonzero(parity, axis=1)
-        else:
-            out[part] = parity @ weights
-    return out
 
 
 # Butterflies on one flat index bit, and on two adjacent bits at once: half
@@ -237,18 +221,51 @@ def _blr_rejections(rows: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
     return out, n * n
 
 
-def _sic_rejections(rows: np.ndarray, shape: Shape) -> np.ndarray:
-    """sic-subsets and sic-cube rejecting count of each row of a (T, size) bit matrix.
+def _cube_rejections(rows: np.ndarray, shape: Shape, kind: str, k: int) -> np.ndarray:
+    """Rejecting count of each row of a (T, size) bit matrix, from the cube table.
 
-    A pair of width w rejects BLR's count on its cube, each of them standing
-    for 4^(d - w) tuples.  That count is at most 4^w and its cubes at most
-    8^w, below the total size^2 * 4^d >= 16^w that passed _check_int64.
+    The sic tests: a pair of width w rejects BLR's count on its cube.  The
+    conjectured test: it rejects the x in F2^w with g(0) ^ g(x) ^ g(1...1) ^
+    g(~x) = 1.  Each of these stands for 2^(k (d - w)) tuples, so no sum
+    exceeds the total that passed _check_int64; BLR's cube sum is at most
+    8^w, below that total's 16^w.
     """
     out = np.zeros(len(rows), dtype=np.int64)
     for w, cubes in _cached(("cubes", shape.dims), lambda: _cube_table(shape)):
         for part in _passes(len(rows), cubes.size):
-            counts = _blr_counts(np.take(rows[part], cubes, axis=1).reshape(-1, 1 << w))
-            out[part] += counts.reshape(-1, len(cubes)).sum(axis=1) << 2 * (shape.d - w)
+            g = np.take(rows[part], cubes, axis=1)
+            if kind == testers.CONJECTURED:
+                parity = g ^ g[..., ::-1] ^ (g[..., :1] ^ g[..., -1:])
+                counts = np.count_nonzero(parity.reshape(len(g), -1), axis=1)
+            else:
+                counts = _blr_counts(g.reshape(-1, 1 << w)).reshape(len(g), -1)
+                counts = counts.sum(axis=1)
+            out[part] += counts << k * (shape.d - w)
+    return out
+
+
+def _residuals(rows: np.ndarray, shape: Shape) -> np.ndarray:
+    """|f ^ local_view_decode(f, a)| for each row f of a (T, size) bit matrix
+    and each anchor a, as a (T, size) int64 matrix.
+
+    The local views at a are f on the axis lines through a, the last one
+    absorbing f(a) when d is even; the decode at b is the XOR of each view
+    at b's coordinate.
+    """
+    lines, columns = _cached(("lines", shape.dims), lambda: _line_table(shape))
+    n, d = shape.size, shape.d
+    width = n + lines.shape[1]  # entries of the views and the residual per anchor
+    out = np.empty((len(rows), n), dtype=np.int64)
+    for part in _passes(len(rows), n * width):
+        block = rows[part]
+        for anchors in _passes(n, len(block) * width):
+            views = block[:, lines[anchors]]
+            if d % 2 == 0:
+                views[..., -shape.dims[-1]:] ^= block[:, anchors, None]
+            residual = block[:, None] ^ views[..., columns[0]]
+            for column in columns[1:]:
+                residual ^= views[..., column]
+            out[part, anchors] = np.einsum("tab->ta", residual, dtype=np.int64)
     return out
 
 
@@ -279,14 +296,13 @@ def exact_rejections(shape: Shape, kind: str, rows,
     if kind == testers.BLR:
         testers._require_binary(shape)
         return _blr_rejections(bits, budget)
-    pattern, k = testers._tensor_test(kind)
+    _, k = testers._tensor_test(kind)
     total = shape.size ** 2 << (k * shape.d)
     _check_budget(total, budget, f"{kind} enumeration")
-    _check_int64(total, f"{kind} enumeration")  # weights and sums are at most total
-    if kind in (testers.SIC_SUBSETS, testers.SIC_CUBE):
-        return _sic_rejections(bits, shape), total
-    plan = _cached(("plan", shape.dims, pattern), lambda: _tensor_plan(shape, pattern, k))
-    return _apply_plan(bits, plan), total
+    _check_int64(total, f"{kind} enumeration")  # every count is at most total
+    if kind == testers.SHAPKA:  # the residual identity: rej = sum_a |f ^ LV_a(f)|
+        return _residuals(bits, shape).sum(axis=1), total
+    return _cube_rejections(bits, shape, kind, k), total
 
 
 def exact_blr_rejection(table, budget: int = DEFAULT_BUDGET) -> ExactRejection:
@@ -403,18 +419,15 @@ def is_direct_sum(f: BinaryTensor) -> bool:
 
 
 def best_anchor_decode(f: BinaryTensor) -> tuple[Point, DirectSum, Fraction]:
-    """Local-view decode at every anchor, keeping the closest reconstruction.
+    """Local-view decode at the anchor whose reconstruction is closest to f.
 
     An experiment toward a voting-style reconstruction; no optimality claim.
     Ties go to the first anchor in row-major order.
     """
-    best = None
-    for a in f.shape.points():
-        ds = local_view_decode(f, a)
-        dist = distance(f, ds.materialize())
-        if best is None or dist < best[2]:
-            best = (a, ds, dist)
-    return best
+    residuals = _residuals(f.bits[None], f.shape)[0]
+    best = int(residuals.argmin())
+    a = f.shape.point_at(best)
+    return a, local_view_decode(f, a), Fraction(int(residuals[best]), f.shape.size)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 A pattern maps a batch of randomness rows to the flat indices the test
 queries; the test rejects a row when f's parity over them is 1.  The
-one-shot trials below (a batch of one), Monte Carlo in harness (a sampled
-batch) and the tensor tests' exact oracles (the whole randomness space)
-apply the same pattern; BLR's oracle reads a Walsh-Hadamard transform.
+one-shot trials below (a batch of one) and Monte Carlo in harness (a
+sampled batch) apply the same pattern.  The exact oracles count the whole
+randomness space from closed forms over small per-shape tables instead, and
+the tests check them against these trials.
 Trials are pure functions of (tensor, randomness) and safe to run concurrently.
 """
 
@@ -104,8 +105,8 @@ class TrialOutcome:
 # diff vanishes where a = b, so a selector only matters on delta(a, b): a
 # subset of axes and a vertex of the cube spanned by a and b pick the same
 # point.  A pattern returns the test's query columns, and a row is accepted
-# when the parity of f over them is 0.  Monte Carlo, the scalar trials and
-# the exact oracles all apply these functions and nothing else.
+# when the parity of f over them is 0.  Monte Carlo and the scalar trials
+# apply these functions and nothing else.
 
 
 def _spliced(flat_a: np.ndarray, diff: np.ndarray, selector: np.ndarray) -> np.ndarray:
@@ -299,29 +300,22 @@ def _parity(bits: np.ndarray, columns) -> np.ndarray:
     return functools.reduce(np.bitwise_xor, (bits[c] for c in columns))
 
 
-def _delta_subsets(differ: np.ndarray, k: int) -> tuple:
-    """Every choice of k subsets of delta(a, b) for each (a, b) row, weighted.
+def _delta_subsets(differ: np.ndarray) -> tuple:
+    """Every subset of delta(a, b) for each (a, b) row.
 
     `differ` is a (pairs, d) bool array marking where a and b differ.  Per
-    output row: its pair, k uint8 selectors (zero off delta), and the weight
-    2^((d - |delta|) * k) of the full selector choices it stands for.  A
-    pair's rows are contiguous; its first selector runs over the pair's cube
-    in row-major order, the first differing axis most significant.
+    output row: its pair and a uint8 selector (zero off delta).  A pair's
+    rows are contiguous and run over the pair's cube in row-major order, the
+    first differing axis most significant.
     """
-    d = differ.shape[1]
     width = differ.sum(axis=1)
-    counts = 1 << (k * width)
+    counts = 1 << width
     pair = np.repeat(np.arange(differ.shape[0]), counts)
     r = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    width = width[pair]
     on = differ[pair]
     after = np.cumsum(on, axis=1)
-    np.subtract(width[:, None], after, out=after)  # differing axes after each
-    selectors = []
-    for _ in range(k):
-        selectors.append(((r[:, None] >> after) & on).astype(np.uint8))
-        r = r >> width
-    return pair, selectors, 1 << ((d - width) * k)
+    np.subtract(width[pair, None], after, out=after)  # differing axes after each
+    return pair, ((r[:, None] >> after) & on).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

@@ -383,10 +383,3 @@ class TestTextFormat:
     def test_rejects_malformed(self, text):
         with pytest.raises(DPFormatError):
             dp_from_text(text)
-
-    def test_file_round_trip(self, tmp_path):
-        from rank1check.agreement import read_dp, write_dp
-        g = random_direct_product(DPShape((2, 2), 2), rng_for(23))
-        path = tmp_path / "g.dp"
-        write_dp(g, path)
-        assert read_dp(path) == g

@@ -48,6 +48,8 @@ from rank1check.testers import (
     SIC_CUBE,
     SIC_SUBSETS,
     TENSOR_TEST_KINDS,
+    ConjecturedRandomness,
+    ShapkaRandomness,
     SicCubeRandomness,
     SicSubsetsRandomness,
     run_trial,
@@ -185,29 +187,37 @@ class TestBruteForceReference:
             assert (r.rejecting, r.total) == brute_force_rejection(f, kind)
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 1, 3), (4, 2), (2, 2, 2)])
-    @pytest.mark.parametrize("kind", [SIC_SUBSETS, SIC_CUBE])
+    @pytest.mark.parametrize("kind", TENSOR_TEST_KINDS)
     def test_sic_against_trials(self, dims, kind):
-        # The whole randomness space of the trial, run through the public
-        # run_trial: the pattern-derived count the cube kernel must meet.
+        # The whole randomness space of each tensor test's trial, run through
+        # the public run_trial: the pattern-derived count that the cube and
+        # line kernels must meet.  A cube point stands for the 2^(d - |delta|)
+        # full selectors that agree with it on delta.
         sh = Shape(dims)
         d = sh.d
         rng = np.random.default_rng(len(dims) * 10 + sum(dims))
         for _ in range(2):
             f = BinaryTensor(sh, rng.integers(0, 2, sh.size))
-            rejecting = 0
+            rejecting = total = 0
             for a in sh.points():
                 for b in sh.points():
                     m = delta(a, b)
+                    unit = 2 ** (d - m.bit_count())
                     if kind == SIC_SUBSETS:
                         space = [(SicSubsetsRandomness(a, b, s, t), 1)
                                  for s in range(1 << d) for t in range(1 << d)]
-                    else:
-                        space = [(SicCubeRandomness(a, b, x, y), 4 ** (d - m.bit_count()))
+                    elif kind == SIC_CUBE:
+                        space = [(SicCubeRandomness(a, b, x, y), unit ** 2)
                                  for x in cube_points(m) for y in cube_points(m)]
+                    elif kind == SHAPKA:
+                        space = [(ShapkaRandomness(a, b), 1)]
+                    else:
+                        space = [(ConjecturedRandomness(a, b, x), unit)
+                                 for x in cube_points(m)]
+                    total += sum(weight for _, weight in space)
                     rejecting += sum(weight for r, weight in space
                                      if not run_trial(f, kind, r).accepted)
-            assert exact_rejection(f, kind) == ExactRejection(rejecting,
-                                                              sh.size ** 2 << 2 * d)
+            assert exact_rejection(f, kind) == ExactRejection(rejecting, total)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
     def test_blr(self, dim):
@@ -250,10 +260,6 @@ class TestSicCubeKernel:
     def test_seven_binary_axes_without_a_plan(self, monkeypatch, kind):
         # A plan of this space would hold 128 * 5^7 rows of 4 queries, which
         # peaked at 1.5 GiB; the cube table holds 128 * 3^7 indices.
-        def no_plan(*args):
-            raise AssertionError("an enumeration plan was built")
-
-        monkeypatch.setattr(oracles, "_tensor_plan", no_plan)
         monkeypatch.setattr(oracles, "_cache", {})  # build the cube table cold
         f = self.one_flip(7)
         tracemalloc.start()
@@ -264,6 +270,67 @@ class TestSicCubeKernel:
             tracemalloc.stop()
         assert (r.rejecting, r.total) == (self.one_flip_count(7), 16 ** 7)
         assert peak < 64 << 20
+
+    def test_eight_binary_axes_cold(self, monkeypatch):
+        # The cube table holds 256 * 3^8 int64 indices, 13 MiB; building it
+        # by doubling keeps its temporaries to a fraction of that.
+        monkeypatch.setattr(oracles, "_cache", {})
+        f = self.one_flip(8)
+        tracemalloc.start()
+        try:
+            r = exact_rejection(f, SIC_SUBSETS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (r.rejecting, r.total) == (self.one_flip_count(8), 16 ** 8)
+        assert peak < 32 << 20
+
+
+class TestShapkaKernel:
+    """shapka is counted by the residual identity, from the lines through each anchor."""
+
+    @staticmethod
+    def six_by_four():
+        sh = Shape((6,) * 4)
+        return BinaryTensor(sh, np.random.default_rng(12).integers(0, 2, sh.size))
+
+    def test_four_axes_of_six_cold(self, monkeypatch):
+        # The (a, b) pairs of this shape number 1296^2; the line table holds
+        # 1296 * 24 indices.
+        monkeypatch.setattr(oracles, "_cache", {})
+        f = self.six_by_four()
+        tracemalloc.start()
+        try:
+            r = exact_rejection(f, SHAPKA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.total == 1296 ** 2
+        assert peak < 16 << 20
+
+    def test_anchor_residuals_are_decode_distances(self):
+        f = self.six_by_four()
+        residuals = oracles._residuals(f.bits[None], f.shape)[0]
+        assert residuals.sum() == exact_rejection(f, SHAPKA).rejecting
+        for a in [(0, 0, 0, 0), (5, 5, 5, 5), (1, 4, 0, 3), (2, 0, 5, 1)]:
+            decoded = local_view_decode(f, a).materialize()
+            assert residuals[f.shape.index_of(a)] == distance(f, decoded) * f.shape.size
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (3, 3, 3)])
+    def test_best_anchor_is_the_first_closest(self, dims):
+        sh = Shape(dims)
+        rng = np.random.default_rng(sum(dims))
+        for _ in range(5):
+            f = BinaryTensor(sh, rng.integers(0, 2, sh.size))
+            best = None
+            for a in sh.points():
+                ds = local_view_decode(f, a)
+                dist = distance(f, ds.materialize())
+                if best is None or dist < best[2]:
+                    best = (a, ds, dist)
+            assert best_anchor_decode(f) == best
+            ds = DirectSum.random(sh, rng)
+            assert best_anchor_decode(ds.materialize()) == (sh.origin(), ds, 0)
 
 
 class TestNearestDirectSum:
