@@ -245,8 +245,7 @@ def _cube_rejections(rows: np.ndarray, shape: Shape, kind: str, k: int) -> np.nd
 
 
 def _residuals(rows: np.ndarray, shape: Shape) -> np.ndarray:
-    """|f ^ local_view_decode(f, a)| for each row f of a (T, size) bit matrix
-    and each anchor a, as a (T, size) int64 matrix.
+    """|f ^ local_view_decode(f, a)| for each row f and anchor a, as (T, size) int64.
 
     The local views at a are f on the axis lines through a, the last one
     absorbing f(a) when d is even; the decode at b is the XOR of each view

@@ -272,8 +272,8 @@ class TestSicCubeKernel:
         assert peak < 64 << 20
 
     def test_eight_binary_axes_cold(self, monkeypatch):
-        # The cube table holds 256 * 3^8 int64 indices, 13 MiB; building it
-        # by doubling keeps its temporaries to a fraction of that.
+        # The cube table holds 256 * 3^8 int64 indices, 13 MiB, so the bound
+        # leaves room for little beside the table and one width's transform.
         monkeypatch.setattr(oracles, "_cache", {})
         f = self.one_flip(8)
         tracemalloc.start()
