@@ -33,8 +33,18 @@ from rank1check.agreement import (
     sic_to_dp_bridge,
     two_step_alpha_pair_distribution,
 )
-from rank1check.core import BinaryTensor, DirectSum, Shape, axes_of
+from rank1check.core import (
+    BinaryTensor,
+    CubePoint,
+    DirectSum,
+    Shape,
+    axes_of,
+    delta,
+    flip,
+    project,
+)
 from rank1check.harness import rng_for
+from rank1check.oracles import nearest_affine
 
 
 GRID = [
@@ -319,6 +329,41 @@ class TestBridge:
         assert f.value((0, 0)) == 1
         F = sic_to_dp_bridge(f, (0, 0))
         assert dp_plurality_decode(F).agreement == 1
+
+    @pytest.mark.parametrize("dims", [(1,), (3,), (2, 3), (3, 1, 2), (2, 2, 2),
+                                      (4, 4, 4), (1, 4, 1, 3), (2,) * 5])
+    def test_matches_definition(self, dims):
+        # The definition, one point at a time: normalise f to vanish at the
+        # anchor, read the cube spanned by (anchor, b) through core.project
+        # with the first differing axis most significant, fit it with
+        # nearest_affine, and mark the differing axes in the fit's mask.
+        sh = Shape(dims)
+        rng = rng_for(len(dims), sum(dims))
+        ds = DirectSum.random(sh, rng).materialize()
+        one_flip = ds.bits.copy()
+        one_flip[int(rng.integers(0, sh.size))] ^= 1
+        tensors = [BinaryTensor(sh, rng.integers(0, 2, size=sh.size)), ds,
+                   BinaryTensor(sh, one_flip)]
+        anchors = [sh.origin(), sh.point_at(sh.size - 1),
+                   sh.point_at(int(rng.integers(0, sh.size)))]
+        for f in tensors:
+            for anchor in anchors:
+                g = f if f.value(anchor) == 0 else flip(f)
+                expected = np.zeros((sh.size, sh.d), dtype=np.int64)
+                for row, b in enumerate(sh.points()):
+                    m = delta(anchor, b)
+                    diff_axes = axes_of(m)
+                    w = len(diff_axes)
+                    cube = []
+                    for r in range(1 << w):
+                        bits = sum(1 << axis for j, axis in enumerate(diff_axes)
+                                   if (r >> (w - 1 - j)) & 1)
+                        cube.append(g.value(project(anchor, b, CubePoint(m, bits))))
+                    for j in axes_of(nearest_affine(cube).witness.mask):
+                        expected[row, diff_axes[j]] = 1
+                F = sic_to_dp_bridge(f, anchor)
+                assert F.dpshape == DPShape(dims, 2)
+                assert np.array_equal(F.table, expected), (f, anchor)
 
 
 class TestPairDistributions:
