@@ -20,10 +20,11 @@ from .core import BinaryTensor, Point, Shape, axes_of, flip
 from .oracles import (
     DEFAULT_BUDGET,
     ExactRejection,
+    _affine_fits,
     _check_budget,
-    nearest_affine,
+    _cubes,
+    nearest_affine,  # unused here; perfbench/spans.py wraps agreement.nearest_affine
 )
-from . import testers
 from .testers import TrialOutcome
 
 DEFAULT_ALPHA = Fraction(3, 4)
@@ -336,21 +337,14 @@ def sic_to_dp_bridge(f: BinaryTensor, anchor: Point,
     d = f.shape.d
     _check_budget(f.shape.size * (2 << d), budget, "bridge enumeration")
     g = f if f.value(anchor) == 0 else flip(f)
-    strides = np.asarray(f.shape.strides, dtype=np.int64)
-    a_row = np.asarray(anchor, dtype=np.int64)
-    points = f.shape.point_array()
-    differ = points != a_row
-    # One row per vertex of each cube, the cubes in point order and each in
-    # row-major table order: table axis j is the cube's j-th differing axis.
-    pair, vertex = testers._delta_subsets(differ)
-    diff = (points - a_row) * strides
-    flats = testers._spliced(f.shape.index_of(anchor), diff[pair], vertex)
-    cube_tables = np.split(g.bits[flats], np.cumsum(1 << differ.sum(axis=1))[:-1])
+    diff = (f.shape.point_array() - anchor) * np.asarray(f.shape.strides)
+    flat_a = np.full(f.shape.size, f.shape.index_of(anchor), dtype=np.int64)
     table = np.zeros((f.shape.size, d), dtype=np.int64)
-    for row, cube_table in enumerate(cube_tables):
-        diff_axes = np.flatnonzero(differ[row])
-        for j in axes_of(nearest_affine(cube_table, budget).witness.mask):
-            table[row, int(diff_axes[j])] = 1
+    for _, pairs, cubes in _cubes(flat_a, diff):
+        _, masks, _ = _affine_fits(g.bits[cubes])
+        # Bit j of a mask is the pair's j-th differing axis.
+        on = diff[pairs] != 0
+        table[pairs] = (masks[:, None] >> (np.cumsum(on, axis=1) - on)) & on
     return DPFunction(DPShape(f.shape.dims, 2), table)
 
 

@@ -121,31 +121,39 @@ def _cached(key, build):
 # from the line table: the axis lines through every anchor a.
 
 
-def _cube_table(shape: Shape) -> list:
-    """The cube of every pair (a, b) with w = |delta(a, b)| >= 2, grouped by w.
+def _cubes(flat_a: np.ndarray, diff: np.ndarray):
+    """The cube each pair (a, b) spans, grouped by width w = |delta(a, b)|.
 
-    A list of (w, cubes): row p of the (pairs, 2^w) int64 `cubes` holds the
-    flat index of the splice of b onto a along each x in F2^w, x in row-major
-    order with the first differing axis most significant, so column 0 is a,
-    the last column is b and column 2^w - 1 - x is x's complement.  Pairs are
-    a-major.  Pairs with w < 2 are left out: every test's queries on them
-    cancel in pairs.
+    flat_a holds the flat index of each pair's a, and the (pairs, d) diff
+    its (b - a) * strides.  Yields (w, pairs, cubes) for each width present,
+    in increasing w: pairs lists the pairs of width w in their given order,
+    and row p of the (len(pairs), 2^w) int64 cubes holds the flat index of
+    the splice of b onto a along each x in F2^w, x in row-major order with
+    the first differing axis most significant.  So column 0 is a, the last
+    column is b and column 2^w - 1 - x is x's complement.
     """
-    n, d = shape.size, shape.d
-    pts = shape.point_array()
-    diff = (pts[None] - pts[:, None]).reshape(-1, d) * np.asarray(shape.strides)
     differ = diff != 0
     width = differ.sum(axis=1)
-    table = []
-    for w in range(2, d + 1):
-        keep = np.flatnonzero(width == w)
-        if keep.size:
-            steps = diff[keep][differ[keep]].reshape(-1, w)
-            cubes = (keep // n)[:, None]
-            for j in range(w - 1, -1, -1):  # doubling, so the first axis ends most significant
-                cubes = np.hstack((cubes, cubes + steps[:, j:j + 1]))
-            table.append((w, cubes))
-    return table
+    for w in np.unique(width).tolist():
+        pairs = np.flatnonzero(width == w)
+        steps = diff[pairs][differ[pairs]].reshape(len(pairs), w)
+        cubes = flat_a[pairs, None]
+        for j in range(w - 1, -1, -1):  # doubling, so the first axis ends most significant
+            cubes = np.hstack((cubes, cubes + steps[:, j:j + 1]))
+        yield w, pairs, cubes
+
+
+def _cube_table(shape: Shape) -> list:
+    """The cubes of every pair (a, b) with w >= 2, as a list of (w, cubes).
+
+    Pairs are a-major.  Pairs with w < 2 are left out: every test's queries
+    on them cancel in pairs.
+    """
+    n = shape.size
+    pts = shape.point_array()
+    diff = (pts[None] - pts[:, None]).reshape(n * n, -1) * np.asarray(shape.strides)
+    flat_a = np.repeat(np.arange(n, dtype=np.int64), n)
+    return [(w, cubes) for w, _, cubes in _cubes(flat_a, diff) if w >= 2]
 
 
 def _line_table(shape: Shape) -> tuple:
@@ -358,21 +366,35 @@ def nearest_distances(shape: Shape, rows, budget: int = DEFAULT_BUDGET) -> np.nd
     return _closest(matrix, bits)[1]
 
 
+def _affine_fits(tables: np.ndarray) -> tuple:
+    """Per row of a (T, 2^D) bit matrix: its nearest affine function.
+
+    Returns int64 arrays (constants, masks, doubled): the first (constant,
+    mask) pair at minimum distance and twice that distance.  Twice the
+    distance to constant ^ chi_mask is n - (-1)^constant W(mask), laid out
+    at constant * n + mask, so the first argmin is the smallest pair.
+    """
+    count, n = tables.shape
+    best = np.empty(count, dtype=np.int64)
+    doubled = np.empty(count, dtype=np.int64)
+    for part in _passes(count, 2 * n):
+        w = _walsh(tables[part])
+        distances = np.hstack((n - w, n + w))
+        best[part] = distances.argmin(axis=1)
+        doubled[part] = distances.min(axis=1)
+    return best // n, best % n, doubled
+
+
 def nearest_affine(table, budget: int = DEFAULT_BUDGET) -> NearestResult:
     """Minimum distance over all 2^(D+1) affine functions on F2^D.
 
     Ties go to the smallest (constant, mask) pair.
     """
     t = testers.truth_table(table)
-    n = t.size
-    dim = n.bit_length() - 1
-    _check_budget(2 << dim, budget, "affine enumeration")
-    w = _walsh(t[None])[0]
-    # Twice the distance to constant ^ chi_mask, indexed by constant * n + mask.
-    doubled = np.concatenate((n - w, n + w))
-    best = int(doubled.argmin())
-    return NearestResult(AffineWitness(best >> dim, best & (n - 1)),
-                         Fraction(int(doubled[best]) // 2, n))
+    _check_budget(2 * t.size, budget, "affine enumeration")
+    constants, masks, doubled = _affine_fits(t[None])
+    return NearestResult(AffineWitness(int(constants[0]), int(masks[0])),
+                         Fraction(int(doubled[0]) // 2, t.size))
 
 
 # ---------------------------------------------------------------------------

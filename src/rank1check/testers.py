@@ -300,24 +300,6 @@ def _parity(bits: np.ndarray, columns) -> np.ndarray:
     return functools.reduce(np.bitwise_xor, (bits[c] for c in columns))
 
 
-def _delta_subsets(differ: np.ndarray) -> tuple:
-    """Every subset of delta(a, b) for each (a, b) row.
-
-    `differ` is a (pairs, d) bool array marking where a and b differ.  Per
-    output row: its pair and a uint8 selector (zero off delta).  A pair's
-    rows are contiguous and run over the pair's cube in row-major order, the
-    first differing axis most significant.
-    """
-    width = differ.sum(axis=1)
-    counts = 1 << width
-    pair = np.repeat(np.arange(differ.shape[0]), counts)
-    r = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    on = differ[pair]
-    after = np.cumsum(on, axis=1)
-    np.subtract(width[pair, None], after, out=after)  # differing axes after each
-    return pair, ((r[:, None] >> after) & on).astype(np.uint8)
-
-
 # ---------------------------------------------------------------------------
 # Trials: a batch of one
 # ---------------------------------------------------------------------------
