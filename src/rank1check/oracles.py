@@ -31,6 +31,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+
 import numpy as np
 
 from .core import (
@@ -88,6 +90,25 @@ def _check_budget(required: int, budget: int, what: str) -> None:
     if required > budget:
         raise BudgetExceededError(
             f"{what} needs {required} tuples, budget is {budget}"
+        )
+
+
+# The cube table and the (size^2, d) int64 differences it is built from may
+# take this many bytes together.  A larger shape is refused before anything
+# is built: (6,)^4 needs 195 MiB, (8,)^4 2 GiB.
+MAX_CUBE_TABLE_BYTES = 1 << 28
+
+
+def _check_cube_bytes(shape: Shape, what: str) -> None:
+    # Each a spans prod_i (2 n_i - 1) cube entries over all b: axis i adds one
+    # for b_i = a_i and two for each other value.  The table drops the
+    # 1 + 2 sum_i (n_i - 1) entries of the pairs with w < 2.
+    spans = prod(2 * n - 1 for n in shape.dims) - 1 - 2 * sum(n - 1 for n in shape.dims)
+    needed = 8 * shape.size * (spans + shape.size * shape.d)
+    if needed > MAX_CUBE_TABLE_BYTES:
+        raise BudgetExceededError(
+            f"{what} on shape {shape.dims} needs {needed} bytes for its cube "
+            f"table, beyond the {MAX_CUBE_TABLE_BYTES}-byte ceiling"
         )
 
 
@@ -151,7 +172,8 @@ def _cube_table(shape: Shape) -> list:
     """
     n = shape.size
     pts = shape.point_array()
-    diff = (pts[None] - pts[:, None]).reshape(n * n, -1) * np.asarray(shape.strides)
+    diff = (pts[None] - pts[:, None]).reshape(n * n, -1)
+    diff *= shape.strides
     flat_a = np.repeat(np.arange(n, dtype=np.int64), n)
     return [(w, cubes) for w, _, cubes in _cubes(flat_a, diff) if w >= 2]
 
@@ -309,6 +331,7 @@ def exact_rejections(shape: Shape, kind: str, rows,
     _check_int64(total, f"{kind} enumeration")  # every count is at most total
     if kind == testers.SHAPKA:  # the residual identity: rej = sum_a |f ^ LV_a(f)|
         return _residuals(bits, shape).sum(axis=1), total
+    _check_cube_bytes(shape, kind)
     return _cube_rejections(bits, shape, kind, k), total
 
 
@@ -443,8 +466,10 @@ def best_anchor_decode(f: BinaryTensor) -> tuple[Point, DirectSum, Fraction]:
     """Local-view decode at the anchor whose reconstruction is closest to f.
 
     An experiment toward a voting-style reconstruction; no optimality claim.
-    Ties go to the first anchor in row-major order.
+    Ties go to the first anchor in row-major order.  It does shapka's work,
+    so it is refused where shapka's size^2 pairs exceed DEFAULT_BUDGET.
     """
+    _check_budget(f.shape.size ** 2, DEFAULT_BUDGET, "best-anchor decode")
     residuals = _residuals(f.bits[None], f.shape)[0]
     best = int(residuals.argmin())
     a = f.shape.point_at(best)

@@ -99,3 +99,38 @@ def test_refuses_a_directory_without_records(tmp_path, capsys):
                                "-o", str(tmp_path / "bench.json")])
     assert code == 2
     assert "no record-*-trace0.json files" in capsys.readouterr().err
+
+
+def gain_of(tmp_path, parent_ops, change_ops):
+    """bench_compare's `gain` for ops_per_s over one mc-large pair per seed."""
+    write_records(tmp_path / "parent", "aaa",
+                  {("mc-large", s): (ops, 100.0) for s, ops in enumerate(parent_ops)})
+    write_records(tmp_path / "change", "bbb",
+                  {("mc-large", s): (ops, 100.0) for s, ops in enumerate(change_ops)})
+    out = tmp_path / "bench.json"
+    assert bench_compare.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                               "-o", str(out)]) == 0
+    ops = json.loads(out.read_text())["workloads"]["mc-large"]["metrics"]["ops_per_s"]
+    return ops["change_better"], ops["gain"]
+
+
+PARENT_OPS = [10.0, 10.1, 9.9, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0, 10.3]
+
+
+def test_gain_at_nine_of_ten_pairs(tmp_path):
+    # Nine pairs won by 2 ops/s against a parent spread of 0.2; the tenth
+    # ties, which counts for neither side.
+    change = [p + 2 for p in PARENT_OPS[:9]] + [PARENT_OPS[9]]
+    assert gain_of(tmp_path, PARENT_OPS, change) == (9, True)
+
+
+def test_no_gain_at_eight_of_ten_pairs(tmp_path):
+    change = [p + 2 for p in PARENT_OPS[:8]] + [p - 1 for p in PARENT_OPS[8:]]
+    assert gain_of(tmp_path, PARENT_OPS, change) == (8, False)
+
+
+def test_no_gain_inside_the_parent_spread(tmp_path):
+    # Every pair won, but the medians differ by 0.5 against a parent q3 - q1
+    # of 4.5.
+    parent = [10.0 + s for s in range(10)]
+    assert gain_of(tmp_path, parent, [p + 0.5 for p in parent]) == (10, False)

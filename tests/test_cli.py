@@ -150,6 +150,15 @@ class TestOracle:
                             "sic-subsets", "--budget", "3"], capsys)
         assert code == 2
 
+    def test_cube_table_ceiling_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "f.tensor"
+        path.write_text(tensor_to_text(BinaryTensor.zeros(Shape((8,) * 4))))
+        code, out, err = run(["oracle", "--input", str(path), "--test",
+                              "conjectured"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: conjectured on shape (8, 8, 8, 8) needs 2193883136 "
+                       "bytes for its cube table, beyond the 268435456-byte ceiling\n")
+
     def test_assert_soundness_passes(self, capsys):
         code, _, err = run(["oracle", "--assert-soundness", "--exhaustive",
                             "--shape", "2,2", "--test", "shapka"], capsys)
@@ -247,6 +256,14 @@ class TestDecode:
                               "local-view", "--anchor", "x"], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: bad anchor 'x': ")
+
+    def test_best_anchor_budget_is_usage_error(self, capsys, tmp_path):
+        src = tmp_path / "f.tensor"
+        src.write_text(tensor_to_text(BinaryTensor.zeros(Shape((257, 256)))))
+        code, out, err = run(["decode", "--input", str(src), "--mode",
+                              "local-view"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: best-anchor decode needs 4328587264 tuples, budget is 4294967296\n"
 
     def test_plurality(self, capsys, tmp_path):
         g = DPFunction(DPShape((3, 3), 2),

@@ -285,6 +285,44 @@ class TestSicCubeKernel:
         assert (r.rejecting, r.total) == (self.one_flip_count(8), 16 ** 8)
         assert peak < 32 << 20
 
+    @pytest.mark.parametrize("kind", [SIC_SUBSETS, SIC_CUBE, CONJECTURED])
+    def test_byte_ceiling_refuses_before_building(self, kind):
+        # (8,)^4 passes the default tuple budget, and its cube table would
+        # hold 4096 * 50568 int64 indices (1.54 GiB) beside 512 MiB of
+        # differences.
+        f = BinaryTensor(Shape((8,) * 4), np.zeros(4096, dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as refused:
+                exact_rejection(f, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == (
+            f"{kind} on shape (8, 8, 8, 8) needs 2193883136 bytes for its cube "
+            "table, beyond the 268435456-byte ceiling")
+        assert peak < 1 << 20
+
+    def test_tuple_budget_is_checked_first(self):
+        f = BinaryTensor(Shape((8,) * 4), np.zeros(4096, dtype=np.uint8))
+        with pytest.raises(BudgetExceededError,
+                           match="^sic-subsets enumeration needs 4294967296 tuples, "
+                                 "budget is 2147483648$"):
+            exact_rejection(f, SIC_SUBSETS, budget=1 << 31)
+
+    @pytest.mark.parametrize("dims", [(5,), (2, 3), (3, 1, 2), (2, 2, 2),
+                                      (4, 4, 4), (1, 4, 1, 3), (2,) * 5])
+    def test_byte_count_is_what_the_build_holds(self, monkeypatch, dims):
+        # With the ceiling at zero the refusal names the bytes the build
+        # would take: the table plus the (size^2, d) int64 differences.
+        sh = Shape(dims)
+        monkeypatch.setattr(oracles, "MAX_CUBE_TABLE_BYTES", 0)
+        with pytest.raises(BudgetExceededError) as refused:
+            exact_rejection(BinaryTensor.zeros(sh), CONJECTURED)
+        needed = int(str(refused.value).split(" needs ")[1].split()[0])
+        entries = sum(cubes.size for _, cubes in oracles._cube_table(sh))
+        assert needed == 8 * (entries + sh.size ** 2 * sh.d)
+
 
 class TestShapkaKernel:
     """shapka is counted by the residual identity, from the lines through each anchor."""
@@ -331,6 +369,21 @@ class TestShapkaKernel:
             assert best_anchor_decode(f) == best
             ds = DirectSum.random(sh, rng)
             assert best_anchor_decode(ds.materialize()) == (sh.origin(), ds, 0)
+
+    def test_best_anchor_refuses_beyond_the_budget(self):
+        # 65792^2 anchor-point pairs exceed 2^32; the line table alone would
+        # hold 65792 * 513 int64 indices.
+        f = BinaryTensor.zeros(Shape((257, 256)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as refused:
+                best_anchor_decode(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == ("best-anchor decode needs 4328587264 tuples, "
+                                      "budget is 4294967296")
+        assert peak < 1 << 20
 
 
 class TestNearestDirectSum:

@@ -10,11 +10,13 @@ that `perfbench/run.py --trace 0` writes, one per (workload, seed).  Runs
 are paired by (workload, seed); a seed recorded on one side only is left
 out.  For every end-to-end metric the output gives each side's median and
 quartiles over the paired runs and the number of pairs in which the change
-reads better, with the direction and bound from BENCHMARK.json, and two
+reads better, with the direction and bound from BENCHMARK.json, and three
 verdicts.  `worse_beyond_bound`: the change's median is worse than the
 parent's by more than bound x the parent's median.  `unresolved`: the
 parent's q3 - q1 exceeds that same margin, and not every change run reads
-better than every parent run.  The git
+better than every parent run.  `gain`: the change reads better in at least
+nine tenths of the pairs, a tie counting for neither side, and its median
+is better than the parent's by more than the parent's q3 - q1.  The git
 sha, package versions, nproc and RANK1CHECK_THREADS of each side are
 recorded; a side whose records disagree on them is refused.
 """
@@ -80,17 +82,21 @@ def compare(parent: dict, change: dict, metrics: dict) -> dict:
             before = spread([p for p, _ in pairs])
             after = spread([c for _, c in pairs])
             margin = spec["bound"] * abs(before["median"])
+            better = sum(sign * (c - p) > 0 for p, c in pairs)
             rows[name] = {
                 "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
                 "parent": before,
                 "change": after,
                 "pairs": len(pairs),
-                "change_better": sum(sign * (c - p) > 0 for p, c in pairs),
+                "change_better": better,
                 "worse_beyond_bound":
                     sign * (after["median"] - before["median"]) < -margin,
                 "unresolved": (before["q3"] - before["q1"] > margin
                                and min(sign * c for _, c in pairs)
                                <= max(sign * p for p, _ in pairs)),
+                "gain": (10 * better >= 9 * len(pairs)
+                         and sign * (after["median"] - before["median"])
+                         > before["q3"] - before["q1"]),
             }
         out[workload] = {"seeds": seeds, "metrics": rows}
     return out
