@@ -4,6 +4,8 @@ A tuple-valued function g on a product domain is a direct product when output
 coordinate i depends only on input coordinate i.  The two-query tests here
 check agreement of overlapping restrictions; the bridge turns a binary tensor
 into such a function by fitting an affine function on every spanned subcube.
+It takes those cubes from oracles._cubes, the builder of the oracles' cube
+table, and fits each width's cubes in one batched Walsh pass.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .oracles import (
     _affine_fits,
     _check_budget,
     _cubes,
-    nearest_affine,  # unused here; perfbench/spans.py wraps agreement.nearest_affine
+    nearest_affine,  # not called here; perfbench/spans.py wraps agreement.nearest_affine
 )
 from .testers import TrialOutcome
 

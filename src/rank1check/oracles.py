@@ -13,17 +13,21 @@ the tests' one definition, run as trials over the whole space.
   w = |delta(a, b)|.  The sic tests are BLR on g, each of the pair's 4^w
   selections standing for 4^(d - w) tuples.  The conjectured test rejects
   the x with g(0) ^ g(x) ^ g(1...1) ^ g(~x) = 1, each standing for
-  2^(d - w) tuples.
+  2^(d - w) tuples.  _cubes builds these cubes, for the per-shape table
+  here and for agreement's affine bridge.
 - shapka reads the axis lines through every anchor a.  By the residual
   identity its (a, b) parity is f(b) ^ local_view_decode(f, a)(b), so it
   rejects sum_a |f ^ local_view_decode(f, a)| pairs.
 By Parseval |sum_S W(S)^3| <= n^3, so int64 holds these counts up to D = 20.
 Oracles raise BudgetExceededError rather than sample when a space is too
-large or its counts overflow int64.
+large or its counts overflow int64, and when the cube table would pass
+MAX_CUBE_TABLE_BYTES.
 
 Each oracle has one kernel that works on a batch of tensors, given as the
 rows of a (T, size) 0/1 matrix: exact_rejections and nearest_distances take
 such a batch, and exact_rejection and nearest_direct_sum are a batch of one.
+Likewise nearest_affine is a batch of one of _affine_fits, which the bridge
+runs on all its cubes of one width at once.
 """
 
 from __future__ import annotations

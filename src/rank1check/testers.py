@@ -5,7 +5,8 @@ queries; the test rejects a row when f's parity over them is 1.  The
 one-shot trials below (a batch of one) and Monte Carlo in harness (a
 sampled batch) apply the same pattern.  The exact oracles count the whole
 randomness space from closed forms over small per-shape tables instead, and
-the tests check them against these trials.
+the tests check them against these trials.  Those tables, and the cubes the
+affine bridge fits, are built in oracles: no code here enumerates a cube.
 Trials are pure functions of (tensor, randomness) and safe to run concurrently.
 """
 
