@@ -159,7 +159,9 @@ def _cubes(flat_a: np.ndarray, diff: np.ndarray):
     """
     differ = diff != 0
     width = differ.sum(axis=1)
-    for w in np.unique(width).tolist():
+    # The widths present, by bincount: a first np.unique call costs about
+    # 0.9 MB of peak RSS (numpy 2.4).
+    for w in np.flatnonzero(np.bincount(width)).tolist():
         pairs = np.flatnonzero(width == w)
         steps = diff[pairs][differ[pairs]].reshape(len(pairs), w)
         cubes = flat_a[pairs, None]
