@@ -99,7 +99,9 @@ def _check_budget(required: int, budget: int, what: str) -> None:
 
 # The cube table and the (size^2, d) int64 differences it is built from may
 # take this many bytes together.  A larger shape is refused before anything
-# is built: (6,)^4 needs 195 MiB, (8,)^4 2 GiB.
+# is built: (6,)^4 needs 195 MiB, (8,)^4 2 GiB.  The build's other
+# temporaries come on top: (6,)^4 peaks at 268 MiB in tracemalloc, and a
+# shape of one axis at about twice its count.
 MAX_CUBE_TABLE_BYTES = 1 << 28
 
 
@@ -159,14 +161,15 @@ def _cubes(flat_a: np.ndarray, diff: np.ndarray):
     """
     differ = diff != 0
     width = differ.sum(axis=1)
-    # The widths present, by bincount: a first np.unique call costs about
-    # 0.9 MB of peak RSS (numpy 2.4).
+    # bincount, not np.unique: a first np.unique call adds about 0.9 MB of
+    # peak RSS (numpy 2.4).
     for w in np.flatnonzero(np.bincount(width)).tolist():
         pairs = np.flatnonzero(width == w)
         steps = diff[pairs][differ[pairs]].reshape(len(pairs), w)
-        cubes = flat_a[pairs, None]
-        for j in range(w - 1, -1, -1):  # doubling, so the first axis ends most significant
-            cubes = np.hstack((cubes, cubes + steps[:, j:j + 1]))
+        cubes = np.empty((len(pairs), 1 << w), dtype=np.int64)
+        cubes[:, 0] = flat_a[pairs]
+        for j in range(w):  # doubling in place, so the first axis ends most significant
+            np.add(cubes[:, :1 << j], steps[:, w - 1 - j, None], out=cubes[:, 1 << j:2 << j])
         yield w, pairs, cubes
 
 
@@ -180,8 +183,10 @@ def _cube_table(shape: Shape) -> list:
     pts = shape.point_array()
     diff = (pts[None] - pts[:, None]).reshape(n * n, -1)
     diff *= shape.strides
-    flat_a = np.repeat(np.arange(n, dtype=np.int64), n)
-    return [(w, cubes) for w, _, cubes in _cubes(flat_a, diff) if w >= 2]
+    keep = np.flatnonzero(np.count_nonzero(diff, axis=1) >= 2)
+    diff = diff[keep]  # frees the differences of the pairs left out
+    keep //= n  # each kept pair's a
+    return [(w, cubes) for w, _, cubes in _cubes(keep, diff)]
 
 
 def _line_table(shape: Shape) -> tuple:

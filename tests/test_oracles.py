@@ -285,6 +285,19 @@ class TestSicCubeKernel:
         assert (r.rejecting, r.total) == (self.one_flip_count(8), 16 ** 8)
         assert peak < 32 << 20
 
+    def test_four_axes_of_five_cold(self, monkeypatch):
+        # The table and the pair differences take 43 MiB; the doubling fills
+        # each width's cubes in place, so little comes on top.
+        monkeypatch.setattr(oracles, "_cache", {})
+        f = BinaryTensor(Shape((5,) * 4), np.random.default_rng(5).integers(0, 2, 625))
+        tracemalloc.start()
+        try:
+            exact_rejection(f, CONJECTURED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+
     @pytest.mark.parametrize("kind", [SIC_SUBSETS, SIC_CUBE, CONJECTURED])
     def test_byte_ceiling_refuses_before_building(self, kind):
         # (8,)^4 passes the default tuple budget, and its cube table would
