@@ -7,6 +7,7 @@ errors.  Diagnostics go to stderr; data goes to stdout or the -o file.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -57,6 +58,7 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator} ({float(value):.6g})"
 
 
+@functools.cache  # parse_args keeps no state, so one parser serves every main call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rank1check",

@@ -18,6 +18,11 @@ the tests' one definition, run as trials over the whole space.
 - shapka reads the axis lines through every anchor a.  By the residual
   identity its (a, b) parity is f(b) ^ local_view_decode(f, a)(b), so it
   rejects sum_a |f ^ local_view_decode(f, a)| pairs.
+- A canonical direct sum is a prefix, its components on axes 0..d-2, plus a
+  last component l with l(0) = 0 when d >= 2.  Given the prefix, the nearest
+  l takes the majority on each last-axis value, ties going to 0.  One integer
+  matmul scores every prefix in a per-shape table, and the first prefix at
+  the minimum gives the lexicographically first nearest sum.
 By Parseval |sum_S W(S)^3| <= n^3, so int64 holds these counts up to D = 20.
 Oracles raise BudgetExceededError rather than sample when a space is too
 large or its counts overflow int64, and when the cube table would pass
@@ -92,9 +97,7 @@ class AffineWitness:
 
 def _check_budget(required: int, budget: int, what: str) -> None:
     if required > budget:
-        raise BudgetExceededError(
-            f"{what} needs {required} tuples, budget is {budget}"
-        )
+        raise BudgetExceededError(f"{what} needs {required} tuples, budget is {budget}")
 
 
 # The cube table and the (size^2, d) int64 differences it is built from may
@@ -111,7 +114,7 @@ def _check_cube_bytes(shape: Shape, what: str) -> None:
     # 1 + 2 sum_i (n_i - 1) entries of the pairs with w < 2.
     spans = prod(2 * n - 1 for n in shape.dims) - 1 - 2 * sum(n - 1 for n in shape.dims)
     needed = 8 * shape.size * (spans + shape.size * shape.d)
-    if needed > MAX_CUBE_TABLE_BYTES:
+    if spans and needed > MAX_CUBE_TABLE_BYTES:  # an empty table builds nothing
         raise BudgetExceededError(
             f"{what} on shape {shape.dims} needs {needed} bytes for its cube "
             f"table, beyond the {MAX_CUBE_TABLE_BYTES}-byte ceiling"
@@ -125,7 +128,7 @@ def _check_int64(bound: int, what: str) -> None:
         )
 
 
-# Cube, line and candidate tables depend only on the shape, so they
+# Cube, line and prefix tables depend only on the shape, so they
 # are built once per process and shared between threads.
 _cache: dict = {}
 _cache_lock = threading.Lock()
@@ -179,6 +182,8 @@ def _cube_table(shape: Shape) -> list:
     Pairs are a-major.  Pairs with w < 2 are left out: every test's queries
     on them cancel in pairs.
     """
+    if sum(n > 1 for n in shape.dims) < 2:  # no pair has w >= 2: build nothing
+        return []
     n = shape.size
     pts = shape.point_array()
     diff = (pts[None] - pts[:, None]).reshape(n * n, -1)
@@ -205,7 +210,7 @@ def _line_table(shape: Shape) -> tuple:
     return lines, pts.T + offsets[:, None]
 
 
-# Tensors times cube entries (or anchors times line points, candidates or
+# Tensors times cube entries (or anchors times line points, prefixes or
 # truth-table entries) that one pass of a batched kernel holds, so its
 # temporaries stay near a MiB at any batch size; the weighted sum and the
 # transform work in int64.  A single tensor always gets a pass of its own.
@@ -221,6 +226,7 @@ def _passes(count: int, width: int):
 # the matmuls, which ran about 20% faster on every size measured.
 _HADAMARD_2 = np.array([[1, 1], [1, -1]])
 _HADAMARD_4 = np.kron(_HADAMARD_2, _HADAMARD_2)
+_SIGNS = np.array([1, -1])  # a bit b as the int64 (-1)^b
 
 
 def _walsh(rows: np.ndarray) -> np.ndarray:
@@ -356,25 +362,41 @@ def exact_blr_rejection(table, budget: int = DEFAULT_BUDGET) -> ExactRejection:
 # ---------------------------------------------------------------------------
 
 
-def _closest(candidates: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: the first candidate at minimum Hamming distance, and that distance."""
-    best = np.empty(len(rows), dtype=np.int64)
-    counts = np.empty(len(rows), dtype=np.int64)
-    for part in _passes(len(rows), candidates.size):
-        disagreements = np.count_nonzero(rows[part, None] != candidates, axis=2)
-        best[part] = disagreements.argmin(axis=1)
-        counts[part] = disagreements.min(axis=1)
-    return best, counts
+def _prefix_table(shape: Shape) -> np.ndarray:
+    """The canonical sums on axes 0..d-2, in enumeration order, as (prefixes, size / n_last) uint8.
+
+    Each entry a prefix sets freely (any value of axis 0, a nonzero value of
+    another axis) doubles the table, taking the bit below the entries before it.
+    """
+    dims = shape.dims[:-1]
+    coords = np.indices(dims).reshape(len(dims), prod(dims))
+    table = np.zeros((1, prod(dims)), dtype=np.uint8)
+    for i, n in enumerate(dims):
+        for v in range(i > 0, n):
+            table = np.stack((table, table ^ (coords[i] == v)), axis=1).reshape(2 * len(table), -1)
+    return table
 
 
-def _ds_candidates(shape: Shape) -> tuple[np.ndarray, list]:
-    sums = list(DirectSum.enumerate_all(shape))
-    return np.stack([ds.materialize().bits for ds in sums]), sums
+def _nearest(rows: np.ndarray, shape: Shape) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a (T, size) bit matrix: its nearest sum's prefix, and the distance.
 
-
-def _direct_sums(shape: Shape, budget: int) -> tuple[np.ndarray, list]:
-    _check_budget(DirectSum.count(shape), budget, "direct-sum enumeration")
-    return _cached(("direct-sums", shape.dims), lambda: _ds_candidates(shape))
+    In +-1 form r_c . p = fiber - 2 |r_c ^ p| for the fiber r_c at last-axis value c,
+    so p with the majority l is at (size - sum_c |r_c . p|) / 2, r_0 . p signed if d >= 2.
+    """
+    prefixes = _cached(("prefixes", shape.dims), lambda: _prefix_table(shape))
+    (count, fiber), last = prefixes.shape, shape.dims[-1]
+    best, top = np.empty((2, len(rows)), dtype=np.int64)
+    for part in _passes(len(rows), max(shape.size, last * count)):
+        r = _SIGNS[rows[part].reshape(-1, fiber, last).swapaxes(1, 2)]
+        totals = np.empty((len(r), count), dtype=np.int64)
+        for chunk in _passes(count, max(len(r) * last, fiber)):
+            agree = r @ _SIGNS[prefixes[chunk].T]
+            score = np.abs(agree)
+            if shape.d > 1:
+                score[:, 0] = agree[:, 0]
+            score.sum(axis=1, out=totals[:, chunk])
+        best[part], top[part] = totals.argmax(axis=1), totals.max(axis=1)
+    return best, (shape.size - top) // 2
 
 
 def nearest_direct_sum(f: BinaryTensor, budget: int = DEFAULT_BUDGET) -> NearestResult:
@@ -385,9 +407,13 @@ def nearest_direct_sum(f: BinaryTensor, budget: int = DEFAULT_BUDGET) -> Nearest
     shape the direct sums are exactly the affine functions, so the distance
     is also nearest_affine's on the same bits.
     """
-    matrix, sums = _direct_sums(f.shape, budget)
-    best, counts = _closest(matrix, f.bits[None])
-    return NearestResult(sums[best[0]], Fraction(int(counts[0]), f.shape.size))
+    _check_budget(DirectSum.count(f.shape), budget, "direct-sum enumeration")
+    best, counts = _nearest(f.bits[None], f.shape)
+    p = _cached(("prefixes", f.shape.dims), lambda: _prefix_table(f.shape))[best[0]]
+    last = 2 * (f.bits.reshape(p.size, -1) ^ p[:, None]).sum(axis=0) > p.size
+    last[0] &= f.shape.d == 1  # l(0) = 0 when d >= 2
+    witness = local_view_decode(BinaryTensor(f.shape, p[:, None] ^ last), f.shape.origin())
+    return NearestResult(witness, Fraction(int(counts[0]), f.shape.size))
 
 
 def nearest_distances(shape: Shape, rows, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -396,8 +422,8 @@ def nearest_distances(shape: Shape, rows, budget: int = DEFAULT_BUDGET) -> np.nd
     Returns int64 counts; a row's distance is its count over shape.size.
     """
     bits = _bit_rows(shape, rows)
-    matrix, _ = _direct_sums(shape, budget)
-    return _closest(matrix, bits)[1]
+    _check_budget(DirectSum.count(shape), budget, "direct-sum enumeration")
+    return _nearest(bits, shape)[1]
 
 
 def _affine_fits(tables: np.ndarray) -> tuple:
@@ -445,13 +471,9 @@ def local_view_decode(f: BinaryTensor, a: Point) -> DirectSum:
     """
     a = f.shape.require_point(a)
     arr = f.as_nd()
-    comps = []
-    for i in range(f.shape.d):
-        idx = list(a)
-        idx[i] = slice(None)
-        comps.append(np.array(arr[tuple(idx)], dtype=np.uint8))
+    comps = [arr[a[:i] + (slice(None),) + a[i + 1:]] for i in range(f.shape.d)]
     if f.shape.d % 2 == 0:
-        comps[-1] = comps[-1] ^ np.uint8(f.value(a))
+        comps[-1] = comps[-1] ^ arr[a]
     return DirectSum(f.shape, comps)
 
 
@@ -497,26 +519,3 @@ def biased_character_probability(s_size: int) -> Fraction:
     if s_size < 0:
         raise ValueError("set size must be nonnegative")
     return (1 + Fraction(-1, 3) ** s_size) / 2
-
-
-def biased_character_probability_enumerated(s_size: int, dim: int | None = None) -> Fraction:
-    """Same probability by summing weighted assignments on a dim-cube.
-
-    S is taken to be the first s_size coordinates; the remaining coordinates
-    only multiply every parity class by a total weight of one.
-    """
-    if dim is None:
-        dim = s_size
-    if s_size < 0 or dim < s_size:
-        raise ValueError("need 0 <= s_size <= dim")
-    zero_w = Fraction(1, 3)
-    one_w = Fraction(2, 3)
-    total = Fraction(0)
-    for x in range(1 << dim):
-        weight = Fraction(1)
-        for i in range(dim):
-            weight *= one_w if (x >> i) & 1 else zero_w
-        parity = (x & ((1 << s_size) - 1)).bit_count() & 1
-        if parity == 0:
-            total += weight
-    return total

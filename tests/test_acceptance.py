@@ -31,7 +31,6 @@ from rank1check.agreement import (
 )
 from rank1check.oracles import (
     biased_character_probability,
-    biased_character_probability_enumerated,
     exact_blr_rejection,
     exact_rejection,
     nearest_affine,
@@ -40,6 +39,7 @@ from rank1check.oracles import (
 from rank1check.spectral import build_skeleton, quotient_spectrum, verify_spectrum
 from rank1check.testers import CONJECTURED, SHAPKA, SIC_CUBE, SIC_SUBSETS
 from rank1check.harness import rng_for
+from test_oracles import biased_character_probability_enumerated
 
 
 def _report(num, name, ok, started, detail=""):

@@ -382,6 +382,29 @@ class TestUsage:
         assert cli.main(["test", "--input", "x", "--test", "nope"]) == 2
 
 
+def test_one_parser_serves_a_whole_process(capsys, monkeypatch):
+    # main builds its parser once per process.  A usage error, a soundness
+    # verdict and a generated tensor, run one after another in this process,
+    # read byte for byte as they do from a fresh process each.
+    src = Path(__file__).resolve().parent.parent / "src"
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    calls = [["oracle", "--test", "nope"],
+             ["oracle", "--assert-soundness", "--exhaustive", "--shape", "2,2,2",
+              "--test", "sic-subsets"],
+             ["gen", "--shape", "2,3", "--kind", "uniform-random", "--seed", "5"]]
+    session = [run(args, capsys) for args in calls]
+    assert [code for code, _, _ in session] == [2, 0, 0]
+    assert cli._build_parser() is cli._build_parser()
+    for args, (code, out, err) in zip(calls, session):
+        fresh = subprocess.run([sys.executable, "-m", "rank1check.cli", *args],
+                               env=env, capture_output=True)
+        assert (code, out.encode(), err.encode()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr)
+
+
 def test_import_loads_no_scipy():
     # The package needs numpy only; importing scipy would add about a second
     # to the start-up of every CLI process.

@@ -29,7 +29,6 @@ from rank1check.oracles import (
     ExactRejection,
     best_anchor_decode,
     biased_character_probability,
-    biased_character_probability_enumerated,
     exact_blr_rejection,
     exact_rejection,
     exact_rejections,
@@ -327,14 +326,36 @@ class TestSicCubeKernel:
                                       (4, 4, 4), (1, 4, 1, 3), (2,) * 5])
     def test_byte_count_is_what_the_build_holds(self, monkeypatch, dims):
         # With the ceiling at zero the refusal names the bytes the build
-        # would take: the table plus the (size^2, d) int64 differences.
+        # would take: the table plus the (size^2, d) int64 differences.  A
+        # shape whose table is empty, such as (5,), builds nothing and so is
+        # never refused.
         sh = Shape(dims)
         monkeypatch.setattr(oracles, "MAX_CUBE_TABLE_BYTES", 0)
+        entries = sum(cubes.size for _, cubes in oracles._cube_table(sh))
+        if entries == 0:
+            assert exact_rejection(BinaryTensor.zeros(sh), CONJECTURED).rejecting == 0
+            return
         with pytest.raises(BudgetExceededError) as refused:
             exact_rejection(BinaryTensor.zeros(sh), CONJECTURED)
         needed = int(str(refused.value).split(" needs ")[1].split()[0])
-        entries = sum(cubes.size for _, cubes in oracles._cube_table(sh))
         assert needed == 8 * (entries + sh.size ** 2 * sh.d)
+
+    def test_one_axis_builds_no_table(self, monkeypatch):
+        # No pair of a one-axis shape differs on two axes, so its table is
+        # empty: nothing is built and the byte ceiling does not apply.
+        monkeypatch.setattr(oracles, "_cache", {})
+        f = BinaryTensor(Shape((2048,)), np.random.default_rng(6).integers(0, 2, 2048))
+        tracemalloc.start()
+        try:
+            r = exact_rejection(f, CONJECTURED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (r.rejecting, r.total) == (0, 2048 ** 2 * 2)
+        assert peak < 1 << 20
+        f = BinaryTensor(Shape((32768,)), np.random.default_rng(7).integers(0, 2, 32768))
+        r = exact_rejection(f, SIC_SUBSETS)
+        assert (r.rejecting, r.total) == (0, 1 << 32)
 
 
 class TestShapkaKernel:
@@ -436,6 +457,78 @@ class TestNearestDirectSum:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
             nearest_direct_sum(BinaryTensor(Shape((2, 2)), [0, 1, 1, 0]), budget=2)
+
+
+def brute_force_nearest(f):
+    """(witness, distance): the first canonical direct sum at minimum Hamming distance."""
+    sums = list(DirectSum.enumerate_all(f.shape))
+    dists = [int(np.count_nonzero(f.bits != ds.materialize().bits)) for ds in sums]
+    best = dists.index(min(dists))
+    return sums[best], Fraction(dists[best], f.shape.size)
+
+
+NEAREST_SHAPES = [(1,), (5,), (1, 3), (3, 1, 2), (2, 2, 3), (3, 3), (2, 2, 2, 2),
+                  (4, 2, 2), (2,) * 6]
+
+
+class TestNearestKernel:
+    """The last-axis majority kernel against a scan of every direct sum."""
+
+    @staticmethod
+    def tensors(sh, seed):
+        # Random tensors, and direct sums with one or two entries flipped:
+        # ties on the last component and between prefixes are common.
+        rng = np.random.default_rng(seed)
+        rows = [rng.integers(0, 2, sh.size, dtype=np.uint8) for _ in range(8)]
+        for flips in (1, 2, 1, 2):
+            bits = DirectSum.random(sh, rng).materialize().bits.copy()
+            bits[rng.choice(sh.size, size=min(flips, sh.size), replace=False)] ^= 1
+            rows.append(bits)
+        return np.array(rows)
+
+    @pytest.mark.parametrize("dims", NEAREST_SHAPES)
+    def test_matches_brute_force(self, dims):
+        sh = Shape(dims)
+        rows = self.tensors(sh, sum(dims) * 7 + len(dims))
+        for row in rows:
+            f = BinaryTensor(sh, row)
+            witness, dist = brute_force_nearest(f)
+            res = nearest_direct_sum(f)
+            assert res.witness.encoding() == witness.encoding()
+            assert res.distance == dist
+        singles = [nearest_direct_sum(BinaryTensor(sh, row)).distance * sh.size
+                   for row in rows]
+        assert nearest_distances(sh, rows).tolist() == singles
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(NEAREST_SHAPES), st.integers(0, 2**32 - 1))
+    def test_random_rows(self, dims, seed):
+        sh = Shape(dims)
+        f = BinaryTensor(sh, np.random.default_rng(seed).integers(0, 2, sh.size))
+        witness, dist = brute_force_nearest(f)
+        res = nearest_direct_sum(f)
+        assert (res.witness.encoding(), res.distance) == (witness.encoding(), dist)
+
+    @pytest.mark.parametrize("dims", [(16, 16), (8, 8, 8)])
+    def test_large_shapes_cold(self, monkeypatch, dims):
+        # A scan would hold 2^31 candidates on (16,16) and 2^22 on (8,8,8);
+        # the prefix table holds 2^16 x 16 and 2^15 x 64 bytes.  Three flips
+        # from a direct sum decode to it, since two sums differ in at least
+        # 16 entries.
+        monkeypatch.setattr(oracles, "_cache", {})
+        sh = Shape(dims)
+        ds = DirectSum.random(sh, np.random.default_rng(sum(dims)))
+        bits = ds.materialize().bits.copy()
+        bits[[3, 100, 200]] ^= 1
+        f = BinaryTensor(sh, bits)
+        tracemalloc.start()
+        try:
+            res = nearest_direct_sum(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.witness, res.distance) == (ds, Fraction(3, sh.size))
+        assert peak < 32 << 20
 
 
 class TestNearestAffine:
@@ -563,6 +656,29 @@ class TestMembership:
         sh = Shape((3, 2))
         ds = DirectSum.random(sh, np.random.default_rng(10))
         assert is_direct_sum(flip(ds.materialize()))
+
+
+def biased_character_probability_enumerated(s_size: int, dim: int | None = None) -> Fraction:
+    """Pr[chi_S(x) = 0] by summing weighted assignments on a dim-cube.
+
+    S is taken to be the first s_size coordinates; the remaining coordinates
+    only multiply every parity class by a total weight of one.
+    """
+    if dim is None:
+        dim = s_size
+    if s_size < 0 or dim < s_size:
+        raise ValueError("need 0 <= s_size <= dim")
+    zero_w = Fraction(1, 3)
+    one_w = Fraction(2, 3)
+    total = Fraction(0)
+    for x in range(1 << dim):
+        weight = Fraction(1)
+        for i in range(dim):
+            weight *= one_w if (x >> i) & 1 else zero_w
+        parity = (x & ((1 << s_size) - 1)).bit_count() & 1
+        if parity == 0:
+            total += weight
+    return total
 
 
 class TestBiasedCharacters:
