@@ -19,10 +19,9 @@ the tests' one definition, run as trials over the whole space.
   identity its (a, b) parity is f(b) ^ local_view_decode(f, a)(b), so it
   rejects sum_a |f ^ local_view_decode(f, a)| pairs.
 - A canonical direct sum is a prefix, its components on axes 0..d-2, plus a
-  last component l with l(0) = 0 when d >= 2.  Given the prefix, the nearest
-  l takes the majority on each last-axis value, ties going to 0.  One integer
-  matmul scores every prefix in a per-shape table, and the first prefix at
-  the minimum gives the lexicographically first nearest sum.
+  last component l with l(0) = 0 when d >= 2; given the prefix, the nearest l
+  takes the majority on each last-axis value, ties going to 0.  One integer
+  matmul scores every prefix, and the first at the minimum wins.
 By Parseval |sum_S W(S)^3| <= n^3, so int64 holds these counts up to D = 20.
 Oracles raise BudgetExceededError rather than sample when a space is too
 large or its counts overflow int64, and when the cube table would pass
@@ -97,7 +96,9 @@ class AffineWitness:
 
 def _check_budget(required: int, budget: int, what: str) -> None:
     if required > budget:
-        raise BudgetExceededError(f"{what} needs {required} tuples, budget is {budget}")
+        raise BudgetExceededError(
+            f"{what} needs {required} tuples, budget is {budget}"
+        )
 
 
 # The cube table and the (size^2, d) int64 differences it is built from may
@@ -378,7 +379,7 @@ def _prefix_table(shape: Shape) -> np.ndarray:
 
 
 def _nearest(rows: np.ndarray, shape: Shape) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a (T, size) bit matrix: its nearest sum's prefix, and the distance.
+    """Per row of a (T, size) bit matrix: its nearest sum's prefix row, and the distance.
 
     In +-1 form r_c . p = fiber - 2 |r_c ^ p| for the fiber r_c at last-axis value c,
     so p with the majority l is at (size - sum_c |r_c . p|) / 2, r_0 . p signed if d >= 2.
@@ -396,7 +397,7 @@ def _nearest(rows: np.ndarray, shape: Shape) -> tuple[np.ndarray, np.ndarray]:
                 score[:, 0] = agree[:, 0]
             score.sum(axis=1, out=totals[:, chunk])
         best[part], top[part] = totals.argmax(axis=1), totals.max(axis=1)
-    return best, (shape.size - top) // 2
+    return prefixes[best], (shape.size - top) // 2
 
 
 def nearest_direct_sum(f: BinaryTensor, budget: int = DEFAULT_BUDGET) -> NearestResult:
@@ -408,12 +409,11 @@ def nearest_direct_sum(f: BinaryTensor, budget: int = DEFAULT_BUDGET) -> Nearest
     is also nearest_affine's on the same bits.
     """
     _check_budget(DirectSum.count(f.shape), budget, "direct-sum enumeration")
-    best, counts = _nearest(f.bits[None], f.shape)
-    p = _cached(("prefixes", f.shape.dims), lambda: _prefix_table(f.shape))[best[0]]
+    (p,), (count,) = _nearest(f.bits[None], f.shape)
     last = 2 * (f.bits.reshape(p.size, -1) ^ p[:, None]).sum(axis=0) > p.size
     last[0] &= f.shape.d == 1  # l(0) = 0 when d >= 2
     witness = local_view_decode(BinaryTensor(f.shape, p[:, None] ^ last), f.shape.origin())
-    return NearestResult(witness, Fraction(int(counts[0]), f.shape.size))
+    return NearestResult(witness, Fraction(int(count), f.shape.size))
 
 
 def nearest_distances(shape: Shape, rows, budget: int = DEFAULT_BUDGET) -> np.ndarray:
