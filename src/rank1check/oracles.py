@@ -387,7 +387,7 @@ def _nearest(rows: np.ndarray, shape: Shape) -> tuple[np.ndarray, np.ndarray]:
     prefixes = _cached(("prefixes", shape.dims), lambda: _prefix_table(shape))
     (count, fiber), last = prefixes.shape, shape.dims[-1]
     best, top = np.empty((2, len(rows)), dtype=np.int64)
-    for part in _passes(len(rows), max(shape.size, last * count)):
+    for part in _passes(len(rows), 4 * (shape.size + last * count)):  # 4 int64 arrays each
         r = _SIGNS[rows[part].reshape(-1, fiber, last).swapaxes(1, 2)]
         totals = np.empty((len(r), count), dtype=np.int64)
         for chunk in _passes(count, max(len(r) * last, fiber)):
