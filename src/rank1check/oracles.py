@@ -37,8 +37,9 @@ runs on all its cubes of one width at once.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, partial
 from math import prod
 
 import numpy as np
@@ -72,10 +73,11 @@ class ExactRejection:
         return Fraction(self.rejecting, self.total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NearestResult:
-    witness: object
+    build: object = field(repr=False)  # makes the witness on its first read
     distance: Fraction
+    witness = cached_property(lambda self: self.build())
 
 
 @dataclass(frozen=True)
@@ -364,26 +366,24 @@ def exact_blr_rejection(table, budget: int = DEFAULT_BUDGET) -> ExactRejection:
 
 
 def _prefix_table(shape: Shape) -> np.ndarray:
-    """The canonical sums on axes 0..d-2, in enumeration order, as (prefixes, size / n_last) uint8.
-
-    Each entry a prefix sets freely (any value of axis 0, a nonzero value of
-    another axis) doubles the table, taking the bit below the entries before it.
-    """
+    """Canonical sums on axes 0..d-2 in enumeration order, as (prefixes, size / n_last) uint8."""
     dims = shape.dims[:-1]
     coords = np.indices(dims).reshape(len(dims), prod(dims))
     table = np.zeros((1, prod(dims)), dtype=np.uint8)
     for i, n in enumerate(dims):
-        for v in range(i > 0, n):
+        for v in range(i > 0, n):  # each free entry doubles the table
             table = np.stack((table, table ^ (coords[i] == v)), axis=1).reshape(2 * len(table), -1)
     return table
 
 
-def _nearest(rows: np.ndarray, shape: Shape) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(rows: np.ndarray, shape: Shape, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row of a (T, size) bit matrix: its nearest sum's prefix row, and the distance.
 
     In +-1 form r_c . p = fiber - 2 |r_c ^ p| for the fiber r_c at last-axis value c,
     so p with the majority l is at (size - sum_c |r_c . p|) / 2, r_0 . p signed if d >= 2.
+    Prefixes come in complementary pairs, so for d >= 2 the best has r_0 . p >= 0: l(0) = 0.
     """
+    _check_budget(DirectSum.count(shape), budget, "direct-sum enumeration")
     prefixes = _cached(("prefixes", shape.dims), lambda: _prefix_table(shape))
     (count, fiber), last = prefixes.shape, shape.dims[-1]
     best, top = np.empty((2, len(rows)), dtype=np.int64)
@@ -406,14 +406,16 @@ def nearest_direct_sum(f: BinaryTensor, budget: int = DEFAULT_BUDGET) -> Nearest
     Ties go to the lexicographically smallest canonical bit-string, which is
     the enumeration order, so the first minimum wins.  On an all-binary
     shape the direct sums are exactly the affine functions, so the distance
-    is also nearest_affine's on the same bits.
+    is also nearest_affine's on the same bits.  The witness is built when
+    read: it costs more than the search, and most callers read only the distance.
     """
-    _check_budget(DirectSum.count(f.shape), budget, "direct-sum enumeration")
-    (p,), (count,) = _nearest(f.bits[None], f.shape)
+    (p,), (count,) = _nearest(f.bits[None], f.shape, budget)
+    return NearestResult(partial(_nearest_sum, f, p), Fraction(int(count), f.shape.size))
+
+
+def _nearest_sum(f: BinaryTensor, p: np.ndarray) -> DirectSum:
     last = 2 * (f.bits.reshape(p.size, -1) ^ p[:, None]).sum(axis=0) > p.size
-    last[0] &= f.shape.d == 1  # l(0) = 0 when d >= 2
-    witness = local_view_decode(BinaryTensor(f.shape, p[:, None] ^ last), f.shape.origin())
-    return NearestResult(witness, Fraction(int(count), f.shape.size))
+    return local_view_decode(BinaryTensor(f.shape, p[:, None] ^ last), f.shape.origin())
 
 
 def nearest_distances(shape: Shape, rows, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -421,9 +423,7 @@ def nearest_distances(shape: Shape, rows, budget: int = DEFAULT_BUDGET) -> np.nd
 
     Returns int64 counts; a row's distance is its count over shape.size.
     """
-    bits = _bit_rows(shape, rows)
-    _check_budget(DirectSum.count(shape), budget, "direct-sum enumeration")
-    return _nearest(bits, shape)[1]
+    return _nearest(_bit_rows(shape, rows), shape, budget)[1]
 
 
 def _affine_fits(tables: np.ndarray) -> tuple:
@@ -453,7 +453,7 @@ def nearest_affine(table, budget: int = DEFAULT_BUDGET) -> NearestResult:
     t = testers.truth_table(table)
     _check_budget(2 * t.size, budget, "affine enumeration")
     constants, masks, doubled = _affine_fits(t[None])
-    return NearestResult(AffineWitness(int(constants[0]), int(masks[0])),
+    return NearestResult(partial(AffineWitness, int(constants[0]), int(masks[0])),
                          Fraction(int(doubled[0]) // 2, t.size))
 
 
