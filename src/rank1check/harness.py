@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +51,13 @@ def worker_count() -> int:
     if value < 1:
         raise ValueError("RANK1CHECK_THREADS must be at least 1")
     return value
+
+
+@functools.cache
+def _pool(workers: int) -> concurrent.futures.ThreadPoolExecutor:
+    """Monte Carlo's helper threads, kept for the process: threads started per
+    call could each take another malloc arena, and peak RSS varied by 7 MB."""
+    return concurrent.futures.ThreadPoolExecutor(max(1, workers - 1))
 
 
 def _on_threads(pool: concurrent.futures.Executor, parts: int, task) -> list:
@@ -292,26 +300,24 @@ def _estimate_rejection(f: BinaryTensor, kind: str, trials: int, seed: int,
     _, _, groups = testers._word_groups(kind, f.shape, 1)
     per_trial = sum(count for _, count in groups)
     rejections = 0
-    # The pool starts a thread only when work is first handed to it.
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        # The key numpy built, which for seeds of 2^63 or more is rounded.
-        key = rng_for(seed, _STREAM_TRIALS).bit_generator.state["state"]["key"]
-        words = _philox_words(key, pool, workers)
-        for start in range(0, trials, _CHUNK):
-            step = min(_CHUNK, trials - start)
-            decode, starts = testers._draw(kind, f.shape, step, words)
-            pending = collections.deque(starts)
+    # The key numpy built, which for seeds of 2^63 or more is rounded.
+    key = rng_for(seed, _STREAM_TRIALS).bit_generator.state["state"]["key"]
+    words = _philox_words(key, _pool(workers), workers)
+    for start in range(0, trials, _CHUNK):
+        step = min(_CHUNK, trials - start)
+        decode, starts = testers._draw(kind, f.shape, step, words)
+        pending = collections.deque(starts)
 
-            def apply():
-                count = 0
-                for i in _taken(pending):
-                    columns = testers._query_columns(kind, f.shape, decode(i))
-                    count += int(np.count_nonzero(testers._parity(f.bits, columns)))
-                return count
+        def apply():
+            count = 0
+            for i in _taken(pending):
+                columns = testers._query_columns(kind, f.shape, decode(i))
+                count += int(np.count_nonzero(testers._parity(f.bits, columns)))
+            return count
 
-            shares = step * per_trial // _WORDS_PER_THREAD
-            parts = max(1, min(workers, shares, len(starts)))
-            rejections += sum(_on_threads(pool, parts, apply))
+        shares = step * per_trial // _WORDS_PER_THREAD
+        parts = max(1, min(workers, shares, len(starts)))
+        rejections += sum(_on_threads(_pool(workers), parts, apply))
     lo, hi = wilson_interval(rejections, trials)
     return RejectionEstimate(trials, rejections, seed, lo, hi)
 

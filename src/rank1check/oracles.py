@@ -44,14 +44,7 @@ from math import prod
 
 import numpy as np
 
-from .core import (
-    BinaryTensor,
-    DirectSum,
-    Point,
-    Shape,
-    as_bits,
-    axes_of,
-)
+from .core import BinaryTensor, DirectSum, Point, Shape, as_bits, axes_of
 from . import testers
 
 DEFAULT_BUDGET = 1 << 32
