@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import hashlib
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -378,6 +379,24 @@ class TestThreadCount:
         first, *rest = self.counts(monkeypatch, f, SIC_SUBSETS, 2 * n, seed)
         assert rest == [first, first]
         assert first == reference_rejections(f, SIC_SUBSETS, 2 * n, seed)
+
+    def test_calls_share_their_helper_thread(self, monkeypatch):
+        # Threads started anew each call could each take another malloc
+        # arena, which made peak RSS differ between identical runs.
+        names = set()
+        inner = harness._taken
+
+        def spy(shared):
+            if threading.current_thread() is not threading.main_thread():
+                names.add(threading.current_thread().name)
+            return inner(shared)
+
+        monkeypatch.setattr(harness, "_taken", spy)
+        monkeypatch.setenv("RANK1CHECK_THREADS", "2")
+        f = generate(GeneratorSpec("uniform-random", Shape((2,) * 8), 35))
+        for seed in range(3):  # 32 words a trial: both phases split in two
+            estimate_rejection(f, SIC_SUBSETS, _STREAM_BLOCK, seed)
+        assert len(names) == 1
 
 
 class TestSweepConfig:
