@@ -70,19 +70,17 @@ from .oracles import (
 )
 from .agreement import (
     DEFAULT_ALPHA,
-    AlphaRandomness,
+    AgreementRandomness,
     DPFormatError,
     DPFunction,
     DPShape,
-    FixedTRandomness,
     PluralityDecode,
     alpha_pair_distribution,
     bridge_pair_distribution,
     corrupt_entries,
     default_intersection_size,
     direct_product,
-    dp_alpha_trial,
-    dp_fixed_t_trial,
+    dp_agreement_trial,
     dp_from_text,
     dp_plurality_decode,
     dp_to_text,

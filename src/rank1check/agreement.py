@@ -1,11 +1,14 @@
 """Direct-product agreement tests, plurality decoding, and the affine bridge.
 
 A tuple-valued function g on a product domain is a direct product when output
-coordinate i depends only on input coordinate i.  The two-query tests here
-check agreement of overlapping restrictions; the bridge turns a binary tensor
-into such a function by fitting an affine function on every spanned subcube.
-It takes those cubes from oracles._cubes, the builder of the oracles' cube
-table, and fits each width's cubes in one batched Walsh pass.
+coordinate i depends only on input coordinate i.  Both two-query tests are one
+pattern, _agreement_rejects, over rows (x, y, tied): y copies x on the tied
+coordinates, and a row rejects when g(x) and g(y) differ on one of them.  The
+alpha test ties each coordinate with probability alpha, the fixed-t test a
+uniform t-subset, and nothing else tells them apart.  The bridge turns a
+binary tensor into such a function by fitting an affine function on every
+spanned subcube.  It takes those cubes from oracles._cubes, the builder of the
+oracles' cube table, and fits each width's cubes in one batched Walsh pass.
 """
 
 from __future__ import annotations
@@ -57,10 +60,7 @@ class DPShape:
 
     @property
     def domain_size(self) -> int:
-        out = 1
-        for n in self.sizes:
-            out *= n
-        return out
+        return prod(self.sizes)
 
     def points(self) -> Iterator[Point]:
         return itertools.product(*(range(n) for n in self.sizes))
@@ -134,83 +134,59 @@ def corrupt_entries(g: DPFunction, cells: Sequence[tuple[int, int]],
 
 
 # ---------------------------------------------------------------------------
-# Trials
+# Trials: one pattern behind both agreement tests
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class AlphaRandomness:
-    """Two points plus the mask of coordinates forced to agree."""
+class AgreementRandomness:
+    """Two points plus the mask of coordinates on which y copies x."""
 
     x: Point
     y: Point
-    agreed: int
+    tied: int
 
     def __post_init__(self) -> None:
-        for i in axes_of(self.agreed):
+        for i in axes_of(self.tied):
             if self.x[i] != self.y[i]:
-                raise ValueError(f"coordinate {i} marked agreed but differs")
+                raise ValueError(f"coordinate {i} marked tied but differs")
 
 
-@dataclass(frozen=True)
-class FixedTRandomness:
-    """Two points agreeing on a fixed-size coordinate set."""
-
-    x: Point
-    t_set: int
-    y: Point
-
-    def __post_init__(self) -> None:
-        for i in axes_of(self.t_set):
-            if self.x[i] != self.y[i]:
-                raise ValueError(f"coordinate {i} in T but differs")
+def _agreement_rejects(g: DPFunction, x: np.ndarray, y: np.ndarray,
+                       tied: np.ndarray) -> np.ndarray:
+    """Rows of (rows, k) points x, y and 0/1 tied where g(x), g(y) differ on a tied coordinate."""
+    gx, gy = (g.table[np.ravel_multi_index(p.T, g.dpshape.sizes)] for p in (x, y))
+    return ((gx != gy) & (tied != 0)).any(axis=1)
 
 
-def dp_alpha_trial(g: DPFunction, r: AlphaRandomness) -> TrialOutcome:
-    """Accept iff the two outputs agree on every coordinate in the mask."""
-    gx = g.value(r.x)
-    gy = g.value(r.y)
-    ok = all(gx[i] == gy[i] for i in axes_of(r.agreed))
-    return TrialOutcome(ok, (r.x, r.y))
+def dp_agreement_trial(g: DPFunction, r: AgreementRandomness) -> TrialOutcome:
+    """Accept iff g(x) and g(y) agree on every tied coordinate."""
+    tied = (np.array([[r.tied]]) >> np.arange(g.dpshape.k)) & 1
+    rejects = _agreement_rejects(g, np.array([r.x]), np.array([r.y]), tied)
+    return TrialOutcome(not rejects[0], (r.x, r.y))
 
 
-def dp_fixed_t_trial(g: DPFunction, r: FixedTRandomness) -> TrialOutcome:
-    gx = g.value(r.x)
-    gy = g.value(r.y)
-    ok = all(gx[i] == gy[i] for i in axes_of(r.t_set))
-    return TrialOutcome(ok, (r.x, r.y))
+def _draw_agreement(dpshape: DPShape, tied: int, rng: np.random.Generator) -> AgreementRandomness:
+    """Uniform x, and y copying x on the tied coordinates and uniform elsewhere."""
+    x = tuple(int(rng.integers(0, n)) for n in dpshape.sizes)
+    y = tuple(x[i] if tied >> i & 1 else int(rng.integers(0, n))
+              for i, n in enumerate(dpshape.sizes))
+    return AgreementRandomness(x, y, tied)
 
 
-def sample_alpha_randomness(dpshape: DPShape, alpha, rng: np.random.Generator) -> AlphaRandomness:
+def sample_alpha_randomness(dpshape: DPShape, alpha, rng: np.random.Generator) -> AgreementRandomness:
     a = float(alpha)
     if not 0 <= a <= 1:
         raise ValueError("alpha must lie in [0, 1]")
-    x = tuple(int(rng.integers(0, n)) for n in dpshape.sizes)
-    y = []
-    agreed = 0
-    for i, n in enumerate(dpshape.sizes):
-        if rng.random() < a:
-            y.append(x[i])
-            agreed |= 1 << i
-        else:
-            y.append(int(rng.integers(0, n)))
-    return AlphaRandomness(x, tuple(y), agreed)
+    tied = sum(1 << i for i in range(dpshape.k) if rng.random() < a)
+    return _draw_agreement(dpshape, tied, rng)
 
 
-def sample_fixed_t_randomness(dpshape: DPShape, t: int, rng: np.random.Generator) -> FixedTRandomness:
-    k = dpshape.k
-    if not 0 <= t <= k:
-        raise ValueError(f"need 0 <= t <= {k}")
-    chosen = rng.choice(k, size=t, replace=False) if t else np.empty(0, dtype=np.int64)
-    t_set = 0
-    for i in chosen:
-        t_set |= 1 << int(i)
-    x = tuple(int(rng.integers(0, n)) for n in dpshape.sizes)
-    y = tuple(
-        x[i] if (t_set >> i) & 1 else int(rng.integers(0, n))
-        for i, n in enumerate(dpshape.sizes)
-    )
-    return FixedTRandomness(x, t_set, y)
+def sample_fixed_t_randomness(dpshape: DPShape, t: int, rng: np.random.Generator) -> AgreementRandomness:
+    if not 0 <= t <= dpshape.k:
+        raise ValueError(f"need 0 <= t <= {dpshape.k}")
+    tied = sum(1 << int(i) for i in rng.choice(dpshape.k, size=t, replace=False))
+    return _draw_agreement(dpshape, tied, rng)
 
 
 def default_intersection_size(k: int) -> int:
@@ -355,31 +331,32 @@ def sic_to_dp_bridge(f: BinaryTensor, anchor: Point,
 # ---------------------------------------------------------------------------
 
 
+def _product_law(per_axis: Sequence[dict]) -> dict:
+    """Joint law over (x, y, mask) of independent per-axis laws over (v, w, tie)."""
+    out = {((), (), 0): Fraction(1)}
+    for i, law in enumerate(per_axis):
+        out = {(x + (v,), y + (w,), mask | tie << i): p * q
+               for (x, y, mask), p in out.items() for (v, w, tie), q in law.items() if q}
+    return out
+
+
+def _alpha_axis(n: int, alpha: Fraction) -> dict:
+    """One coordinate of the alpha test: v uniform, tied with probability alpha, else w uniform."""
+    law = {(v, w, 0): (1 - alpha) / n ** 2 for v in range(n) for w in range(n)}
+    return law | {(v, v, 1): alpha / n for v in range(n)}
+
+
 def bridge_pair_distribution(shape: Shape, tie: Fraction = DEFAULT_ALPHA) -> dict:
     """Exact law of the correlated pair (b, b') used by the bridge experiment.
 
     Per coordinate: keep b's value with probability `tie`, otherwise resample
     uniformly among the other values.  Size-one axes always tie.
     """
-    per_axis = []
-    for n in shape.dims:
-        m = {}
-        for v in range(n):
-            for w in range(n):
-                if v == w:
-                    m[(v, w)] = Fraction(1, n) * (tie if n > 1 else Fraction(1))
-                else:
-                    m[(v, w)] = Fraction(1, n) * (1 - tie) / (n - 1)
-        per_axis.append(m)
-    out = {}
-    for b in shape.points():
-        for b2 in shape.points():
-            p = Fraction(1)
-            for i in range(shape.d):
-                p *= per_axis[i][(b[i], b2[i])]
-            if p:
-                out[(b, b2)] = p
-    return out
+    def axis(n):
+        return {(v, w, int(v == w)): Fraction(1, n) * (tie if v == w else (1 - tie) / (n - 1))
+                if n > 1 else Fraction(1) for v in range(n) for w in range(n)}
+    law = _product_law([axis(n) for n in shape.dims])
+    return {(b, b2): p for (b, b2, _), p in law.items()}
 
 
 def sample_bridge_pair(shape: Shape, rng: np.random.Generator,
@@ -396,46 +373,24 @@ def sample_bridge_pair(shape: Shape, rng: np.random.Generator,
 
 
 def alpha_pair_distribution(dpshape: DPShape, alpha: Fraction) -> dict:
-    """Exact law of (x, y, agreement mask) under the alpha agreement test."""
-    alpha = Fraction(alpha)
-    out = {}
-    for x in dpshape.points():
-        for mask in range(1 << dpshape.k):
-            w = Fraction(1, dpshape.domain_size)
-            for i in range(dpshape.k):
-                w *= alpha if (mask >> i) & 1 else (1 - alpha)
-            if w == 0:
-                continue
-            free = [i for i in range(dpshape.k) if not (mask >> i) & 1]
-            denom = 1
-            for i in free:
-                denom *= dpshape.sizes[i]
-            for choice in itertools.product(*(range(dpshape.sizes[i]) for i in free)):
-                y = list(x)
-                for i, v in zip(free, choice):
-                    y[i] = v
-                key = (x, tuple(y), mask)
-                out[key] = out.get(key, Fraction(0)) + w / denom
-    return out
+    """Exact law of (x, y, tied mask) under the alpha agreement test."""
+    return _product_law([_alpha_axis(n, Fraction(alpha)) for n in dpshape.sizes])
 
 
 def two_step_alpha_pair_distribution(dpshape: DPShape, alpha: Fraction) -> dict:
-    """Law of (y, y', joint agreement mask) from two chained alpha draws.
+    """Law of (y, y', mask tied in both) from alpha draws (x, y), (x, y') sharing x.
 
-    Draw (x, y) and (x, y') independently given x, and record the mask of
-    coordinates tied in both steps.  Coordinatewise this reproduces a single
-    draw at rate alpha^2, which the exhaustive equality test pins down.
+    Coordinatewise this reproduces a single draw at rate alpha^2, which the
+    exhaustive equality test pins down.
     """
-    base = alpha_pair_distribution(dpshape, alpha)
-    out = {}
-    for (x1, y1, m1), p1 in base.items():
-        for (x2, y2, m2), p2 in base.items():
-            if x1 != x2:
-                continue
-            key = (y1, y2, m1 & m2)
-            # p1 already includes the 1/|domain| factor for x; drop one copy.
-            out[key] = out.get(key, Fraction(0)) + p1 * p2 * dpshape.domain_size
-    return out
+    per_axis = []
+    for n in dpshape.sizes:
+        step, law = _alpha_axis(n, Fraction(alpha)), {}
+        for ((v, w, s), p), ((v2, w2, s2), q) in itertools.product(step.items(), repeat=2):
+            if v == v2:  # p and q each hold x's 1/n: keep one
+                law[w, w2, s & s2] = law.get((w, w2, s & s2), 0) + p * q * n
+        per_axis.append(law)
+    return _product_law(per_axis)
 
 
 # ---------------------------------------------------------------------------

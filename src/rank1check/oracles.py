@@ -97,11 +97,20 @@ def _check_budget(required: int, budget: int, what: str) -> None:
 
 
 # The cube table and the (size^2, d) int64 differences it is built from may
-# take this many bytes together.  A larger shape is refused before anything
-# is built: (6,)^4 needs 195 MiB, (8,)^4 2 GiB.  The build's other
-# temporaries come on top: (6,)^4 peaks at 268 MiB in tracemalloc, and a
-# shape of one axis at about twice its count.
+# take this many bytes together, and so may the prefix table.  A larger shape
+# is refused before anything is built: (6,)^4 needs 195 MiB, (8,)^4 2 GiB,
+# and (2,)^15 a 512 MiB prefix table.  The build's other temporaries come on
+# top: (6,)^4 peaks at 268 MiB in tracemalloc, a shape of one axis at about
+# twice its count, and a prefix table's doubling at about twice the table.
 MAX_CUBE_TABLE_BYTES = 1 << 28
+
+
+def _check_table_bytes(needed: int, shape: Shape, what: str, table: str) -> None:
+    if needed > MAX_CUBE_TABLE_BYTES:
+        raise BudgetExceededError(
+            f"{what} on shape {shape.dims} needs {needed} bytes for its {table} "
+            f"table, beyond the {MAX_CUBE_TABLE_BYTES}-byte ceiling"
+        )
 
 
 def _check_cube_bytes(shape: Shape, what: str) -> None:
@@ -109,12 +118,8 @@ def _check_cube_bytes(shape: Shape, what: str) -> None:
     # for b_i = a_i and two for each other value.  The table drops the
     # 1 + 2 sum_i (n_i - 1) entries of the pairs with w < 2.
     spans = prod(2 * n - 1 for n in shape.dims) - 1 - 2 * sum(n - 1 for n in shape.dims)
-    needed = 8 * shape.size * (spans + shape.size * shape.d)
-    if spans and needed > MAX_CUBE_TABLE_BYTES:  # an empty table builds nothing
-        raise BudgetExceededError(
-            f"{what} on shape {shape.dims} needs {needed} bytes for its cube "
-            f"table, beyond the {MAX_CUBE_TABLE_BYTES}-byte ceiling"
-        )
+    if spans:  # an empty table builds nothing
+        _check_table_bytes(8 * shape.size * (spans + shape.size * shape.d), shape, what, "cube")
 
 
 def _check_int64(bound: int, what: str) -> None:
@@ -361,6 +366,8 @@ def exact_blr_rejection(table, budget: int = DEFAULT_BUDGET) -> ExactRejection:
 def _prefix_table(shape: Shape) -> np.ndarray:
     """Canonical sums on axes 0..d-2 in enumeration order, as (prefixes, size / n_last) uint8."""
     dims = shape.dims[:-1]
+    rows = 1 << sum(n - (i > 0) for i, n in enumerate(dims))  # the doublings below
+    _check_table_bytes(rows * prod(dims), shape, "direct-sum enumeration", "prefix")
     coords = np.indices(dims).reshape(len(dims), prod(dims))
     table = np.zeros((1, prod(dims)), dtype=np.uint8)
     for i, n in enumerate(dims):

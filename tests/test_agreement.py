@@ -9,18 +9,17 @@ import pytest
 
 from rank1check.agreement import (
     DEFAULT_ALPHA,
-    AlphaRandomness,
+    AgreementRandomness,
     DPFormatError,
     DPFunction,
     DPShape,
-    FixedTRandomness,
+    _agreement_rejects,
     alpha_pair_distribution,
     bridge_pair_distribution,
     corrupt_entries,
     default_intersection_size,
     direct_product,
-    dp_alpha_trial,
-    dp_fixed_t_trial,
+    dp_agreement_trial,
     dp_from_text,
     dp_plurality_decode,
     dp_to_text,
@@ -66,21 +65,38 @@ class TestTrials:
         rng = rng_for(1)
         for _ in range(200):
             r = sample_alpha_randomness(dsh, DEFAULT_ALPHA, rng)
-            assert dp_alpha_trial(g, r).accepted
+            assert dp_agreement_trial(g, r).accepted
             r2 = sample_fixed_t_randomness(dsh, 1, rng)
-            assert dp_fixed_t_trial(g, r2).accepted
+            assert dp_agreement_trial(g, r2).accepted
 
     def test_empty_agreement_set_accepts(self):
         dsh = DPShape((2, 2), 2)
         g = DPFunction(dsh, [[0, 1], [1, 0], [0, 0], [1, 1]])
-        assert dp_alpha_trial(g, AlphaRandomness((0, 0), (1, 1), 0)).accepted
-        assert dp_fixed_t_trial(g, FixedTRandomness((0, 0), 0, (1, 1))).accepted
+        assert dp_agreement_trial(g, AgreementRandomness((0, 0), (1, 1), 0)).accepted
+
+    def test_tied_disagreement_rejects(self):
+        # g(0, 0) = (0, 1) and g(0, 1) = (1, 0) differ on both coordinates,
+        # but only coordinate 0 can be tied.
+        dsh = DPShape((2, 2), 2)
+        g = DPFunction(dsh, [[0, 1], [1, 0], [0, 0], [1, 1]])
+        r = dp_agreement_trial(g, AgreementRandomness((0, 0), (0, 1), 0b01))
+        assert (r.accepted, r.queries) == (False, ((0, 0), (0, 1)))
 
     def test_randomness_invariants_enforced(self):
         with pytest.raises(ValueError):
-            AlphaRandomness((0, 0), (1, 0), 0b01)
+            AgreementRandomness((0, 0), (1, 0), 0b01)
         with pytest.raises(ValueError):
-            FixedTRandomness((0, 0), 0b10, (0, 1))
+            AgreementRandomness((0, 0), (0, 1), 0b10)
+
+    def test_samplers_draw_their_tied_sets(self):
+        dsh = DPShape((2, 3, 2), 2)
+        rng = rng_for(2)
+        for t in range(dsh.k + 1):
+            for _ in range(20):
+                assert sample_fixed_t_randomness(dsh, t, rng).tied.bit_count() == t
+        for alpha, tied in ((0, 0), (1, 0b111)):
+            assert all(sample_alpha_randomness(dsh, alpha, rng).tied == tied
+                       for _ in range(20))
 
     def test_t_bounds(self):
         dsh = DPShape((2, 2), 2)
@@ -209,6 +225,58 @@ class TestBruteForceReference:
             for t in range(dsh.k + 1):
                 r = exact_fixed_t_rejection(g, t)
                 assert (r.rejecting, r.total) == brute_force_fixed_t(g, t)
+
+
+def _law_rows(law, k):
+    """The keys (x, y, mask) of a pair law as (rows, k) x, y and 0/1 tied arrays."""
+    x, y, masks = (np.array(column) for column in zip(*law))
+    return x, y, (masks[:, None] >> np.arange(k)) & 1
+
+
+class TestOraclesAgainstPattern:
+    """Both exact oracles against _agreement_rejects over the whole randomness space."""
+
+    SHAPES = [DPShape((3,), 3), DPShape((2, 1, 3), 2), DPShape((2, 2, 2), 2),
+              DPShape((3, 2, 2), 3)]
+
+    @staticmethod
+    def functions(dsh):
+        rng = rng_for(dsh.domain_size, dsh.k)
+        clean = random_direct_product(dsh, rng)
+        noisy = DPFunction(dsh, rng.integers(0, dsh.alphabet, (dsh.domain_size, dsh.k)))
+        return corrupt_entries(clean, [(0, 0), (1, dsh.k - 1)], rng), noisy
+
+    @pytest.mark.parametrize("dsh", SHAPES, ids=str)
+    def test_alpha(self, dsh):
+        # Every (x, y, tied) row of the exact law, weighted by its probability.
+        for alpha in (Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
+            law = alpha_pair_distribution(dsh, alpha)
+            weights = list(law.values())
+            for g in self.functions(dsh):
+                rejects = _agreement_rejects(g, *_law_rows(law, dsh.k))
+                value = sum(w for w, bad in zip(weights, rejects) if bad)
+                assert value == exact_alpha_rejection(g, alpha).value
+
+    @pytest.mark.parametrize("dsh", SHAPES, ids=str)
+    def test_fixed_t(self, dsh):
+        # Every t-subset T and every (x, y) that agree on T, weighted by the
+        # prod_{i in T} N_i draws of x_T that the oracle's total counts.
+        points = np.array(list(dsh.points()))
+        x = np.repeat(points, len(points), axis=0)
+        y = np.tile(points, (len(points), 1))
+        for g in self.functions(dsh):
+            for t in range(dsh.k + 1):
+                rejecting = total = 0
+                for tied_axes in itertools.combinations(range(dsh.k), t):
+                    tied = np.zeros(dsh.k, dtype=np.int64)
+                    tied[list(tied_axes)] = 1
+                    keep = (x == y)[:, tied == 1].all(axis=1)
+                    weight = int(np.prod([dsh.sizes[i] for i in tied_axes]))
+                    rows = np.broadcast_to(tied, (int(keep.sum()), dsh.k))
+                    total += weight * len(rows)
+                    rejecting += weight * int(_agreement_rejects(g, x[keep], y[keep], rows).sum())
+                r = exact_fixed_t_rejection(g, t)
+                assert (rejecting, total) == (r.rejecting, r.total)
 
 
 class TestPluralityDecode:
@@ -366,6 +434,68 @@ class TestBridge:
                 assert np.array_equal(F.table, expected), (f, anchor)
 
 
+def reference_alpha_law(dsh, alpha):
+    """The alpha test's (x, y, mask) law, enumerated x by x and mask by mask."""
+    out = {}
+    for x in dsh.points():
+        for mask in range(1 << dsh.k):
+            w = Fraction(1, dsh.domain_size)
+            for i in range(dsh.k):
+                w *= alpha if (mask >> i) & 1 else (1 - alpha)
+            if w == 0:
+                continue
+            free = [i for i in range(dsh.k) if not (mask >> i) & 1]
+            denom = 1
+            for i in free:
+                denom *= dsh.sizes[i]
+            for choice in itertools.product(*(range(dsh.sizes[i]) for i in free)):
+                y = list(x)
+                for i, v in zip(free, choice):
+                    y[i] = v
+                key = (x, tuple(y), mask)
+                out[key] = out.get(key, Fraction(0)) + w / denom
+    return out
+
+
+def reference_two_step_law(dsh, alpha):
+    """Two alpha draws chained through their shared x, over the joint law."""
+    base = reference_alpha_law(dsh, alpha)
+    out = {}
+    for (x1, y1, m1), p1 in base.items():
+        for (x2, y2, m2), p2 in base.items():
+            if x1 != x2:
+                continue
+            key = (y1, y2, m1 & m2)
+            # p1 already includes the 1/|domain| factor for x; drop one copy.
+            out[key] = out.get(key, Fraction(0)) + p1 * p2 * dsh.domain_size
+    return out
+
+
+def reference_bridge_law(shape, tie):
+    """The bridge pair's law, pair by pair over the whole domain."""
+    out = {}
+    for b in shape.points():
+        for b2 in shape.points():
+            p = Fraction(1)
+            for v, w, n in zip(b, b2, shape.dims):
+                if n == 1:
+                    continue
+                p *= Fraction(1, n) * (tie if v == w else (1 - tie) / (n - 1))
+            if p:
+                out[(b, b2)] = p
+    return out
+
+
+def chi_square(law, sample, n):
+    counts = {}
+    for _ in range(n):
+        key = sample()
+        counts[key] = counts.get(key, 0) + 1
+    assert set(counts) <= set(law)
+    return sum((counts.get(key, 0) - float(p) * n) ** 2 / (float(p) * n)
+               for key, p in law.items())
+
+
 class TestPairDistributions:
     def test_bridge_pair_symmetric_exact(self):
         for dims in [(2, 2), (3, 2), (2,)]:
@@ -377,19 +507,25 @@ class TestPairDistributions:
     def test_bridge_pair_sampler_chi_square(self):
         # Sampled counts against the exact law; generous chi-square bound.
         sh = Shape((2, 2))
-        law = bridge_pair_distribution(sh)
         rng = rng_for(21)
-        n = 20000
-        counts = {}
-        for _ in range(n):
-            pair = sample_bridge_pair(sh, rng)
-            counts[pair] = counts.get(pair, 0) + 1
-        chi2 = 0.0
-        for pair, p in law.items():
-            expected = float(p) * n
-            chi2 += (counts.get(pair, 0) - expected) ** 2 / expected
+        chi2 = chi_square(bridge_pair_distribution(sh), lambda: sample_bridge_pair(sh, rng),
+                          20000)
         # 15 degrees of freedom; 99.9th percentile is ~37.7
         assert chi2 < 37.7
+
+    def test_alpha_sampler_chi_square(self):
+        dsh = DPShape((2, 2), 2)
+        law = alpha_pair_distribution(dsh, DEFAULT_ALPHA)
+        rng = rng_for(23)
+
+        def sample():
+            r = sample_alpha_randomness(dsh, DEFAULT_ALPHA, rng)
+            return r.x, r.y, r.tied
+
+        chi2 = chi_square(law, sample, 20000)
+        # 36 keys, 35 degrees of freedom; 99.9th percentile is ~66.6
+        assert len(law) == 36
+        assert chi2 < 66.6
 
     def test_two_step_equals_alpha_squared(self):
         for sizes in [(2, 2), (2, 3)]:
@@ -399,6 +535,18 @@ class TestPairDistributions:
             assert set(derived) == set(direct)
             for key, p in derived.items():
                 assert direct[key] == p
+
+    @pytest.mark.parametrize("sizes", [(2,), (3,), (2, 2), (2, 3), (1, 2, 3)])
+    def test_product_laws_match_the_joint_enumeration(self, sizes):
+        # The per-axis product law against the whole-domain loops it replaced.
+        dsh = DPShape(sizes, 2)
+        for alpha in (Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
+            assert alpha_pair_distribution(dsh, alpha) == reference_alpha_law(dsh, alpha)
+            assert (two_step_alpha_pair_distribution(dsh, alpha)
+                    == reference_two_step_law(dsh, alpha))
+        for tie in (Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
+            assert (bridge_pair_distribution(Shape(sizes), tie)
+                    == reference_bridge_law(Shape(sizes), tie))
 
     def test_alpha_pair_distribution_normalizes(self):
         dsh = DPShape((2, 2), 2)

@@ -159,6 +159,15 @@ class TestOracle:
         assert err == ("error: conjectured on shape (8, 8, 8, 8) needs 2193883136 "
                        "bytes for its cube table, beyond the 268435456-byte ceiling\n")
 
+    def test_prefix_table_ceiling_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "f.tensor"
+        path.write_text(tensor_to_text(BinaryTensor.zeros(Shape((2,) * 15))))
+        code, out, err = run(["oracle", "--input", str(path), "--test", "blr"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: direct-sum enumeration on shape {(2,) * 15} needs "
+                       "536870912 bytes for its prefix table, beyond the "
+                       "268435456-byte ceiling\n")
+
     def test_assert_soundness_passes(self, capsys):
         code, _, err = run(["oracle", "--assert-soundness", "--exhaustive",
                             "--shape", "2,2", "--test", "shapka"], capsys)

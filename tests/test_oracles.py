@@ -233,6 +233,40 @@ class TestBruteForceReference:
             assert exact_rejection(f, BLR) == r
 
 
+def bchks_gamma(delta):
+    """Bellare-Coppersmith-Hastad-Kiwi-Sudan's lower bound on BLR rejection at distance delta."""
+    if delta <= Fraction(5, 16):
+        return 3 * delta - 6 * delta ** 2
+    return max(Fraction(45, 128), delta)
+
+
+class TestBchksBound:
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_exhaustive_minimum_is_at_least_gamma(self, dim):
+        # Every table on F2^dim: its exact BLR rejection, and its distance to
+        # the nearest of the 2^(dim+1) affine functions, by brute force.  The
+        # affinity test on f is the linearity test on f ^ f(0), and Gamma is
+        # nondecreasing, so the bound on linearity holds here too.
+        sh = Shape((2,) * dim)
+        n = sh.size
+        rows = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        rej, total = exact_rejections(sh, BLR, rows)
+        points = np.indices(sh.dims).reshape(dim, n)
+        linear = ((np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1) @ points % 2
+        affine = np.vstack((linear, 1 - linear))
+        agree = (1 - 2 * rows) @ (1 - 2 * affine).T
+        dist = (n - agree.max(axis=1)) // 2
+        meets = []
+        for j in range(1, int(dist.max()) + 1):
+            eps = Fraction(int(rej[dist == j].min()), total)
+            assert eps >= bchks_gamma(Fraction(j, n)), j
+            if eps == bchks_gamma(Fraction(j, n)):
+                meets.append(j)
+        # One flip rejects 3n - 6 of the n^2 pairs, which is Gamma(1/n).
+        assert meets[0] == 1
+        print(f"(2,)^{dim}: the minimum rejection meets Gamma at j = {meets}")
+
+
 class TestSicCubeKernel:
     """sic-subsets and sic-cube are counted from each pair's cube, with no plan."""
 
@@ -529,6 +563,51 @@ class TestNearestKernel:
             tracemalloc.stop()
         assert (res.witness, res.distance) == (ds, Fraction(3, sh.size))
         assert peak < 32 << 20
+
+
+    def test_prefix_table_ceiling_refuses_before_building(self, monkeypatch):
+        # (2,)^15's 2^16 direct sums pass the default tuple budget, but its
+        # prefix table would hold 2^15 x 2^14 bytes, and the doubling build
+        # about twice that.
+        monkeypatch.setattr(oracles, "_cache", {})
+        f = BinaryTensor.zeros(Shape((2,) * 15))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as refused:
+                nearest_direct_sum(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == (
+            f"direct-sum enumeration on shape {(2,) * 15} needs 536870912 bytes for "
+            "its prefix table, beyond the 268435456-byte ceiling")
+        assert peak < 1 << 20
+
+    def test_tuple_budget_is_checked_before_the_prefix_table(self):
+        with pytest.raises(BudgetExceededError,
+                           match="^direct-sum enumeration needs 65536 tuples, budget is 65535$"):
+            nearest_direct_sum(BinaryTensor.zeros(Shape((2,) * 15)), budget=65535)
+
+    def test_thirteen_binary_axes_answer(self, monkeypatch):
+        # A 32 MiB prefix table, under the ceiling.
+        monkeypatch.setattr(oracles, "_cache", {})
+        sh = Shape((2,) * 13)
+        ds = DirectSum.random(sh, np.random.default_rng(13))
+        bits = ds.materialize().bits.copy()
+        bits[[3, 100, 200]] ^= 1
+        res = nearest_direct_sum(BinaryTensor(sh, bits))
+        assert (res.witness, res.distance) == (ds, Fraction(3, sh.size))
+
+    @pytest.mark.parametrize("dims", [(5,), (2, 3), (3, 1, 2), (2, 2, 2), (4, 4, 4), (2,) * 6])
+    def test_prefix_byte_count_is_the_table(self, monkeypatch, dims):
+        sh = Shape(dims)
+        table = oracles._prefix_table(sh)
+        monkeypatch.setattr(oracles, "_cache", {})
+        monkeypatch.setattr(oracles, "MAX_CUBE_TABLE_BYTES", table.nbytes - 1)
+        with pytest.raises(BudgetExceededError, match=f" needs {table.nbytes} bytes for its prefix"):
+            nearest_direct_sum(BinaryTensor.zeros(sh))
+        monkeypatch.setattr(oracles, "MAX_CUBE_TABLE_BYTES", table.nbytes)
+        assert nearest_direct_sum(BinaryTensor.zeros(sh)).distance == 0
 
 
 class TestNearestAffine:
