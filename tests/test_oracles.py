@@ -564,7 +564,6 @@ class TestNearestKernel:
         assert (res.witness, res.distance) == (ds, Fraction(3, sh.size))
         assert peak < 32 << 20
 
-
     def test_prefix_table_ceiling_refuses_before_building(self, monkeypatch):
         # (2,)^15's 2^16 direct sums pass the default tuple budget, but its
         # prefix table would hold 2^15 x 2^14 bytes, and the doubling build
