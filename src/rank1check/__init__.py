@@ -21,7 +21,6 @@ from .core import (
     distance,
     flip,
     materialize,
-    project,
     reindex,
     splice,
     tensor_from_text,
@@ -61,6 +60,7 @@ from .oracles import (
     exact_blr_rejection,
     exact_rejection,
     exact_rejections,
+    exhaustive_soundness,
     is_direct_sum,
     local_view_decode,
     nearest_affine,

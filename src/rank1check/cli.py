@@ -11,8 +11,6 @@ import functools
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import agreement, harness, oracles, spectral, testers
 from .core import (
     BinaryTensor,
@@ -136,60 +134,21 @@ def _cmd_test(args) -> int:
     return EXIT_OK
 
 
-# Coset representatives sent to the batched oracles per call.
-_SOUNDNESS_BLOCK = 1 << 12
-
-
 def _assert_soundness(args) -> int:
     if not args.shape:
         raise ValueError("--assert-soundness needs --shape")
     if not args.exhaustive:
         raise ValueError("--assert-soundness currently requires --exhaustive")
-    if args.test == testers.CONJECTURED:
-        raise ValueError("no soundness guarantee is claimed for the "
-                         "conjectured test")
     shape = Shape(_parse_dims(args.shape))
-    if shape.size > 24:
-        raise ValueError(f"cannot iterate 2^{shape.size} tensors; use a "
-                         "smaller shape")
-    # Every test's parity vanishes on direct sums and they form a subspace,
-    # so eps and dist are constant on each coset f + (direct sums).  A coset
-    # has exactly one tensor that is 0 on the axis lines through the last
-    # point, and it is the coset's smallest index (bit i of an index holds
-    # flat entry i).  So these representatives, in index order, cover all
-    # 2^size tensors and meet the smallest violating index first.
-    size = shape.size
-    corner = np.array(shape.dims) - 1
-    free = np.flatnonzero((shape.point_array() != corner).sum(axis=1) > 1)
-    count = 1 << free.size
-    pairs = set()
-    for start in range(0, count, _SOUNDNESS_BLOCK):
-        codes = np.arange(start, min(start + _SOUNDNESS_BLOCK, count))
-        rows = np.zeros((codes.size, size), dtype=np.uint8)
-        rows[:, free] = (codes[:, None] >> np.arange(free.size)) & 1
-        rej, total = oracles.exact_rejections(shape, args.test, rows, args.budget)
-        dist = oracles.nearest_distances(shape, rows, args.budget)
-        if args.test in (testers.SHAPKA, testers.BLR):
-            ok = rej * size >= dist * total  # eps >= dist
-        else:
-            ok = (rej == 0) == (dist == 0)
-        if not ok.all():
-            k = int(np.argmin(ok))
-            index = sum(1 << int(i) for i in np.flatnonzero(rows[k]))
-            eps = Fraction(int(rej[k]), total)
-            print(f"violation at tensor {index}: eps={eps} "
-                  f"dist={Fraction(int(dist[k]), size)}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-        far = dist > 0
-        pairs.update(zip(rej[far].tolist(), dist[far].tolist()))
-    print(f"soundness holds for {args.test} on all {1 << size} tensors of "
+    violation, worst = oracles.exhaustive_soundness(shape, args.test, args.budget)
+    if violation:
+        index, eps, dist = violation
+        print(f"violation at tensor {index}: eps={eps} dist={dist}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    print(f"soundness holds for {args.test} on all {1 << shape.size} tensors of "
           f"shape {shape.dims}", file=sys.stderr)
-    if pairs:
-        worst_ratio = min(Fraction(r * size, d * total) for r, d in pairs)
-        print(f"min eps/dist ratio: {worst_ratio} ({float(worst_ratio):.6g})",
-              file=sys.stderr)
-        if worst_ratio <= 0:
-            return EXIT_CHECK_FAILED
+    if worst is not None:
+        print(f"min eps/dist ratio: {worst} ({float(worst):.6g})", file=sys.stderr)
     return EXIT_OK
 
 

@@ -135,15 +135,6 @@ def axes_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def scatter_bits(mask: int, packed: int) -> int:
-    """Spread the low bits of `packed` onto the set bits of `mask`, in order."""
-    out = 0
-    for k, axis in enumerate(axes_of(mask)):
-        if (packed >> k) & 1:
-            out |= 1 << axis
-    return out
-
-
 @dataclass(frozen=True)
 class CubePoint:
     """A vertex of the binary cube spanned by the axes in `mask`.
@@ -170,12 +161,6 @@ class CubePoint:
         if self.mask != other.mask:
             raise MaskMismatchError("cube points live on different cubes")
         return CubePoint(self.mask, self.bits ^ other.bits)
-
-
-def cube_points(mask: int) -> Iterator[CubePoint]:
-    """All 2^|mask| cube vertices, ordered by packed value."""
-    for packed in range(1 << mask.bit_count()):
-        yield CubePoint(mask, scatter_bits(mask, packed))
 
 
 # ---------------------------------------------------------------------------
@@ -362,27 +347,6 @@ def splice(a: Sequence[int], b: Sequence[int], mask: int) -> Point:
     """The point taking a's coordinate on axes in `mask` and b's elsewhere."""
     _require_same_length(a, b)
     return tuple(x if (mask >> i) & 1 else y for i, (x, y) in enumerate(zip(a, b)))
-
-
-def project(a: Sequence[int], b: Sequence[int], x: CubePoint) -> Point:
-    """Embed cube vertex x of the cube spanned by delta(a, b) into the domain.
-
-    Axis off the mask: the shared coordinate.  Axis on the mask: b's
-    coordinate where the vertex bit is 1, a's where it is 0.
-    """
-    m = delta(a, b)
-    if x.mask != m:
-        raise MaskMismatchError(
-            f"cube point mask {x.mask:b} differs from delta mask {m:b}"
-        )
-    return tuple(
-        bv if (x.bits >> i) & 1 else av for i, (av, bv) in enumerate(zip(a, b))
-    )
-
-
-def point_with(a: Sequence[int], axis: int, value: int) -> Point:
-    """Copy of a with one coordinate replaced."""
-    return tuple(value if i == axis else x for i, x in enumerate(a))
 
 
 def materialize(ds: DirectSum) -> BinaryTensor:

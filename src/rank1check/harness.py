@@ -63,7 +63,11 @@ def _pool(workers: int) -> concurrent.futures.ThreadPoolExecutor:
 def _on_threads(pool: concurrent.futures.Executor, parts: int, task) -> list:
     """task()'s results from `parts` threads at once: this one and pool's."""
     later = [pool.submit(task) for _ in range(1, parts)]
-    first = task()
+    try:
+        first = task()
+    except BaseException:
+        concurrent.futures.wait(later)  # leave no task running past the error
+        raise
     return [first] + [job.result() for job in later]
 
 
@@ -577,25 +581,25 @@ def run_sweep(config: SweepConfig,
     exact-rejection / exact-distance ratio over rows with positive distance
     (the empirical soundness constant at this scale).  Rows are pure
     functions of (config, master_seed); worker threads only change timing.
-    While rows run on more than one thread, each row's Monte Carlo runs on
-    one, so threads never nest.
+    Rows run on Monte Carlo's helper threads and this one, each thread
+    taking the next row when it is ready.  While rows run on more than one
+    thread, each row's Monte Carlo runs on one, so threads never nest.
     """
-    jobs = []
+    jobs = collections.deque()
     for dims in config.shapes:
         for test in config.tests:
             for kind in config.kinds:
                 for param, extra in _param_values(kind, config):
                     for seed in config.seeds:
                         jobs.append((dims, test, kind, param, extra, seed))
-    workers = min(worker_count(), max(1, len(jobs)))
-    if workers == 1:
-        rows = [_compute_row(config, master_seed, worker_count(), *job)
-                for job in jobs]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(lambda job: _compute_row(config, master_seed, 1, *job), jobs)
-            )
+    workers = worker_count()
+    parts = max(1, min(workers, len(jobs)))
+    mc_workers = workers if parts == 1 else 1
+
+    def compute():
+        return [_compute_row(config, master_seed, mc_workers, *job) for job in _taken(jobs)]
+
+    rows = [row for part in _on_threads(_pool(workers), parts, compute) for row in part]
     rows.sort(key=SweepRow.key)
     summary: dict[str, Fraction] = {}
     for row in rows:

@@ -31,7 +31,8 @@ Each oracle has one kernel that works on a batch of tensors, given as the
 rows of a (T, size) 0/1 matrix: exact_rejections and nearest_distances take
 such a batch, and exact_rejection and nearest_direct_sum are a batch of one.
 Likewise nearest_affine is a batch of one of _affine_fits, which the bridge
-runs on all its cubes of one width at once.
+runs on all its cubes of one width at once.  exhaustive_soundness runs both
+batched oracles over one representative of each coset of the direct sums.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ def _check_budget(required: int, budget: int, what: str) -> None:
 # take this many bytes together, and so may the prefix table.  A larger shape
 # is refused before anything is built: (6,)^4 needs 195 MiB, (8,)^4 2 GiB,
 # and (2,)^15 a 512 MiB prefix table.  The build's other temporaries come on
-# top: (6,)^4 peaks at 268 MiB in tracemalloc, a shape of one axis at about
-# twice its count, and a prefix table's doubling at about twice the table.
+# top: (6,)^4 peaks at 268 MiB in tracemalloc and a shape of one axis at about
+# twice its count, while the prefix table is filled in place, near its own bytes.
 MAX_CUBE_TABLE_BYTES = 1 << 28
 
 
@@ -366,13 +367,12 @@ def exact_blr_rejection(table, budget: int = DEFAULT_BUDGET) -> ExactRejection:
 def _prefix_table(shape: Shape) -> np.ndarray:
     """Canonical sums on axes 0..d-2 in enumeration order, as (prefixes, size / n_last) uint8."""
     dims = shape.dims[:-1]
-    rows = 1 << sum(n - (i > 0) for i, n in enumerate(dims))  # the doublings below
-    _check_table_bytes(rows * prod(dims), shape, "direct-sum enumeration", "prefix")
+    free = [(i, v) for i, n in enumerate(dims) for v in range(i > 0, n)]
+    _check_table_bytes(prod(dims) << len(free), shape, "direct-sum enumeration", "prefix")
     coords = np.indices(dims).reshape(len(dims), prod(dims))
-    table = np.zeros((1, prod(dims)), dtype=np.uint8)
-    for i, n in enumerate(dims):
-        for v in range(i > 0, n):  # each free entry doubles the table
-            table = np.stack((table, table ^ (coords[i] == v)), axis=1).reshape(2 * len(table), -1)
+    table = np.zeros((1 << len(free), prod(dims)), dtype=np.uint8)
+    for m, (i, v) in enumerate(reversed(free)):  # the first free entry ends most significant
+        np.bitwise_xor(table[:1 << m], coords[i] == v, out=table[1 << m:2 << m])
     return table
 
 
@@ -455,6 +455,60 @@ def nearest_affine(table, budget: int = DEFAULT_BUDGET) -> NearestResult:
     constants, masks, doubled = _affine_fits(t[None])
     return NearestResult(partial(AffineWitness, int(constants[0]), int(masks[0])),
                          Fraction(int(doubled[0]) // 2, t.size))
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive soundness
+# ---------------------------------------------------------------------------
+
+# Coset representatives sent to the batched oracles per call.
+_SOUNDNESS_BLOCK = 1 << 12
+
+
+def exhaustive_soundness(shape: Shape, kind: str, budget: int = DEFAULT_BUDGET) -> tuple:
+    """Check a test's soundness guarantee on every one of the 2^size tensors of a shape.
+
+    shapka and BLR guarantee eps >= dist, and the sic tests reject exactly
+    the tensors that are not direct sums.  Returns (violation, worst).
+    violation is (index, eps, dist) for the smallest violating index, whose
+    bit i holds flat entry i, or None; the check stops there, and worst is
+    then None.  Otherwise worst is the minimum eps/dist over the tensors at
+    positive distance, or None when every tensor is a direct sum.  The
+    conjectured test claims no guarantee, so it is refused, and so is a
+    shape of more than 24 entries.
+    """
+    if kind == testers.CONJECTURED:
+        raise ValueError("no soundness guarantee is claimed for the conjectured test")
+    size = shape.size
+    if size > 24:
+        raise ValueError(f"cannot iterate 2^{size} tensors; use a smaller shape")
+    # Every test's parity vanishes on direct sums and they form a subspace,
+    # so eps and dist are constant on each coset f + (direct sums).  A coset
+    # has exactly one tensor that is 0 on the axis lines through the last
+    # point, and it is the coset's smallest index.  So these representatives,
+    # in index order, cover all 2^size tensors and meet the smallest
+    # violating index first.
+    corner = np.array(shape.dims) - 1
+    free = np.flatnonzero((shape.point_array() != corner).sum(axis=1) > 1)
+    count = 1 << free.size
+    pairs = set()
+    for start in range(0, count, _SOUNDNESS_BLOCK):
+        codes = np.arange(start, min(start + _SOUNDNESS_BLOCK, count))
+        rows = np.zeros((codes.size, size), dtype=np.uint8)
+        rows[:, free] = (codes[:, None] >> np.arange(free.size)) & 1
+        rej, total = exact_rejections(shape, kind, rows, budget)
+        dist = nearest_distances(shape, rows, budget)
+        if kind in (testers.SHAPKA, testers.BLR):
+            ok = rej * size >= dist * total  # eps >= dist
+        else:
+            ok = (rej == 0) == (dist == 0)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            index = sum(1 << int(i) for i in np.flatnonzero(rows[k]))
+            return (index, Fraction(int(rej[k]), total), Fraction(int(dist[k]), size)), None
+        far = dist > 0
+        pairs.update(zip(rej[far].tolist(), dist[far].tolist()))
+    return None, min((Fraction(r * size, d * total) for r, d in pairs), default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,12 @@ from rank1check.agreement import (
 )
 from rank1check.core import (
     BinaryTensor,
-    CubePoint,
     DirectSum,
     Shape,
     axes_of,
     delta,
     flip,
-    project,
+    splice,
 )
 from rank1check.harness import rng_for
 from rank1check.oracles import nearest_affine
@@ -402,7 +401,7 @@ class TestBridge:
                                       (4, 4, 4), (1, 4, 1, 3), (2,) * 5])
     def test_matches_definition(self, dims):
         # The definition, one point at a time: normalise f to vanish at the
-        # anchor, read the cube spanned by (anchor, b) through core.project
+        # anchor, read the cube spanned by (anchor, b) through core.splice
         # with the first differing axis most significant, fit it with
         # nearest_affine, and mark the differing axes in the fit's mask.
         sh = Shape(dims)
@@ -426,7 +425,7 @@ class TestBridge:
                     for r in range(1 << w):
                         bits = sum(1 << axis for j, axis in enumerate(diff_axes)
                                    if (r >> (w - 1 - j)) & 1)
-                        cube.append(g.value(project(anchor, b, CubePoint(m, bits))))
+                        cube.append(g.value(splice(b, anchor, bits)))
                     for j in axes_of(nearest_affine(cube).witness.mask):
                         expected[row, diff_axes[j]] = 1
                 F = sic_to_dp_bridge(f, anchor)

@@ -17,19 +17,27 @@ from rank1check.core import (
     ShapeMismatchError,
     TensorFormatError,
     axes_of,
-    cube_points,
     delta,
     distance,
     flip,
     full_mask,
     materialize,
-    project,
     reindex,
-    scatter_bits,
     splice,
     tensor_from_text,
     tensor_to_text,
 )
+
+
+def scatter_bits(mask, packed):
+    """Spread the low bits of `packed` onto the set bits of `mask`, in order."""
+    return sum(1 << axis for k, axis in enumerate(axes_of(mask)) if (packed >> k) & 1)
+
+
+def cube_points(mask):
+    """All 2^|mask| cube vertices, ordered by packed value."""
+    for packed in range(1 << mask.bit_count()):
+        yield CubePoint(mask, scatter_bits(mask, packed))
 
 
 def small_shapes():
@@ -127,34 +135,6 @@ class TestSplice:
         a = (1, 2, 3)
         for mask in range(8):
             assert splice(a, a, mask) == a
-
-
-class TestProject:
-    def test_endpoints(self):
-        a, b = (0, 0, 0), (1, 0, 2)
-        m = delta(a, b)
-        assert project(a, b, CubePoint(m, 0)) == a
-        assert project(a, b, CubePoint(m, m)) == b
-
-    def test_mixed(self):
-        a, b = (0, 0, 0), (1, 0, 2)
-        m = delta(a, b)  # axes 0 and 2
-        x = CubePoint(m, 0b001)
-        assert project(a, b, x) == (1, 0, 0)
-
-    def test_mask_mismatch(self):
-        with pytest.raises(MaskMismatchError):
-            project((0, 0), (1, 0), CubePoint(0b11, 0))
-
-    def test_consistency_with_splice(self):
-        # Exhaustive on a small shape: projecting x equals splicing b's
-        # coordinates onto the support of x.
-        sh = Shape((2, 3))
-        for a in sh.points():
-            for b in sh.points():
-                m = delta(a, b)
-                for x in cube_points(m):
-                    assert project(a, b, x) == splice(b, a, x.bits)
 
 
 class TestDirectSum:

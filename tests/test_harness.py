@@ -3,6 +3,7 @@
 import concurrent.futures
 import hashlib
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -559,6 +560,44 @@ class TestWorkerCount:
                    "trials = 2000\nseeds = 1\n")
         run_sweep(parse_sweep_config(one_row), master_seed=8)
         assert seen == [2]
+
+    def test_sweeps_share_their_helper_thread(self, monkeypatch):
+        # Rows run on Monte Carlo's kept helper threads and the calling
+        # one, not on threads started anew for each sweep.
+        names = set()
+        inner = harness._compute_row
+
+        def spy(*args):
+            if threading.current_thread() is not threading.main_thread():
+                names.add(threading.current_thread().name)
+            return inner(*args)
+
+        monkeypatch.setattr(harness, "_compute_row", spy)
+        monkeypatch.setenv("RANK1CHECK_THREADS", "2")
+        for _ in range(2):
+            run_sweep(parse_sweep_config(SMALL_CONFIG), master_seed=8)
+        assert len(names) == 1
+
+    def test_failed_sweep_leaves_no_row_running(self, monkeypatch):
+        # A row that fails on the calling thread raises only after the
+        # helper thread has finished the rows it took.
+        helper_busy = threading.Event()
+        started, finished = [], []
+
+        def spy(*args):
+            if threading.current_thread() is threading.main_thread():
+                assert helper_busy.wait(timeout=10)
+                raise ValueError("row failed")
+            started.append(args)
+            helper_busy.set()
+            time.sleep(0.02)
+            finished.append(args)
+
+        monkeypatch.setattr(harness, "_compute_row", spy)
+        monkeypatch.setenv("RANK1CHECK_THREADS", "2")
+        with pytest.raises(ValueError, match="^row failed$"):
+            run_sweep(parse_sweep_config(SMALL_CONFIG), master_seed=8)
+        assert len(started) == len(finished) == 7
 
     def test_single_worker_sweep_matches(self, monkeypatch):
         cfg = parse_sweep_config(SMALL_CONFIG)

@@ -14,13 +14,10 @@ from rank1check.core import (
     CubePoint,
     DirectSum,
     Shape,
-    cube_points,
     delta,
     distance,
     flip,
     materialize,
-    point_with,
-    project,
     splice,
 )
 from rank1check.oracles import (
@@ -32,6 +29,7 @@ from rank1check.oracles import (
     exact_blr_rejection,
     exact_rejection,
     exact_rejections,
+    exhaustive_soundness,
     is_direct_sum,
     local_view_decode,
     nearest_affine,
@@ -53,6 +51,7 @@ from rank1check.testers import (
     SicSubsetsRandomness,
     run_trial,
 )
+from test_core import cube_points
 
 
 def all_tensors(shape):
@@ -153,15 +152,15 @@ def brute_force_rejection(f, kind):
             elif kind == SIC_CUBE:
                 for x in cube_points(m):
                     for y in cube_points(m):
-                        add([project(a, b, c) for c in (CubePoint(m, 0), x, y, x ^ y)],
+                        add([splice(b, a, c.bits) for c in (CubePoint(m, 0), x, y, x ^ y)],
                             4 ** (d - m.bit_count()))
             elif kind == SHAPKA:
-                add([b] + [point_with(a, j, b[j]) for j in range(d)]
+                add([b] + [a[:j] + (b[j],) + a[j + 1:] for j in range(d)]
                     + ([a] if d % 2 == 0 else []))
             elif kind == CONJECTURED:
                 top = CubePoint(m, m)
                 for x in cube_points(m):
-                    add([project(a, b, c) for c in (CubePoint(m, 0), x, top, x ^ top)],
+                    add([splice(b, a, c.bits) for c in (CubePoint(m, 0), x, top, x ^ top)],
                         2 ** (d - m.bit_count()))
     return rejecting, total
 
@@ -566,8 +565,7 @@ class TestNearestKernel:
 
     def test_prefix_table_ceiling_refuses_before_building(self, monkeypatch):
         # (2,)^15's 2^16 direct sums pass the default tuple budget, but its
-        # prefix table would hold 2^15 x 2^14 bytes, and the doubling build
-        # about twice that.
+        # prefix table would hold 2^15 x 2^14 bytes.
         monkeypatch.setattr(oracles, "_cache", {})
         f = BinaryTensor.zeros(Shape((2,) * 15))
         tracemalloc.start()
@@ -596,6 +594,18 @@ class TestNearestKernel:
         bits[[3, 100, 200]] ^= 1
         res = nearest_direct_sum(BinaryTensor(sh, bits))
         assert (res.witness, res.distance) == (ds, Fraction(3, sh.size))
+
+    def test_prefix_table_is_built_in_place(self):
+        # (2,)^13's table holds 2^12 x 2^12 bytes; a build that doubled a
+        # copy of it would peak near twice that.
+        tracemalloc.start()
+        try:
+            table = oracles._prefix_table(Shape((2,) * 13))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes == 32 << 20
+        assert peak < 1.1 * table.nbytes
 
     @pytest.mark.parametrize("dims", [(5,), (2, 3), (3, 1, 2), (2, 2, 2), (4, 4, 4), (2,) * 6])
     def test_prefix_byte_count_is_the_table(self, monkeypatch, dims):
@@ -802,7 +812,7 @@ class TestRigiditySmall:
                 for x in cube_points(m):
                     for y in cube_points(m):
                         corners = (CubePoint(m, 0), x, y, x ^ y)
-                        indices.append([sh.index_of(project(a, b, c)) for c in corners])
+                        indices.append([sh.index_of(splice(b, a, c.bits)) for c in corners])
                         weights.append(4 ** (sh.d - m.bit_count()))
         indices = np.array(indices)
         weights = np.array(weights)
@@ -833,6 +843,28 @@ class TestRigiditySmall:
         for idx in rng.integers(0, 1 << 16, size=8):
             f = BinaryTensor(sh, tables[idx])
             assert exact_rejection(f, SIC_CUBE).rejecting == rejecting[idx]
+
+
+class TestExhaustiveSoundness:
+    """The library's exhaustive check against the oracles called tensor by tensor."""
+
+    @pytest.mark.parametrize("dims,kind", [
+        (dims, kind) for dims in [(2, 2), (2, 3), (1, 4), (2, 2, 2)]
+        for kind in (SIC_SUBSETS, SIC_CUBE, SHAPKA, BLR) if kind != BLR or set(dims) == {2}
+    ])
+    def test_worst_ratio_matches_every_tensor(self, dims, kind):
+        # Every tensor of (1, 4) is a direct sum, so it has no ratio at all.
+        sh = Shape(dims)
+        ratios = [exact_rejection(f, kind).value / dist for f in all_tensors(sh)
+                  if (dist := nearest_direct_sum(f).distance) > 0]
+        assert exhaustive_soundness(sh, kind) == (None, min(ratios, default=None))
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="^no soundness guarantee is claimed for the "
+                                             "conjectured test$"):
+            exhaustive_soundness(Shape((2, 2)), CONJECTURED)
+        with pytest.raises(ValueError, match=r"^cannot iterate 2\^25 tensors"):
+            exhaustive_soundness(Shape((5, 5)), SHAPKA)
 
 
 # ---------------------------------------------------------------------------

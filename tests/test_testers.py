@@ -13,7 +13,6 @@ from rank1check.core import (
     DirectSum,
     MaskMismatchError,
     Shape,
-    cube_points,
     delta,
 )
 from rank1check.testers import (
@@ -38,6 +37,7 @@ from rank1check.testers import (
     sic_cube_trial,
     sic_subsets_trial,
 )
+from test_core import cube_points
 
 
 def enumerate_randomness(kind, shape):
