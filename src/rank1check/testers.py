@@ -100,9 +100,12 @@ class TrialOutcome:
 # Query patterns: the one definition of each test
 # ---------------------------------------------------------------------------
 # A tensor test sees a batch of rows through flat_a and flat_b, the flat
-# indices of the points a and b, and diff = (b - a) * strides.  A selector is
-# a (rows, d) 0/1 array naming the axes on which a query takes b's coordinate
-# instead of a's; the query's flat index is _spliced(flat_a, diff, selector).
+# indices of the points a and b, and the (d, rows) array diff, whose row j is
+# (b_j - a_j) * stride_j.  A selector is a (d, rows) 0/1 array naming the
+# axes on which a query takes b's coordinate instead of a's; the query's flat
+# index is _spliced(flat_a, diff, selector).  Any sum of diff's rows is the
+# offset between a and a splice, inside (-size, size), so the index dtype
+# _draw picks never overflows.
 # diff vanishes where a = b, so a selector only matters on delta(a, b): a
 # subset of axes and a vertex of the cube spanned by a and b pick the same
 # point.  A pattern returns the test's query columns, and a row is accepted
@@ -112,7 +115,8 @@ class TrialOutcome:
 
 def _spliced(flat_a: np.ndarray, diff: np.ndarray, selector: np.ndarray) -> np.ndarray:
     """Flat index of the point taking b's coordinates where selector is 1."""
-    return flat_a + np.einsum("ij,ij->i", diff, selector)
+    # numpy sums int32 into int64 unless told otherwise.
+    return flat_a + (diff * selector).sum(axis=0, dtype=flat_a.dtype)
 
 
 def _sic_queries(flat_a, flat_b, diff, s, t):
@@ -132,9 +136,9 @@ def _shapka_queries(flat_a, flat_b, diff):
     pairs; that makes the check vanish identically on direct sums and agree
     with the local-view residual at b.
     """
-    d = diff.shape[1]
+    d = diff.shape[0]
     columns = [flat_b]
-    columns.extend(flat_a + diff[:, j] for j in range(d))
+    columns.extend(flat_a + diff[j] for j in range(d))
     if d % 2 == 0:
         columns.append(flat_a)
     return columns
@@ -169,7 +173,7 @@ def _tensor_test(kind: str) -> tuple:
 
 
 # Monte Carlo applies a pattern to at most this many trials at a time, so
-# that a sub-block's int64 temporaries stay in cache.
+# that a sub-block's temporaries stay in cache.
 _SUB_BLOCK = 1 << 13
 
 _WORD = 1 << 32
@@ -253,35 +257,46 @@ def _draw(kind: str, shape: Shape, n: int, words):
     returns (estimate_rejection's word source reads them by position, in
     pieces across threads).  Returns (decode, starts): decode(i) is the
     randomness of the up to _SUB_BLOCK trials from start i, laid out as
-    _query_columns takes it: a and b as (rows, d) int64 coordinates and
-    (rows, d) 0/1 selectors, or BLR's x and y as table indices.  decode only
-    reads the words, so threads may decode different starts at once.  Sizes
-    above 2^32 are refused.
+    _query_columns takes it: a and b as axis-major (d, rows) coordinates and
+    (d, rows) 0/1 selectors, or BLR's x and y as table indices.  Coordinates
+    are int32 when the shape has at most 2^31 entries, else int64.  decode
+    only reads the words, so threads may decode different starts at once.
+    Sizes above 2^32 are refused.
     """
     dims, k, groups = _word_groups(kind, shape, n)
     if max(dims) > _WORD:
         raise ValueError(f"cannot draw below {max(dims)}: Monte-Carlo draws are "
                          "limited to sizes up to 2^32")
     d = len(dims)
+    index = np.int32 if shape.size <= 2**31 else np.int64
     drawn = [m > 1 for m in dims]
     stream = _kept_words(groups, words)
-    # Both points' words as (2, d, n); a size-1 axis gets zero words, which
-    # decode to 0 below any m.  Without size-1 axes the words are a view of
-    # the stream, which saves a zero-filled copy of the whole block.
+    # Both points' words as (2, d, n); a size-1 axis gets zero words.  Without
+    # size-1 axes the words are a view of the stream, which saves a
+    # zero-filled copy of the whole block.
     if all(drawn):
         points = stream[:2 * d * n].reshape(2, d, n)
     else:
         points = np.zeros((2, d, n), dtype=np.uint32)
         points[:, drawn] = stream[:2 * sum(drawn) * n].reshape(2, -1, n)
     selectors = stream[stream.size - k * n * d:].reshape(k, n, d)
-    moduli = np.array(dims, dtype=np.uint64)[:, None]
+    # Below m = 2^e Lemire's rule (w * m) >> 32 is w >> (32 - e), which is 0
+    # for m = 1; other sizes take the product on their own axis rows.
+    shifts = np.array([33 - m.bit_length() for m in dims], dtype=np.uint32)[:, None]
+    products = [(j, m) for j, m in enumerate(dims) if m & (m - 1)]
 
     def rows(i):
         j = i + _SUB_BLOCK
-        a, b = _below(points[:, :, i:j], moduli).transpose(0, 2, 1)
+        words = points[:, :, i:j]
+        coords = words >> shifts  # below 2^31 when index is int32
+        a, b = coords.view(index) if index is np.int32 else coords.astype(index)
+        for axis, m in products:
+            a[axis], b[axis] = _below(words[:, axis], m)
         if kind == BLR:
-            return a[:, 0], b[:, 0]
-        return (a, b, *_below(selectors[:, i:j], 2))
+            return a[0], b[0]
+        # Below 2 a word decodes to its top bit.
+        bits = (selectors[:, i:j] >= 2**31).transpose(0, 2, 1)
+        return (a, b, *np.ascontiguousarray(bits))
 
     return rows, range(0, n, _SUB_BLOCK)
 
@@ -292,13 +307,17 @@ def _query_columns(kind: str, shape: Shape, randomness) -> tuple:
         return _blr_queries(*randomness)
     pattern, _ = _tensor_test(kind)
     a, b, *selectors = randomness
-    strides = np.asarray(shape.strides, dtype=np.int64)
-    return pattern(a @ strides, b @ strides, (b - a) * strides, *selectors)
+    strides = np.array(shape.strides, dtype=a.dtype)[:, None]
+    a, b = a * strides, b * strides
+    return pattern(a.sum(axis=0, dtype=a.dtype), b.sum(axis=0, dtype=a.dtype), b - a,
+                   *selectors)
 
 
 def _parity(bits: np.ndarray, columns) -> np.ndarray:
     """Per-row XOR of bits over the query columns: 1 where the test rejects."""
-    return functools.reduce(np.bitwise_xor, (bits[c] for c in columns))
+    # numpy gathers by int32 indices far slower than it casts them to intp.
+    return functools.reduce(np.bitwise_xor,
+                            (bits[np.asarray(c, dtype=np.intp)] for c in columns))
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +331,8 @@ def _tensor_trial(f: BinaryTensor, kind: str, a: Point, b: Point,
         if not f.shape.contains(p):
             raise ShapeMismatchError(f"point {p} outside domain {f.shape.dims}")
     d = f.shape.d
-    rows = [np.array([p], dtype=np.int64) for p in (a, b)]
-    rows.extend((np.array([[m]]) >> np.arange(d)) & 1 for m in masks)
+    rows = [np.array(p, dtype=np.int64)[:, None] for p in (a, b)]
+    rows.extend(((m >> np.arange(d)) & 1)[:, None] for m in masks)
     columns = _query_columns(kind, f.shape, rows)
     queries = tuple(f.shape.point_at(int(c[0])) for c in columns)
     return TrialOutcome(not _parity(f.bits, columns)[0], queries)
@@ -416,8 +435,8 @@ def sample_randomness(kind: str, shape: Shape, rng: np.random.Generator) -> Tria
     arrays = decode(starts[0])
     if kind == BLR:
         return BlrRandomness(*(int(v[0]) for v in arrays))
-    a, b = (tuple(int(v) for v in p[0]) for p in arrays[:2])
-    masks = [sum(int(v) << i for i, v in enumerate(sel[0])) for sel in arrays[2:]]
+    a, b = (tuple(int(v) for v in p[:, 0]) for p in arrays[:2])
+    masks = [sum(int(v) << i for i, v in enumerate(sel[:, 0])) for sel in arrays[2:]]
     if kind == SIC_SUBSETS:
         return SicSubsetsRandomness(a, b, *masks)
     if kind == SHAPKA:

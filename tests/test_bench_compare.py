@@ -10,13 +10,16 @@ bench_compare = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_compare)
 
 
-def write_records(directory, sha, runs):
+def write_records(directory, sha, runs, done=None):
+    """One record per (workload, seed): (ops_per_s, peak_rss_mb), and the
+    completed op count from `done`, 100 where it names none."""
     directory.mkdir()
     for (workload, seed), (ops, rss) in runs.items():
         record = {
             "workload": workload, "seed": seed, "trace": 0, "git_sha": sha,
             "versions": {"python": "3.11.7", "numpy": "2.4.6"},
             "nproc": 2, "RANK1CHECK_THREADS": "2",
+            "samples": {"setup_s": 3, "ops": [(done or {}).get((workload, seed), 100)]},
             "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"},
                         "peak_rss_mb": {"value": rss, "unit": "MB"}},
         }
@@ -48,6 +51,23 @@ def test_pairs_by_workload_and_seed(tmp_path):
     rss = mc["metrics"]["peak_rss_mb"]
     assert (rss["change_better"], rss["better"], rss["bound"]) == (2, "lower", 0.05)
     assert result["workloads"]["cli-session"]["metrics"]["ops_per_s"]["pairs"] == 1
+
+
+def test_median_completed_ops(tmp_path, capsys):
+    # The op counts are paired like the metrics: seed 4 ran on the parent only.
+    runs = {("mc-large", s): (10.0, 100.0) for s in (1, 2, 3)}
+    write_records(tmp_path / "parent", "aaa", {**runs, ("mc-large", 4): (10.0, 100.0)},
+                  {("mc-large", 1): 500, ("mc-large", 2): 520, ("mc-large", 3): 510,
+                   ("mc-large", 4): 9000})
+    write_records(tmp_path / "change", "bbb", runs,
+                  {("mc-large", 1): 700, ("mc-large", 2): 690, ("mc-large", 3): 705})
+    out = tmp_path / "bench.json"
+    assert bench_compare.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                               "-o", str(out)]) == 0
+    mc = json.loads(out.read_text())["workloads"]["mc-large"]
+    assert mc["median_ops"] == {"parent": 510, "change": 700}
+    assert "ops" not in mc["metrics"]
+    assert capsys.readouterr().out == "mc-large: median ops 510 (parent) 700 (change)\n"
 
 
 def test_verdicts_against_the_bound(tmp_path):

@@ -963,3 +963,77 @@ class TestBatchedOracles:
             f = BinaryTensor(shape, rows[i])
             assert rej[i] == exact_rejection(f, SIC_SUBSETS).rejecting
             assert Fraction(int(dist[i]), 12) == nearest_direct_sum(f).distance
+
+
+# ---------------------------------------------------------------------------
+# Maps between shapes
+# ---------------------------------------------------------------------------
+# Each map takes (dims, tables), with tables of shape (T,) + dims, to the
+# larger shape's (dims, tables).  All three keep every test's exact eps and
+# the nearest distance: a lift and a blow-up carry the larger test's
+# randomness onto the smaller test's with the same distribution.
+
+
+def lift(dims, tables, n):
+    """g(x, y) = f(x) on dims + (n,): constant along a new last axis."""
+    return dims + (n,), np.repeat(tables[..., None], n, axis=-1)
+
+
+def blow_up(dims, tables, axis, k):
+    """Each value of the axis becomes k equal copies."""
+    grown = dims[:axis] + (dims[axis] * k,) + dims[axis + 1:]
+    return grown, np.repeat(tables, k, axis=axis + 1)
+
+
+def permute_axes(dims, tables, perm):
+    return tuple(dims[i] for i in perm), tables.transpose(0, *(i + 1 for i in perm))
+
+
+def exact_scores(shape, rows):
+    """Per test, every row's exact eps, and its nearest distance (BLR on binary shapes)."""
+    kinds = ALL_TEST_KINDS if all(n == 2 for n in shape.dims) else TENSOR_TEST_KINDS
+    scores = {"dist": [Fraction(int(c), shape.size) for c in nearest_distances(shape, rows)]}
+    for kind in kinds:
+        rej, total = exact_rejections(shape, kind, rows)
+        scores[kind] = [Fraction(int(r), total) for r in rej]
+    return scores
+
+
+def keeps_scores(dims, tables, mapped_dims, mapped):
+    small = exact_scores(Shape(dims), tables.reshape(len(tables), -1))
+    large = exact_scores(Shape(mapped_dims), mapped.reshape(len(mapped), -1))
+    return all(small[key] == large[key] for key in small.keys() & large.keys())
+
+
+@st.composite
+def shape_maps(draw):
+    """Up to three tensors of at most 12 entries, and one map applied to them."""
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
+                      .filter(lambda ds: np.prod(ds) <= 12)))
+    size = int(np.prod(dims))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=size, max_size=size),
+                         min_size=1, max_size=3))
+    tables = np.array(rows, dtype=np.uint8).reshape((-1,) + dims)
+    how = draw(st.sampled_from(("lift", "blow-up", "permute")))
+    if how == "lift":
+        mapped = lift(dims, tables, draw(st.integers(1, 3)))
+    elif how == "blow-up":
+        axis = draw(st.integers(0, len(dims) - 1))
+        mapped = blow_up(dims, tables, axis, draw(st.integers(2, 3)))
+    else:
+        mapped = permute_axes(dims, tables, draw(st.permutations(range(len(dims)))))
+    return dims, tables, *mapped
+
+
+class TestShapeMaps:
+    @settings(max_examples=60, deadline=None)
+    @given(shape_maps())
+    def test_maps_keep_eps_and_dist(self, case):
+        assert keeps_scores(*case)
+
+    def test_repeating_one_value_changes_them(self):
+        # A blow-up that copies only value 0 of axis 0 moves the AND gate's
+        # distance from 1/4 to 1/6, so the property above would catch it.
+        dims, tables = (2, 2), np.array([[[0, 0], [0, 1]]], dtype=np.uint8)
+        assert keeps_scores(dims, tables, *blow_up(dims, tables, 0, 2))
+        assert not keeps_scores(dims, tables, (3, 2), np.repeat(tables, [2, 1], axis=1))

@@ -337,6 +337,9 @@ class TestSampling:
             for operand in (m, np.uint32(m), np.uint64(m),
                             np.array([m], dtype=np.uint32)):
                 assert _below(words, operand).tolist() == want
+        # Below 2^e the product's top half is the word's top e bits.
+        for e in range(1, 32):
+            assert (words >> (32 - e)).tolist() == _below(words, 2**e).tolist()
 
     def test_deterministic_in_seed(self):
         from rank1check.harness import rng_for
@@ -401,3 +404,70 @@ class TestSampling:
         from rank1check.harness import rng_for
         with pytest.raises(ValueError, match=r"up to 2\^32"):
             sample_randomness(kind, Shape(dims), rng_for(0))
+
+
+class TestIndexDtype:
+    """Monte-Carlo query columns are int32 up to 2^31 entries, int64 above.
+
+    Each shape has power-of-two axes only, so no word is skipped and every
+    trial's coordinates are the top bits of its words.  The columns are
+    checked against flat indices built from Python ints, and no tensor is
+    allocated.
+    """
+
+    @staticmethod
+    def expected(kind, shape, words, n):
+        """Every trial's query indices, decoded from the words in Python."""
+        dims, d = shape.dims, shape.d
+        w = [int(v) for v in words]
+        a, b = ([[(w[(p * d + j) * n + r] * m) >> 32 for j, m in enumerate(dims)]
+                 for r in range(n)] for p in (0, 1))
+        base = 2 * d * n
+
+        def sel(q, r):
+            return [w[base + (q * n + r) * d + j] >> 31 for j in range(d)]
+
+        def at(r, take_b):
+            return shape.index_of([b[r][j] if take_b[j] else a[r][j] for j in range(d)])
+
+        out = []
+        for r in range(n):
+            if kind == SHAPKA:
+                row = [at(r, [1] * d)] + [at(r, [j == i for j in range(d)])
+                                          for i in range(d)]
+                row += [at(r, [0] * d)] if d % 2 == 0 else []
+            elif kind == CONJECTURED:
+                x = sel(0, r)
+                row = [at(r, [0] * d), at(r, x), at(r, [1] * d), at(r, [1 - v for v in x])]
+            else:
+                s, t = sel(0, r), sel(1, r)
+                row = [at(r, [0] * d), at(r, s), at(r, t), at(r, [u ^ v for u, v in zip(s, t)])]
+            out.append(row)
+        return out
+
+    @pytest.mark.parametrize("kind", TENSOR_TEST_KINDS)
+    @pytest.mark.parametrize("dims,dtype", [
+        ((65536, 65536), np.int64),
+        ((2**31,), np.int32),
+        ((2**16, 2**15), np.int32),
+    ])
+    def test_columns_equal_python_indices(self, dims, dtype, kind):
+        from rank1check.testers import _draw, _query_columns
+        shape, n = Shape(dims), 300
+        words = np.random.default_rng(8).integers(0, 2**32, size=4 * n * len(dims),
+                                                  dtype=np.uint32)
+        words[::3] = 2**32 - 1  # the top coordinate on many axes
+        words[1::7] = 0
+        pos = 0
+
+        def source(count):
+            nonlocal pos
+            pos += count
+            return words[pos - count:pos]
+
+        decode, starts = _draw(kind, shape, n, source)
+        columns = _query_columns(kind, shape, decode(starts[0]))
+        assert all(c.dtype == dtype for c in columns)
+        got = np.stack(columns, axis=1).tolist()
+        assert got == self.expected(kind, shape, words, n)
+        assert max(max(row) for row in got) == shape.size - 1

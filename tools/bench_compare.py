@@ -16,9 +16,12 @@ parent's by more than bound x the parent's median.  `unresolved`: the
 parent's q3 - q1 exceeds that same margin, and not every change run reads
 better than every parent run.  `gain`: the change reads better in at least
 nine tenths of the pairs, a tie counting for neither side, and its median
-is better than the parent's by more than the parent's q3 - q1.  The git
-sha, package versions, nproc and RANK1CHECK_THREADS of each side are
-recorded; a side whose records disagree on them is refused.
+is better than the parent's by more than the parent's q3 - q1.  Per
+workload it also gives, and prints, each side's median count of completed
+ops (the records' `samples.ops`): a metric such as peak_rss_mb can move
+with the op count alone.  The git sha, package versions, nproc and
+RANK1CHECK_THREADS of each side are recorded; a side whose records
+disagree on them is refused.
 """
 
 from __future__ import annotations
@@ -36,7 +39,10 @@ ENVIRONMENT = ("git_sha", "versions", "nproc", "RANK1CHECK_THREADS")
 
 
 def load_side(directory: Path) -> tuple[dict, dict]:
-    """(environment, {(workload, seed): metrics}) of one side's records."""
+    """(environment, {(workload, seed): metrics}) of one side's records.
+
+    Each run's count of completed ops is kept beside its metrics, as "ops".
+    """
     records = {}
     env = {}
     for path in sorted(directory.glob("record-*-trace0.json")):
@@ -50,6 +56,7 @@ def load_side(directory: Path) -> tuple[dict, dict]:
                                  f"({env[key]!r} and {record[key]!r})")
         key = (match["workload"], int(match["seed"]))
         records[key] = {name: m["value"] for name, m in record["metrics"].items()}
+        records[key]["ops"] = sum(record["samples"]["ops"])
     if not records:
         raise ValueError(f"{directory}: no record-*-trace0.json files")
     return env, records
@@ -72,6 +79,8 @@ def compare(parent: dict, change: dict, metrics: dict) -> dict:
         if not seeds:
             continue
         rows = {}
+        ops = {side: statistics.median(runs[workload, s]["ops"] for s in seeds)
+               for side, runs in (("parent", parent), ("change", change))}
         for name, spec in metrics.items():
             pairs = [(parent[workload, s][name], change[workload, s][name])
                      for s in seeds
@@ -98,7 +107,7 @@ def compare(parent: dict, change: dict, metrics: dict) -> dict:
                          and sign * (after["median"] - before["median"])
                          > before["q3"] - before["q1"]),
             }
-        out[workload] = {"seeds": seeds, "metrics": rows}
+        out[workload] = {"seeds": seeds, "median_ops": ops, "metrics": rows}
     return out
 
 
@@ -119,6 +128,10 @@ def main(argv=None) -> int:
     result = {"parent": parent_env, "change": change_env,
               "workloads": compare(parent, change, metrics)}
     args.output.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    for workload, row in result["workloads"].items():
+        ops = row["median_ops"]
+        print(f"{workload}: median ops {ops['parent']:g} (parent) "
+              f"{ops['change']:g} (change)")
     return 0
 
 
