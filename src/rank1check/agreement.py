@@ -47,10 +47,9 @@ class DPShape:
     alphabet: int
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(n) for n in self.sizes)
-        object.__setattr__(self, "sizes", sizes)
-        if len(sizes) < 1 or any(n < 1 for n in sizes):
-            raise ValueError(f"coordinate sizes must be positive, got {sizes}")
+        domain = Shape(self.sizes)
+        object.__setattr__(self, "sizes", domain.dims)
+        object.__setattr__(self, "_domain", domain)
         if self.alphabet < 1:
             raise ValueError("alphabet size must be positive")
 
@@ -60,18 +59,13 @@ class DPShape:
 
     @property
     def domain_size(self) -> int:
-        return prod(self.sizes)
+        return self._domain.size
 
     def points(self) -> Iterator[Point]:
-        return itertools.product(*(range(n) for n in self.sizes))
+        return self._domain.points()
 
     def index_of(self, point: Sequence[int]) -> int:
-        idx = 0
-        for x, n in zip(point, self.sizes):
-            if not 0 <= x < n:
-                raise ValueError(f"point {tuple(point)} outside domain {self.sizes}")
-            idx = idx * n + x
-        return idx
+        return self._domain.index_of(point)
 
 
 class DPFunction:
@@ -211,8 +205,7 @@ def _accepting_pairs(g: DPFunction, tied: tuple[int, ...]) -> int:
     return int(sizes @ sizes)
 
 
-def exact_alpha_rejection(g: DPFunction, alpha: Fraction = DEFAULT_ALPHA,
-                          budget: int = DEFAULT_BUDGET) -> ExactRejection:
+def exact_alpha_rejection(g: DPFunction, alpha: Fraction = DEFAULT_ALPHA) -> ExactRejection:
     """Exact rejection of the agreement test with per-coordinate tie rate alpha.
 
     Counts on the common denominator |domain| * q^k * |domain|, where
@@ -227,7 +220,7 @@ def exact_alpha_rejection(g: DPFunction, alpha: Fraction = DEFAULT_ALPHA,
     k = shape.k
     p, q = alpha.numerator, alpha.denominator
     space = shape.domain_size * prod(n + 1 for n in shape.sizes)
-    _check_budget(space, budget, "alpha-test enumeration")
+    _check_budget(space, DEFAULT_BUDGET, "alpha-test enumeration")
     total = shape.domain_size ** 2 * q ** k
     accepting = 0
     for mask in range(1 << k):
@@ -239,8 +232,7 @@ def exact_alpha_rejection(g: DPFunction, alpha: Fraction = DEFAULT_ALPHA,
     return ExactRejection(total - accepting, total)
 
 
-def exact_fixed_t_rejection(g: DPFunction, t: int,
-                            budget: int = DEFAULT_BUDGET) -> ExactRejection:
+def exact_fixed_t_rejection(g: DPFunction, t: int) -> ExactRejection:
     """Exact rejection of the fixed-intersection test with |T| = t.
 
     Each T of size t weighs prod_{i in T} N_i per pair (x, y) that agrees on
@@ -251,7 +243,7 @@ def exact_fixed_t_rejection(g: DPFunction, t: int,
     if not 0 <= t <= k:
         raise ValueError(f"need 0 <= t <= {k}")
     space = shape.domain_size * comb(k, t) * shape.domain_size
-    _check_budget(space, budget, "fixed-t enumeration")
+    _check_budget(space, DEFAULT_BUDGET, "fixed-t enumeration")
     accepting = sum(prod(shape.sizes[i] for i in tied) * _accepting_pairs(g, tied)
                     for tied in itertools.combinations(range(k), t))
     return ExactRejection(space - accepting, space)
@@ -289,8 +281,7 @@ def dp_plurality_decode(g: DPFunction) -> PluralityDecode:
             h[v] = int(np.argmax(counts))
         h.flags.writeable = False
         comps.append(h)
-    decode = PluralityDecode(shape, tuple(comps), Fraction(0))
-    decoded = decode.product()
+    decoded = direct_product(shape, comps)
     agree = int(np.count_nonzero((g.table == decoded.table).all(axis=1)))
     return PluralityDecode(shape, tuple(comps), Fraction(agree, shape.domain_size))
 
@@ -300,8 +291,7 @@ def dp_plurality_decode(g: DPFunction) -> PluralityDecode:
 # ---------------------------------------------------------------------------
 
 
-def sic_to_dp_bridge(f: BinaryTensor, anchor: Point,
-                     budget: int = DEFAULT_BUDGET) -> DPFunction:
+def sic_to_dp_bridge(f: BinaryTensor, anchor: Point) -> DPFunction:
     """Fit an affine function on every cube spanned from the anchor.
 
     f is first normalized to vanish at the anchor (by flipping if needed).
@@ -313,7 +303,7 @@ def sic_to_dp_bridge(f: BinaryTensor, anchor: Point,
     """
     anchor = f.shape.require_point(anchor)
     d = f.shape.d
-    _check_budget(f.shape.size * (2 << d), budget, "bridge enumeration")
+    _check_budget(f.shape.size * (2 << d), DEFAULT_BUDGET, "bridge enumeration")
     g = f if f.value(anchor) == 0 else flip(f)
     diff = (f.shape.point_array() - anchor) * np.asarray(f.shape.strides)
     flat_a = np.full(f.shape.size, f.shape.index_of(anchor), dtype=np.int64)

@@ -26,13 +26,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _parse_dims(text: str, what: str = "shape") -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as e:
-        raise ValueError(f"bad {what} {text!r}: {e}") from e
-
-
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -109,13 +102,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    shape = Shape(_parse_dims(args.shape))
+    shape = Shape(harness.parse_dims(args.shape))
     try:
-        rate = Fraction(args.rate) if args.rate is not None else None
+        rate = harness.parse_fraction(args.rate) if args.rate is not None else None
     except ValueError as e:
         raise ValueError(f"bad rate {args.rate!r}: {e}") from e
-    except ZeroDivisionError as e:
-        raise ValueError(f"bad rate {args.rate!r}: zero denominator") from e
     spec = harness.GeneratorSpec(args.kind, shape, args.seed, rate=rate,
                                  flips=args.flips)
     _write_output(args.output, tensor_to_text(harness.generate(spec)))
@@ -139,7 +130,7 @@ def _assert_soundness(args) -> int:
         raise ValueError("--assert-soundness needs --shape")
     if not args.exhaustive:
         raise ValueError("--assert-soundness currently requires --exhaustive")
-    shape = Shape(_parse_dims(args.shape))
+    shape = Shape(harness.parse_dims(args.shape))
     violation, worst = oracles.exhaustive_soundness(shape, args.test, args.budget)
     if violation:
         index, eps, dist = violation
@@ -178,7 +169,7 @@ def _cmd_decode(args) -> int:
     if args.anchor == "best":
         anchor, ds, dist = oracles.best_anchor_decode(f)
     else:
-        anchor = f.shape.require_point(_parse_dims(args.anchor, "anchor"))
+        anchor = f.shape.require_point(harness.parse_dims(args.anchor, "anchor"))
         ds = oracles.local_view_decode(f, anchor)
         dist = distance(f, ds.materialize())
     _write_output(args.output, tensor_to_text(ds.materialize()))
@@ -203,7 +194,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_spectral(args) -> int:
     lines = [spectral.SPECTRUM_CSV_HEADER]
     for parts_text in args.parts:
-        graph = spectral.build_skeleton(_parse_dims(parts_text, "parts"))
+        graph = spectral.build_skeleton(harness.parse_dims(parts_text, "parts"))
         report = spectral.verify_spectrum(graph)
         lines.append(spectral.spectrum_csv_row(report))
     _write_output(args.output, "\n".join(lines) + "\n")

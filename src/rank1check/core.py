@@ -79,8 +79,6 @@ class Shape:
 
     def point_array(self) -> np.ndarray:
         """All points as an int64 array of shape (size, d), row-major order."""
-        if self.d == 1:
-            return np.arange(self.size, dtype=np.int64).reshape(-1, 1)
         grids = np.indices(self.dims, dtype=np.int64)
         return grids.reshape(self.d, -1).T.copy()
 

@@ -183,7 +183,9 @@ def wilson_interval(rejections: int, trials: int) -> tuple[float, float]:
         trials: total number of trials, at least 1.
 
     Returns:
-        (lower, upper) bounds on the true rejection probability.
+        (lower, upper) bounds on the true rejection probability.  The lower
+        bound is exactly 0.0 at zero rejections and the upper exactly 1.0
+        when every trial rejected; the formula alone misses both by rounding.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -194,7 +196,9 @@ def wilson_interval(rejections: int, trials: int) -> tuple[float, float]:
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     margin = (z / denom) * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
-    return max(0.0, float(center - margin)), min(1.0, float(center + margin))
+    lo = float(center - margin) if rejections else 0.0
+    hi = float(center + margin) if rejections < trials else 1.0
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -368,8 +372,35 @@ _CONFIG_KEYS = ("shapes", "tests", "kinds", "rates", "counts", "trials",
                 "seeds", "oracle_budget")
 
 
-def _split_list(value: str) -> list[str]:
-    return [item.strip() for item in value.split(";") if item.strip()]
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator raised as a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as e:
+        raise ValueError("zero denominator") from e
+
+
+def parse_dims(text: str, what: str = "shape") -> tuple[int, ...]:
+    """Comma-separated integers; a bad one is reported with `what` and the text."""
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError as e:
+        raise ValueError(f"bad {what} {text!r}: {e}") from e
+
+
+def _config_shape(item: str) -> tuple[int, ...]:
+    """A config's shape item; Shape's refusals are named like parse_dims' own."""
+    dims = parse_dims(item)
+    try:
+        return Shape(dims).dims
+    except ValueError as e:
+        raise ValueError(f"bad shape {item!r}: {e}") from e
+
+
+def _items(convert):
+    """Converter of a ';' list: each nonblank item, stripped, through convert."""
+    return lambda value: tuple(convert(item.strip()) for item in value.split(";")
+                               if item.strip())
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
@@ -394,105 +425,52 @@ def parse_sweep_config(text: str) -> SweepConfig:
             raise SweepConfigError(lineno, key, "duplicate key")
         seen[key] = (lineno, value.strip())
 
-    def require(key: str) -> tuple[int, str]:
+    def check(key: str, ok, message: str) -> None:
+        """Raise message on key's line, line 0 for a key not given, unless ok."""
+        if not ok:
+            raise SweepConfigError(seen.get(key, (0,))[0], key, message)
+
+    def get(key: str, convert, default=None):
+        """key's value through convert; default if key is absent, required if None."""
         if key not in seen:
-            raise SweepConfigError(0, key, "required key missing")
-        return seen[key]
-
-    lineno, value = require("shapes")
-    shapes = []
-    for item in _split_list(value):
+            check(key, default is not None, "required key missing")
+            return default
+        lineno, value = seen[key]
         try:
-            dims = tuple(int(tok) for tok in item.split(","))
-            Shape(dims)
+            return convert(value)
         except ValueError as e:
-            raise SweepConfigError(lineno, "shapes", f"bad shape {item!r}: {e}") from e
-        shapes.append(dims)
-    if not shapes:
-        raise SweepConfigError(lineno, "shapes", "needs at least one shape")
+            raise SweepConfigError(lineno, key, str(e)) from e
 
-    lineno, value = require("tests")
-    tests = tuple(_split_list(value))
+    shapes = get("shapes", _items(_config_shape))
+    check("shapes", shapes, "needs at least one shape")
+    tests = get("tests", _items(str))
     for t in tests:
-        if t not in testers.ALL_TEST_KINDS:
-            raise SweepConfigError(lineno, "tests", f"unknown test {t!r}")
-    if not tests:
-        raise SweepConfigError(lineno, "tests", "needs at least one test")
-    if testers.BLR in tests:
-        for dims in shapes:
-            try:
-                testers._require_binary(Shape(dims))
-            except ValueError as e:
-                raise SweepConfigError(lineno, "tests", str(e)) from e
-
-    lineno, value = require("kinds")
-    kinds = tuple(_split_list(value))
+        check("tests", t in testers.ALL_TEST_KINDS, f"unknown test {t!r}")
+    check("tests", tests, "needs at least one test")
+    if testers.BLR in tests:  # testers' own rule and message, on the tests line
+        get("tests", lambda _: [testers._require_binary(Shape(dims)) for dims in shapes])
+    kinds = get("kinds", _items(str))
     for k in kinds:
-        if k not in GENERATOR_KINDS:
-            raise SweepConfigError(lineno, "kinds", f"unknown kind {k!r}")
-    if not kinds:
-        raise SweepConfigError(lineno, "kinds", "needs at least one kind")
-
-    rates: tuple[Fraction, ...] = ()
-    if "rates" in seen:
-        lineno, value = seen["rates"]
-        try:
-            rates = tuple(Fraction(item) for item in _split_list(value))
-        except ValueError as e:
-            raise SweepConfigError(lineno, "rates", str(e)) from e
-        except ZeroDivisionError as e:
-            raise SweepConfigError(lineno, "rates", "zero denominator") from e
-        if any(not 0 <= r <= 1 for r in rates):
-            raise SweepConfigError(lineno, "rates", "rates must lie in [0, 1]")
-
-    flip_counts: tuple[int, ...] = ()
-    if "counts" in seen:
-        lineno, value = seen["counts"]
-        try:
-            flip_counts = tuple(int(item) for item in _split_list(value))
-        except ValueError as e:
-            raise SweepConfigError(lineno, "counts", str(e)) from e
-        if any(c < 0 for c in flip_counts):
-            raise SweepConfigError(lineno, "counts", "counts must be nonnegative")
-        smallest = min(Shape(dims).size for dims in shapes)
-        if KIND_CORRUPTED in kinds and any(c > smallest for c in flip_counts):
-            raise SweepConfigError(
-                lineno, "counts",
-                f"flip count {max(flip_counts)} exceeds the {smallest} entries "
-                "of the smallest shape")
-
+        check("kinds", k in GENERATOR_KINDS, f"unknown kind {k!r}")
+    check("kinds", kinds, "needs at least one kind")
+    rates = get("rates", _items(parse_fraction), ())
+    check("rates", all(0 <= r <= 1 for r in rates), "rates must lie in [0, 1]")
+    flip_counts = get("counts", _items(int), ())
+    check("counts", all(c >= 0 for c in flip_counts), "counts must be nonnegative")
+    smallest = min(Shape(dims).size for dims in shapes)
+    top = max(flip_counts, default=0)
+    check("counts", KIND_CORRUPTED not in kinds or top <= smallest,
+          f"flip count {top} exceeds the {smallest} entries of the smallest shape")
     if KIND_CORRUPTED in kinds and not rates and not flip_counts:
         raise SweepConfigError(0, "rates", "corrupted kind needs rates or counts")
-
-    lineno, value = require("trials")
-    try:
-        trials = int(value)
-    except ValueError as e:
-        raise SweepConfigError(lineno, "trials", str(e)) from e
-    if trials < 1:
-        raise SweepConfigError(lineno, "trials", "needs at least one trial")
-
-    lineno, value = require("seeds")
-    try:
-        seeds = tuple(int(item) for item in _split_list(value))
-    except ValueError as e:
-        raise SweepConfigError(lineno, "seeds", str(e)) from e
-    if not seeds:
-        raise SweepConfigError(lineno, "seeds", "needs at least one seed")
-    if any(s < 0 for s in seeds):
-        raise SweepConfigError(lineno, "seeds", "seeds must be nonnegative")
-
-    oracle_budget = oracles.DEFAULT_BUDGET
-    if "oracle_budget" in seen:
-        lineno, value = seen["oracle_budget"]
-        try:
-            oracle_budget = int(value)
-        except ValueError as e:
-            raise SweepConfigError(lineno, "oracle_budget", str(e)) from e
-        if oracle_budget < 0:
-            raise SweepConfigError(lineno, "oracle_budget", "must be nonnegative")
-
-    return SweepConfig(tuple(shapes), tests, kinds, rates, flip_counts,
+    trials = get("trials", int)
+    check("trials", trials >= 1, "needs at least one trial")
+    seeds = get("seeds", _items(int))
+    check("seeds", seeds, "needs at least one seed")
+    check("seeds", all(s >= 0 for s in seeds), "seeds must be nonnegative")
+    oracle_budget = get("oracle_budget", int, oracles.DEFAULT_BUDGET)
+    check("oracle_budget", oracle_budget >= 0, "must be nonnegative")
+    return SweepConfig(shapes, tests, kinds, rates, flip_counts,
                        trials, seeds, oracle_budget)
 
 

@@ -354,8 +354,8 @@ def exact_rejections(shape: Shape, kind: str, rows,
     return _cube_rejections(bits, shape, kind, k), total
 
 
-def exact_blr_rejection(table, budget: int = DEFAULT_BUDGET) -> ExactRejection:
-    rejecting, total = _blr_rejections(testers.truth_table(table)[None], budget)
+def exact_blr_rejection(table) -> ExactRejection:
+    rejecting, total = _blr_rejections(testers.truth_table(table)[None], DEFAULT_BUDGET)
     return ExactRejection(int(rejecting[0]), total)
 
 
@@ -445,13 +445,13 @@ def _affine_fits(tables: np.ndarray) -> tuple:
     return best // n, best % n, doubled
 
 
-def nearest_affine(table, budget: int = DEFAULT_BUDGET) -> NearestResult:
+def nearest_affine(table) -> NearestResult:
     """Minimum distance over all 2^(D+1) affine functions on F2^D.
 
     Ties go to the smallest (constant, mask) pair.
     """
     t = testers.truth_table(table)
-    _check_budget(2 * t.size, budget, "affine enumeration")
+    _check_budget(2 * t.size, DEFAULT_BUDGET, "affine enumeration")
     constants, masks, doubled = _affine_fits(t[None])
     return NearestResult(partial(AffineWitness, int(constants[0]), int(masks[0])),
                          Fraction(int(doubled[0]) // 2, t.size))

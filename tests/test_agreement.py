@@ -57,6 +57,26 @@ GRID = [
 ]
 
 
+class TestDPShape:
+    def test_domain_is_the_shape_of_the_sizes(self):
+        dsh = DPShape((2, 1, 3), 4)
+        sh = Shape((2, 1, 3))
+        assert (dsh.k, dsh.domain_size) == (3, sh.size)
+        assert list(dsh.points()) == list(sh.points())
+        assert [dsh.index_of(p) for p in dsh.points()] == list(range(sh.size))
+        with pytest.raises(ValueError, match=r"point \(0, 1, 3\) outside"):
+            dsh.index_of((0, 1, 3))
+
+    @pytest.mark.parametrize("sizes,alphabet,message", [
+        ((0, 2), 2, r"axis sizes must be positive, got \(0, 2\)"),
+        ((), 2, "a shape needs at least one axis"),
+        ((2,), 0, "alphabet size must be positive"),
+    ])
+    def test_validation(self, sizes, alphabet, message):
+        with pytest.raises(ValueError, match=message):
+            DPShape(sizes, alphabet)
+
+
 class TestTrials:
     def test_direct_product_accepts_always(self):
         dsh = DPShape((2, 3), 3)

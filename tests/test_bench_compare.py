@@ -1,5 +1,6 @@
 """tools/bench_compare.py on two hand-made record directories."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -98,6 +99,37 @@ def test_verdicts_against_the_bound(tmp_path):
         ("mc-large", "peak_rss_mb"): (False, True),
         ("oracle-mid", "peak_rss_mb"): (False, False),
     }
+
+
+def test_names_each_sides_sources(tmp_path):
+    # Both sides run from copies without git history: each is named by a hash
+    # of its checkout's src/rank1check/*.py, and a side without sources by null.
+    for side, text in (("parent", "x = 1\n"), ("change", "x = 2\n")):
+        package = tmp_path / side / "src" / "rank1check"
+        package.mkdir(parents=True)
+        (package / "core.py").write_text(text)
+        (package / "__init__.py").write_text("")
+        (package / "notes.txt").write_text("not hashed")
+        write_records(tmp_path / side / ".perfbench_out", None,
+                      {("mc-large", 1): (10.0, 100.0)})
+    write_records(tmp_path / "bare", None, {("mc-large", 1): (10.0, 100.0)})
+    out = tmp_path / "bench.json"
+
+    def hashes(parent, change):
+        assert bench_compare.main([str(parent), str(change), "-o", str(out)]) == 0
+        result = json.loads(out.read_text())
+        assert result["parent"]["git_sha"] is None
+        return result["src_sha256"]
+
+    got = hashes(tmp_path / "parent" / ".perfbench_out",
+                 tmp_path / "change" / ".perfbench_out")
+    empty, core = (hashlib.sha256(text).hexdigest() for text in (b"", b"x = 1\n"))
+    listing = (f"{empty}  src/rank1check/__init__.py\n"
+               f"{core}  src/rank1check/core.py\n")
+    assert got["parent"] == hashlib.sha256(listing.encode()).hexdigest()
+    assert got["change"] not in (None, got["parent"])
+    assert hashes(tmp_path / "bare", tmp_path / "parent" / ".perfbench_out") == {
+        "parent": None, "change": got["parent"]}
 
 
 def test_refuses_mixed_thread_counts(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior and exit codes."""
 
+import io
 import os
 import subprocess
 import sys
@@ -112,6 +113,14 @@ class TestTest:
         assert out == ""
         assert err == "error: seed -1 outside [0, 2^64)\n"
 
+    def test_reads_the_tensor_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("shape 2 2\n0001\n"))
+        code, out, err = run(["test", "--input", "-", "--test", "shapka",
+                              "--trials", "1000", "--seed", "3"], capsys)
+        assert (code, err) == (0, "")
+        assert out == ("test=shapka shape=2x2 trials=1000 rejections=270 est=0.27 "
+                       "lo=0.243402 hi=0.298358 seed=3\n")
+
     def test_malformed_tensor_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.tensor"
         bad.write_text("shape 2 2\n01\n")
@@ -167,6 +176,16 @@ class TestOracle:
         assert err == (f"error: direct-sum enumeration on shape {(2,) * 15} needs "
                        "536870912 bytes for its prefix table, beyond the "
                        "268435456-byte ceiling\n")
+
+    @pytest.mark.parametrize("args,message", [
+        ([], "oracle needs --input (or --assert-soundness)"),
+        (["--assert-soundness", "--exhaustive"], "--assert-soundness needs --shape"),
+        (["--assert-soundness", "--shape", "2,2"],
+         "--assert-soundness currently requires --exhaustive"),
+    ])
+    def test_missing_arguments_are_usage_errors(self, capsys, args, message):
+        code, out, err = run(["oracle", "--test", "shapka", *args], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_assert_soundness_passes(self, capsys):
         code, _, err = run(["oracle", "--assert-soundness", "--exhaustive",
@@ -291,6 +310,19 @@ class TestDecode:
         assert dp_plurality_decode(decoded).agreement == 1
 
 
+    @pytest.mark.parametrize("text,message", [
+        ("dpshape 2 x 2 2\n", "bad header 'dpshape 2 x 2 2'"),
+        ("dpshape 2 2 2 2\n0 1\n0 a\n1 1\n0 0\n", "row 1 has a non-integer symbol"),
+        ("dpshape 2 2 0 2\n", "axis sizes must be positive, got (0, 2)"),
+    ])
+    def test_malformed_plurality_input(self, capsys, tmp_path, text, message):
+        src = tmp_path / "g.dp"
+        src.write_text(text)
+        code, out, err = run(["decode", "--input", str(src), "--mode",
+                              "plurality"], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestSweep:
     def test_byte_identical_with_same_master_seed(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -372,6 +404,11 @@ class TestSpectral:
         assert code == 2
         assert out == ""
         assert err.startswith("error: bad parts 'x': ")
+
+    def test_vertex_budget_is_usage_error(self, capsys):
+        code, out, err = run(["spectral", "--parts", "300,300"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: 600 vertices exceeds the 512-vertex budget\n"
 
     def test_no_tolerance_flag(self, capsys):
         code, _, err = run(["spectral", "--parts", "2,3", "--tolerance",

@@ -26,7 +26,7 @@ from rank1check.harness import (
     wilson_interval,
     worker_count,
 )
-from rank1check.oracles import exact_rejection, nearest_direct_sum
+from rank1check.oracles import DEFAULT_BUDGET, exact_rejection, nearest_direct_sum
 from rank1check.testers import (
     ALL_TEST_KINDS,
     BLR,
@@ -152,6 +152,13 @@ class TestWilson:
     def test_zero_rejections_interval_positive(self):
         lo, hi = wilson_interval(0, 100000)
         assert lo == 0.0 and 0 < hi < 1e-3
+
+    @pytest.mark.parametrize("trials", [1, 7, 100, 20000, 10**6])
+    def test_endpoints_are_exact(self, trials):
+        # The interval's lower end at 0 rejections is 0, and its upper end at
+        # `trials` rejections is 1; rounding must not move either.
+        assert wilson_interval(0, trials)[0] == 0.0
+        assert wilson_interval(trials, trials)[1] == 1.0
 
     def test_width_shrinks_like_root_n(self):
         w100 = np.subtract(*wilson_interval(25, 100)[::-1])
@@ -404,6 +411,17 @@ class TestThreadCount:
         assert len(names) == 1
 
 
+_CORRUPTED = "corrupted-direct-sum"
+
+
+def _config(**keys) -> str:
+    """A minimal valid sweep config, each of `keys` set in place, appended,
+    or dropped where its value is None."""
+    lines = {"shapes": "2,2", "tests": "shapka", "kinds": "direct-sum",
+             "trials": "1", "seeds": "1"} | keys
+    return "".join(f"{k} = {v}\n" for k, v in lines.items() if v is not None)
+
+
 class TestSweepConfig:
     def test_parses_default(self):
         cfg = parse_sweep_config(DEFAULT_SWEEP_CONFIG)
@@ -451,6 +469,63 @@ class TestSweepConfig:
         with pytest.raises(SweepConfigError) as err:
             parse_sweep_config(text)
         assert err.value.field == field
+
+    @pytest.mark.parametrize("text,line,field,message", [
+        ("shapes\n" + _config(shapes=None), 1, "shapes", "expected key = value"),
+        ("mystery = 1\n" + _config(), 1, "mystery", "unknown key"),
+        (_config() + "shapes = 2,2\n", 6, "shapes", "duplicate key"),
+        (_config(seeds=None), 0, "seeds", "required key missing"),
+        (_config(shapes="2,x"), 1, "shapes",
+         "bad shape '2,x': invalid literal for int() with base 10: 'x'"),
+        (_config(shapes="0,2"), 1, "shapes",
+         "bad shape '0,2': axis sizes must be positive, got (0, 2)"),
+        (_config(shapes=";"), 1, "shapes", "needs at least one shape"),
+        (_config(tests="shapka; bogus"), 2, "tests", "unknown test 'bogus'"),
+        (_config(tests=";"), 2, "tests", "needs at least one test"),
+        (_config(shapes="2,2; 2,3", tests="shapka; blr"), 2, "tests",
+         "BLR needs every axis of size 2, got shape (2, 3)"),
+        (_config(kinds="bogus"), 3, "kinds", "unknown kind 'bogus'"),
+        (_config(kinds=" ; "), 3, "kinds", "needs at least one kind"),
+        (_config(kinds=_CORRUPTED, rates="abc"), 6, "rates",
+         "Invalid literal for Fraction: 'abc'"),
+        (_config(kinds=_CORRUPTED, rates="1/0"), 6, "rates", "zero denominator"),
+        (_config(kinds=_CORRUPTED, rates="1/8; 3/2"), 6, "rates",
+         "rates must lie in [0, 1]"),
+        (_config(kinds=_CORRUPTED, counts="x"), 6, "counts",
+         "invalid literal for int() with base 10: 'x'"),
+        (_config(kinds=_CORRUPTED, counts="-1"), 6, "counts",
+         "counts must be nonnegative"),
+        (_config(shapes="2,2,2; 2,2", kinds=_CORRUPTED, counts="1; 9"), 6, "counts",
+         "flip count 9 exceeds the 4 entries of the smallest shape"),
+        (_config(kinds=_CORRUPTED), 0, "rates", "corrupted kind needs rates or counts"),
+        # An empty rates line still leaves the kind without a parameter.
+        (_config(kinds=_CORRUPTED, rates=""), 0, "rates",
+         "corrupted kind needs rates or counts"),
+        (_config(trials="none"), 4, "trials",
+         "invalid literal for int() with base 10: 'none'"),
+        (_config(trials="1; 2"), 4, "trials",
+         "invalid literal for int() with base 10: '1; 2'"),
+        (_config(trials="0"), 4, "trials", "needs at least one trial"),
+        (_config(seeds="x"), 5, "seeds", "invalid literal for int() with base 10: 'x'"),
+        (_config(seeds=";"), 5, "seeds", "needs at least one seed"),
+        (_config(seeds="1; -1"), 5, "seeds", "seeds must be nonnegative"),
+        (_config(oracle_budget="x"), 6, "oracle_budget",
+         "invalid literal for int() with base 10: 'x'"),
+        (_config(oracle_budget="-1"), 6, "oracle_budget", "must be nonnegative"),
+    ])
+    def test_error_names_line_key_and_message(self, text, line, field, message):
+        with pytest.raises(SweepConfigError) as err:
+            parse_sweep_config(text)
+        assert (err.value.line, err.value.field) == (line, field)
+        assert str(err.value) == f"line {line}, key {field!r}: {message}"
+
+    def test_optional_keys_and_their_defaults(self):
+        cfg = parse_sweep_config(_config(kinds=_CORRUPTED, counts="0; 4",
+                                         oracle_budget="0"))
+        assert (cfg.rates, cfg.flip_counts, cfg.oracle_budget) == ((), (0, 4), 0)
+        cfg = parse_sweep_config(_config(rates="1/8; 0.5", tests="blr; shapka"))
+        assert cfg.rates == (Fraction(1, 8), Fraction(1, 2))
+        assert (cfg.tests, cfg.oracle_budget) == (("blr", "shapka"), DEFAULT_BUDGET)
 
 
 SMALL_CONFIG = """\

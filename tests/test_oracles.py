@@ -105,9 +105,9 @@ class TestExactRejection:
 
     def test_blr_refuses_cubes_beyond_int64(self):
         # sum_S W(S)^3 can reach n^3 = 2^63 at D = 21, past int64.
-        table = np.zeros(1 << 21, dtype=np.uint8)
+        f = BinaryTensor(Shape((2,) * 21), np.zeros(1 << 21, dtype=np.uint8))
         with pytest.raises(BudgetExceededError, match="int64 limit"):
-            exact_blr_rejection(table, budget=2**42)
+            exact_rejection(f, BLR, budget=2**42)
 
     def test_formulation_equivalence_includes_weighting(self):
         # The cube enumeration weights pairs by cube size; on a shape with

@@ -217,6 +217,12 @@ class TestBlr:
         with pytest.raises(ValueError, match="entries must be 0 or 1"):
             check(table)
 
+    def test_run_trial_reads_the_tensor_as_a_table(self):
+        f = BinaryTensor(Shape((2, 2, 2)), [0, 1, 1, 0, 1, 0, 1, 1])
+        for x, y in itertools.product(range(8), repeat=2):
+            r = BlrRandomness(x, y)
+            assert run_trial(f, BLR, r) == blr_affinity_trial(blr_table(f), r)
+
     def test_blr_table_requires_binary_axes(self):
         with pytest.raises(ValueError):
             blr_table(BinaryTensor(Shape((3,)), [0, 1, 0]))

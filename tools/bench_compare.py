@@ -21,12 +21,16 @@ workload it also gives, and prints, each side's median count of completed
 ops (the records' `samples.ops`): a metric such as peak_rss_mb can move
 with the op count alone.  The git sha, package versions, nproc and
 RANK1CHECK_THREADS of each side are recorded; a side whose records
-disagree on them is refused.
+disagree on them is refused.  Each side's `src_sha256` is recorded too,
+and names the code it ran where the checkout has no git history: the sha256
+of what `sha256sum src/rank1check/*.py` prints, in name order, in the
+checkout that holds the side's directory, or null where it has no such files.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import statistics
@@ -60,6 +64,16 @@ def load_side(directory: Path) -> tuple[dict, dict]:
     if not records:
         raise ValueError(f"{directory}: no record-*-trace0.json files")
     return env, records
+
+
+def src_sha256(directory: Path) -> str | None:
+    """Hash of the package sources in the checkout that holds `directory`."""
+    files = sorted((directory.resolve().parent / "src" / "rank1check").glob("*.py"))
+    if not files:
+        return None
+    listing = "".join(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
+                      f"src/rank1check/{path.name}\n" for path in files)
+    return hashlib.sha256(listing.encode()).hexdigest()
 
 
 def spread(values: list) -> dict:
@@ -126,6 +140,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     result = {"parent": parent_env, "change": change_env,
+              "src_sha256": {"parent": src_sha256(args.parent_dir),
+                             "change": src_sha256(args.change_dir)},
               "workloads": compare(parent, change, metrics)}
     args.output.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     for workload, row in result["workloads"].items():
