@@ -104,9 +104,10 @@ def direct_product(dpshape: DPShape, components: Sequence[Sequence[int]]) -> DPF
     comps = [np.asarray(c, dtype=np.int64) for c in components]
     if len(comps) != dpshape.k:
         raise ValueError(f"need {dpshape.k} components")
+    points = dpshape._domain.point_array()
     table = np.empty((dpshape.domain_size, dpshape.k), dtype=np.int64)
-    for row, point in enumerate(dpshape.points()):
-        table[row] = [comps[i][x] for i, x in enumerate(point)]
+    for i, comp in enumerate(comps):
+        table[:, i] = comp[points[:, i]]
     return DPFunction(dpshape, table)
 
 

@@ -228,25 +228,33 @@ _WORDS_PER_THREAD = 1 << 20
 
 
 def _philox_outputs(key: np.ndarray, start: int, n: int,
-                    pool: concurrent.futures.Executor, workers: int) -> np.ndarray:
-    """Outputs [start, start + n) of a fresh Philox(key), on `workers` threads.
+                    pool: concurrent.futures.Executor, workers: int,
+                    width: int) -> np.ndarray:
+    """The 2n words of outputs [start, start + n) of a fresh Philox(key),
+    each kept at its top `width` bytes (testers._top_bytes), on `workers`
+    threads.
 
     Philox is counter-based: output k of a fresh generator is lane k % 4 of
     counter k // 4 + 1, and Philox(key, counter=c) reads counter c + 1
     first.  So any range of the stream is read from its position alone.
     The range is cut into pieces of _RAW_PIECE outputs; each thread takes
-    the next piece when it is ready and reads it from a generator built at
-    the piece's counter, skipping the lanes before the piece's first output.
-    Every output therefore lands where one sequential read puts it.
+    the next piece when it is ready, reads it from a generator built at the
+    piece's counter, skipping the lanes before the piece's first output, and
+    keeps only the bytes asked for.  Every word therefore lands where one
+    sequential read puts it.  Philox hands out the low and then the high half
+    of each output, so with width 4 the result is the outputs' little-endian
+    uint64 bytes.
     """
-    out = np.empty(n, dtype="<u8")
+    out = np.empty(2 * n, dtype=f"<u{width}")
     pieces = collections.deque(range(0, n, _RAW_PIECE))
 
     def fill():
         for i in _taken(pieces):
             k, size = start + i, min(_RAW_PIECE, n - i)
             source = np.random.Philox(key=key, counter=k // 4)
-            out[i:i + size] = source.random_raw(k % 4 + size)[k % 4:]
+            raw = source.random_raw(k % 4 + size)[k % 4:].astype("<u8", copy=False)
+            out[2 * i:2 * (i + size)] = testers._top_bytes(raw.view("<u4"), width)
+            del raw  # before the next piece's read allocates its own
 
     _on_threads(pool, max(1, min(workers, 2 * n // _WORDS_PER_THREAD)), fill)
     return out
@@ -256,21 +264,22 @@ def _philox_words(key: np.ndarray, pool: concurrent.futures.Executor,
                   workers: int):
     """Word source for testers' draws: Philox(key)'s next_uint32 stream.
 
-    Philox hands out the low and then the high half of each 64-bit output,
-    so word w is half w % 2 of output w // 2.  Each request reads the
-    outputs behind its words with _philox_outputs; one that opens on a high
-    half reads that output again and drops its low half.  Same words as
-    Generator.integers(0, 2**32, dtype=uint32) on a fresh Philox(key),
+    Word w is half w % 2 of output w // 2.  Each request `words(count,
+    width)` reads the outputs behind its words with _philox_outputs, keeping
+    `width` bytes of each word; one that opens on a high half reads that
+    output again and drops its low half.  With width 4 these are the words
+    Generator.integers(0, 2**32, dtype=uint32) gives on a fresh Philox(key),
     which fills them one next_uint32 call at a time.
     """
     position = 0
 
-    def words(count: int) -> np.ndarray:
+    def words(count: int, width: int) -> np.ndarray:
         nonlocal position
         first, skip = divmod(position, 2)
-        raw = _philox_outputs(key, first, (skip + count + 1) // 2, pool, workers)
+        stored = _philox_outputs(key, first, (skip + count + 1) // 2, pool, workers,
+                                 width)
         position += count
-        return raw.view("<u4")[skip:skip + count]
+        return stored[skip:skip + count]
 
     return words
 
@@ -286,8 +295,10 @@ def estimate_rejection(f: BinaryTensor, kind: str, trials: int,
     axes, b's axes, then the selectors row-major (BLR: x, then y), each value
     decoded by Lemire's rule as Generator.integers decodes next_uint32, with
     size-1 axes reading no word.  The counts therefore equal those of
-    per-axis Generator.integers draws.  Each sub-block of the draw then runs
-    through the test's query pattern in testers.
+    per-axis Generator.integers draws.  When every drawn size is a power of
+    two up to 2^8 (2^16), the block keeps only each word's top byte (two
+    bytes), all that its draws decode (testers._word_bytes).  Each sub-block
+    of the draw then runs through the test's query pattern in testers.
 
     Each block runs on up to worker_count() threads, one per
     _WORDS_PER_THREAD words it reads, in two phases.  The stream's words

@@ -196,9 +196,9 @@ def _kept_words(groups: list, words) -> np.ndarray:
     Group (m, count) draws count values below m, 1 < m <= 2^32, the way
     numpy's Generator.integers does: Lemire's rule skips a word w when
     (w * m) mod 2^32 < (2^32 - m) mod m, which never happens for a power of
-    two.  `words(count)` returns the stream's next count 32-bit words;
-    exactly the words the draws consume are read.  Returns the kept words of
-    all groups in draw order.
+    two.  `words(count)` returns the stream's next count words, whole 32-bit
+    words wherever a group can skip; exactly the words the draws consume are
+    read.  Returns the kept words of all groups in draw order.
     """
     buf = words(sum(count for _, count in groups))
     pos = 0
@@ -243,60 +243,101 @@ def _word_groups(kind: str, shape: Shape, n: int) -> tuple:
     return dims, k, [(m, n) for m in dims if m > 1] * 2 + [(2, n * len(dims))] * k
 
 
+def _word_bytes(groups: list) -> int:
+    """Bytes of each 32-bit word that the draws of `groups` need: 1, 2 or 4.
+
+    Below m = 2^e Lemire's rule skips no word and decodes w to its top e
+    bits, so when every group draws below a power of two up to 2^8 (2^16)
+    only each word's top byte (two bytes) is kept.  Any other size keeps the
+    whole word, which Lemire's rule needs both to decode and to decide skips.
+    """
+    for width in (1, 2):
+        if all(not m & (m - 1) and m <= 1 << 8 * width for m, _ in groups):
+            return width
+    return 4
+
+
+def _top_bytes(words: np.ndarray, width: int) -> np.ndarray:
+    """The top `width` bytes of each 32-bit word, as a uint8, uint16 or uint32
+    view: in a little-endian word they are its last `width` bytes."""
+    step = 4 // width
+    return words.astype("<u4", copy=False).view(f"<u{width}")[step - 1::step]
+
+
+def _top_bits(stored: np.ndarray, shift) -> np.ndarray:
+    """stored >> shift, with shift cast to the stored words' dtype: a Python
+    int or a wider array would promote by value under numpy 1, by type under
+    NEP 50."""
+    return stored >> np.asarray(shift, dtype=stored.dtype)
+
+
+def _top_bit_set(stored: np.ndarray, threshold) -> np.ndarray:
+    """stored >= threshold, compared in the stored words' dtype (see _top_bits)."""
+    return stored >= np.asarray(threshold, dtype=stored.dtype)
+
+
 def _draw(kind: str, shape: Shape, n: int, words):
     """n trials' randomness from the test's distribution, as sub-blocks.
 
-    The draws read the 32-bit word stream `words(count)` in this order:
+    The draws read the 32-bit word stream `words(count, width)` in this order:
     tensor tests take a's coordinates axis by axis (n per axis), then b's,
     then each selector as an (n, d) 0/1 array filled row-major; BLR takes
     n values of x, then of y.  A value below m is decoded from its word as
     numpy's Generator.integers decodes next_uint32 (Lemire's rule), and a
     size-1 axis reads no word, so the values match per-axis integers calls
     on the generator the words come from.  This order fixes
-    estimate_rejection's counts per seed.  All words are read before this
-    returns (estimate_rejection's word source reads them by position, in
-    pieces across threads).  Returns (decode, starts): decode(i) is the
-    randomness of the up to _SUB_BLOCK trials from start i, laid out as
-    _query_columns takes it: a and b as axis-major (d, rows) coordinates and
-    (d, rows) 0/1 selectors, or BLR's x and y as table indices.  Coordinates
-    are int32 when the shape has at most 2^31 entries, else int64.  decode
-    only reads the words, so threads may decode different starts at once.
-    Sizes above 2^32 are refused.
+    estimate_rejection's counts per seed.  The source keeps each word's top
+    `width` bytes (_top_bytes), width being _word_bytes of the draws.  All
+    words are read before this returns (estimate_rejection's word source
+    reads them by position, in pieces across threads).  Returns (decode,
+    starts): decode(i) is the randomness of the up to _SUB_BLOCK trials from
+    start i, laid out as _query_columns takes it: a and b as axis-major
+    (d, rows) coordinates and (d, rows) 0/1 selectors, or BLR's x and y as
+    table indices.  Coordinates are int32 when whole words are kept and the
+    shape has at most 2^31 entries, else unsigned in the words' dtype.
+    decode only reads the words, so threads may decode different starts at
+    once.  Sizes above 2^32 are refused.
     """
     dims, k, groups = _word_groups(kind, shape, n)
     if max(dims) > _WORD:
         raise ValueError(f"cannot draw below {max(dims)}: Monte-Carlo draws are "
                          "limited to sizes up to 2^32")
     d = len(dims)
-    index = np.int32 if shape.size <= 2**31 else np.int64
+    width = _word_bytes(groups)
+    bits = 8 * width
     drawn = [m > 1 for m in dims]
-    stream = _kept_words(groups, words)
+    stream = _kept_words(groups, lambda count: words(count, width))
     # Both points' words as (2, d, n); a size-1 axis gets zero words.  Without
     # size-1 axes the words are a view of the stream, which saves a
     # zero-filled copy of the whole block.
     if all(drawn):
         points = stream[:2 * d * n].reshape(2, d, n)
     else:
-        points = np.zeros((2, d, n), dtype=np.uint32)
+        points = np.zeros((2, d, n), dtype=stream.dtype)
         points[:, drawn] = stream[:2 * sum(drawn) * n].reshape(2, -1, n)
     selectors = stream[stream.size - k * n * d:].reshape(k, n, d)
-    # Below m = 2^e Lemire's rule (w * m) >> 32 is w >> (32 - e), which is 0
-    # for m = 1; other sizes take the product on their own axis rows.
-    shifts = np.array([33 - m.bit_length() for m in dims], dtype=np.uint32)[:, None]
+    # Below m = 2^e Lemire's rule (w * m) >> 32 is w >> (32 - e), the stored
+    # top bits shifted by bits - e, which is 0 for m = 1; other sizes keep
+    # whole words and take the product on their own axis rows.
+    shifts = np.array([bits + 1 - m.bit_length() for m in dims])[:, None]
     products = [(j, m) for j, m in enumerate(dims) if m & (m - 1)]
+    # uint32 times int32 strides would promote to int64, so whole-word
+    # coordinates below 2^31 are viewed as int32; narrower ones widen in
+    # _query_columns' stride multiply.
+    signed = width == 4 and shape.size <= 2**31
 
     def rows(i):
         j = i + _SUB_BLOCK
         words = points[:, :, i:j]
-        coords = words >> shifts  # below 2^31 when index is int32
-        a, b = coords.view(index) if index is np.int32 else coords.astype(index)
+        coords = _top_bits(words, shifts)
+        a, b = coords.view(np.int32) if signed else coords
         for axis, m in products:
             a[axis], b[axis] = _below(words[:, axis], m)
         if kind == BLR:
             return a[0], b[0]
         # Below 2 a word decodes to its top bit.
-        bits = (selectors[:, i:j] >= 2**31).transpose(0, 2, 1)
-        return (a, b, *np.ascontiguousarray(bits))
+        selected = _top_bit_set(selectors[:, i:j], 1 << bits - 1).transpose(0, 2, 1)
+        return (a, b, *np.ascontiguousarray(selected))
 
     return rows, range(0, n, _SUB_BLOCK)
 
@@ -307,7 +348,8 @@ def _query_columns(kind: str, shape: Shape, randomness) -> tuple:
         return _blr_queries(*randomness)
     pattern, _ = _tensor_test(kind)
     a, b, *selectors = randomness
-    strides = np.array(shape.strides, dtype=a.dtype)[:, None]
+    index = np.int32 if shape.size <= 2**31 else np.int64
+    strides = np.array(shape.strides, dtype=index)[:, None]
     a, b = a * strides, b * strides
     return pattern(a.sum(axis=0, dtype=a.dtype), b.sum(axis=0, dtype=a.dtype), b - a,
                    *selectors)
@@ -430,8 +472,8 @@ def sample_randomness(kind: str, shape: Shape, rng: np.random.Generator) -> Tria
     per-axis rng.integers draws would.
     """
     decode, starts = _draw(
-        kind, shape, 1,
-        lambda count: rng.integers(0, _WORD, size=count, dtype=np.uint32))
+        kind, shape, 1, lambda count, width: _top_bytes(
+            rng.integers(0, _WORD, size=count, dtype=np.uint32), width))
     arrays = decode(starts[0])
     if kind == BLR:
         return BlrRandomness(*(int(v[0]) for v in arrays))

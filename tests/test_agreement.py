@@ -77,6 +77,33 @@ class TestDPShape:
             DPShape(sizes, alphabet)
 
 
+class TestDirectProduct:
+    @staticmethod
+    def per_point(dpshape, components):
+        """The product table filled one point at a time, in Python."""
+        return np.array([[int(components[i][x]) for i, x in enumerate(p)]
+                         for p in dpshape.points()], dtype=np.int64)
+
+    @pytest.mark.parametrize("sizes,alphabet", [
+        ((4, 4, 4, 4), 3), ((8, 8, 8, 8), 5), ((1, 3, 1), 2), ((2, 3), 1),
+    ])
+    def test_table_equals_the_per_point_loop(self, sizes, alphabet):
+        dsh = DPShape(sizes, alphabet)
+        comps = [rng_for(0, i).integers(0, alphabet, size=n) for i, n in enumerate(sizes)]
+        g = direct_product(dsh, comps)
+        assert g.table.dtype == np.int64
+        assert np.array_equal(g.table, self.per_point(dsh, comps))
+
+    def test_random_shapes_with_size_one_axes(self):
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            sizes = tuple(int(n) for n in rng.choice([1, 1, 2, 3, 5], size=rng.integers(1, 5)))
+            dsh = DPShape(sizes, int(rng.integers(1, 6)))
+            comps = [rng.integers(0, dsh.alphabet, size=n) for n in sizes]
+            g = direct_product(dsh, comps)
+            assert np.array_equal(g.table, self.per_point(dsh, comps)), sizes
+
+
 class TestTrials:
     def test_direct_product_accepts_always(self):
         dsh = DPShape((2, 3), 3)

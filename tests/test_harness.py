@@ -325,8 +325,58 @@ class TestMonteCarloStream:
         assert est.rejections == reference_rejections(f, SIC_SUBSETS, 150000, seed)
 
 
+class TestWordWidths:
+    """Blocks whose drawn sizes are all powers of two keep 1 or 2 bytes of
+    each word, and their counts still equal the per-axis reference.
+
+    Each shape sits on one side of a width boundary, with size-1 axes mixed
+    in.  sic-subsets and sic-cube read at least 2^20 words per 131073-trial
+    block on each of them, so two and three threads split those blocks.
+    """
+
+    WIDTHS = {
+        (256, 1, 2, 2, 2, 1, 2, 2, 2, 2): 1,
+        (512, 2, 1, 2, 2, 2, 1, 2, 2, 2): 2,
+        (65536, 1, 2, 2, 2, 2): 2,
+        (131072, 2, 1, 2, 2, 2): 4,
+    }
+
+    @pytest.mark.parametrize("trials", [1, 8193, 131073])
+    @pytest.mark.parametrize("kind", TENSOR_TEST_KINDS)
+    @pytest.mark.parametrize("dims", list(WIDTHS))
+    def test_counts_on_both_sides_of_each_width(self, monkeypatch, dims, kind, trials):
+        from rank1check.testers import _word_bytes, _word_groups
+        assert _word_bytes(_word_groups(kind, Shape(dims), 1)[2]) == self.WIDTHS[dims]
+        f = generate(GeneratorSpec("uniform-random", Shape(dims), 37))
+        counts = TestThreadCount.counts(monkeypatch, f, kind, trials, 38)
+        assert counts == [reference_rejections(f, kind, trials, 38)] * 3
+
+    @pytest.mark.parametrize("trials", [1, 8193, 131073])
+    @pytest.mark.parametrize("d,width", [(8, 1), (9, 2)])
+    def test_blr_table_sizes(self, monkeypatch, d, width, trials):
+        from rank1check.testers import _word_bytes, _word_groups
+        assert _word_bytes(_word_groups(BLR, Shape((2,) * d), 1)[2]) == width
+        f = generate(GeneratorSpec("uniform-random", Shape((2,) * d), 39))
+        counts = TestThreadCount.counts(monkeypatch, f, BLR, trials, 40)
+        assert counts == [reference_rejections(f, BLR, trials, 40)] * 3
+
+    def test_one_byte_words_bound_the_block(self):
+        # (2,)^16 sic-subsets reads 64 words a trial, each decoded to its top
+        # bit: 25.6 MB of whole words at 1e5 trials, 6.4 MB of top bytes.
+        f = generate(GeneratorSpec("uniform-random", Shape((2,) * 16), 41))
+        harness._estimate_rejection(f, SIC_SUBSETS, 1000, 42, 1)
+        tracemalloc.start()
+        try:
+            harness._estimate_rejection(f, SIC_SUBSETS, 100000, 42, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 << 20
+
+
 class TestPhiloxRaw:
-    """The threaded read by position equals one sequential random_raw."""
+    """The threaded read by position equals one sequential random_raw, kept
+    at each word width."""
 
     # A read of n outputs gets a thread per _WORDS_PER_THREAD / 2 of them.
     @pytest.mark.parametrize("n", [0, 1, 3, 5, harness._WORDS_PER_THREAD - 1,
@@ -336,9 +386,13 @@ class TestPhiloxRaw:
     def test_equals_random_raw(self, start, workers, n):
         key = rng_for(41, 1).bit_generator.state["state"]["key"]
         expected = np.random.Philox(key=key).random_raw(start + n)[start:]
+        words = expected.astype("<u8").view("<u4")
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            got = harness._philox_outputs(key, start, n, pool, workers)
-        assert np.array_equal(got, expected)
+            for width in (1, 2, 4):
+                got = harness._philox_outputs(key, start, n, pool, workers, width)
+                assert got.dtype == np.dtype(f"<u{width}")
+                assert np.array_equal(got, words >> (32 - 8 * width)), width
+        assert np.array_equal(got.view("<u8"), expected)
 
 
 class TestThreadCount:

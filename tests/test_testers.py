@@ -347,6 +347,35 @@ class TestSampling:
         for e in range(1, 32):
             assert (words >> (32 - e)).tolist() == _below(words, 2**e).tolist()
 
+    def test_kept_bytes_decode_as_whole_words(self):
+        # The top 8 * width bits of a word decode below 2^e <= 2^(8 * width)
+        # to Lemire's value, and its top kept bit is its selector bit,
+        # however the shift and threshold are passed.
+        from rank1check.testers import _below, _top_bit_set, _top_bits, _top_bytes
+        words = np.array([0, 1, 2**31 - 1, 2**31, 2**32 - 2**24, 2**32 - 1],
+                         dtype=np.uint32)
+        dtypes = (np.uint8, np.uint16, np.uint32, np.int64)
+
+        def forms(value):
+            yield value
+            for dtype in dtypes:
+                if value <= np.iinfo(dtype).max:
+                    yield dtype(value)
+                    yield np.array([value], dtype=dtype)
+
+        for width in (1, 2, 4):
+            stored = _top_bytes(words, width)
+            assert stored.dtype == np.dtype(f"<u{width}")
+            bits = 8 * width
+            for e in range(bits + 1):
+                want = _below(words, 2**e).tolist()
+                for shift in forms(bits - e):
+                    got = _top_bits(stored, shift)
+                    assert got.dtype == stored.dtype and got.tolist() == want, (width, e)
+            for threshold in forms(1 << bits - 1):
+                got = _top_bit_set(stored, threshold)
+                assert got.tolist() == (words >= 2**31).tolist(), width
+
     def test_deterministic_in_seed(self):
         from rank1check.harness import rng_for
         sh = Shape((3, 2, 3))
@@ -458,7 +487,7 @@ class TestIndexDtype:
         ((2**16, 2**15), np.int32),
     ])
     def test_columns_equal_python_indices(self, dims, dtype, kind):
-        from rank1check.testers import _draw, _query_columns
+        from rank1check.testers import _draw, _query_columns, _top_bytes
         shape, n = Shape(dims), 300
         words = np.random.default_rng(8).integers(0, 2**32, size=4 * n * len(dims),
                                                   dtype=np.uint32)
@@ -466,10 +495,10 @@ class TestIndexDtype:
         words[1::7] = 0
         pos = 0
 
-        def source(count):
+        def source(count, width):
             nonlocal pos
             pos += count
-            return words[pos - count:pos]
+            return _top_bytes(words[pos - count:pos], width)
 
         decode, starts = _draw(kind, shape, n, source)
         columns = _query_columns(kind, shape, decode(starts[0]))
