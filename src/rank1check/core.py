@@ -390,7 +390,7 @@ def reindex(f: BinaryTensor, perms: Sequence[Sequence[int]]) -> BinaryTensor:
 
 def tensor_to_text(f: BinaryTensor) -> str:
     dims = " ".join(str(n) for n in f.shape.dims)
-    body = "".join("1" if b else "0" for b in f.bits)
+    body = (f.bits + ord("0")).tobytes().decode("ascii")
     return f"shape {dims}\n{body}\n"
 
 

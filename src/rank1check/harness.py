@@ -60,28 +60,34 @@ def _pool(workers: int) -> concurrent.futures.ThreadPoolExecutor:
     return concurrent.futures.ThreadPoolExecutor(max(1, workers - 1))
 
 
-def _on_threads(pool: concurrent.futures.Executor, parts: int, task) -> list:
-    """task()'s results from `parts` threads at once: this one and pool's."""
-    later = [pool.submit(task) for _ in range(1, parts)]
-    try:
-        first = task()
-    except BaseException:
-        concurrent.futures.wait(later)  # leave no task running past the error
-        raise
-    return [first] + [job.result() for job in later]
-
-
-def _taken(shared: collections.deque):
-    """Items popped from the left of a deque that threads share, until empty.
+def _shared(fn, items, threads: int, workers: int) -> list:
+    """[fn(item) for item in items], run on this thread and _pool(workers)'s:
+    `threads` of them, but at least 1 and at most `workers` or the item count.
 
     Each thread takes the next item when it is ready for it, so a thread
-    that falls behind takes fewer.
+    that falls behind takes fewer.  Every thread is waited for before an
+    error is raised, so none is left running past it.
     """
-    while True:
-        try:
-            yield shared.popleft()
-        except IndexError:
-            return
+    pending = collections.deque(enumerate(items))
+    results = [None] * len(pending)
+
+    def run():
+        while True:
+            try:
+                i, item = pending.popleft()
+            except IndexError:
+                return
+            results[i] = fn(item)
+
+    later = [_pool(workers).submit(run)
+             for _ in range(1, min(threads, workers, len(pending)))]
+    try:
+        run()
+    finally:
+        concurrent.futures.wait(later)
+    for job in later:
+        job.result()
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -227,59 +233,39 @@ _RAW_PIECE = 1 << 16
 _WORDS_PER_THREAD = 1 << 20
 
 
-def _philox_outputs(key: np.ndarray, start: int, n: int,
-                    pool: concurrent.futures.Executor, workers: int,
-                    width: int) -> np.ndarray:
-    """The 2n words of outputs [start, start + n) of a fresh Philox(key),
-    each kept at its top `width` bytes (testers._top_bytes), on `workers`
-    threads.
-
-    Philox is counter-based: output k of a fresh generator is lane k % 4 of
-    counter k // 4 + 1, and Philox(key, counter=c) reads counter c + 1
-    first.  So any range of the stream is read from its position alone.
-    The range is cut into pieces of _RAW_PIECE outputs; each thread takes
-    the next piece when it is ready, reads it from a generator built at the
-    piece's counter, skipping the lanes before the piece's first output, and
-    keeps only the bytes asked for.  Every word therefore lands where one
-    sequential read puts it.  Philox hands out the low and then the high half
-    of each output, so with width 4 the result is the outputs' little-endian
-    uint64 bytes.
-    """
-    out = np.empty(2 * n, dtype=f"<u{width}")
-    pieces = collections.deque(range(0, n, _RAW_PIECE))
-
-    def fill():
-        for i in _taken(pieces):
-            k, size = start + i, min(_RAW_PIECE, n - i)
-            source = np.random.Philox(key=key, counter=k // 4)
-            raw = source.random_raw(k % 4 + size)[k % 4:].astype("<u8", copy=False)
-            out[2 * i:2 * (i + size)] = testers._top_bytes(raw.view("<u4"), width)
-            del raw  # before the next piece's read allocates its own
-
-    _on_threads(pool, max(1, min(workers, 2 * n // _WORDS_PER_THREAD)), fill)
-    return out
-
-
-def _philox_words(key: np.ndarray, pool: concurrent.futures.Executor,
-                  workers: int):
+def _philox_words(key: np.ndarray, workers: int):
     """Word source for testers' draws: Philox(key)'s next_uint32 stream.
 
-    Word w is half w % 2 of output w // 2.  Each request `words(count,
-    width)` reads the outputs behind its words with _philox_outputs, keeping
-    `width` bytes of each word; one that opens on a high half reads that
-    output again and drops its low half.  With width 4 these are the words
-    Generator.integers(0, 2**32, dtype=uint32) gives on a fresh Philox(key),
-    which fills them one next_uint32 call at a time.
+    Philox is counter-based: output k of a fresh generator is lane k % 4 of
+    counter k // 4 + 1, Philox(key, counter=c) reads counter c + 1 first,
+    and word w is half w % 2 of output w // 2, the low half first.  So any
+    range of the stream is read from its position alone.  Each request
+    `words(count, width)` reads the outputs behind its words in pieces of
+    _RAW_PIECE outputs, each from a generator built at the piece's counter
+    and skipping the lanes before the piece's first output, on one thread
+    per _WORDS_PER_THREAD words, and keeps the top `width` bytes of each
+    word (testers._top_bytes).  A request that opens on a high half reads
+    that output again and drops its low half.  Every word therefore lands
+    where one sequential read puts it: with width 4 these are the words
+    Generator.integers(0, 2**32, dtype=uint32) gives on a fresh Philox(key).
     """
     position = 0
 
     def words(count: int, width: int) -> np.ndarray:
         nonlocal position
         first, skip = divmod(position, 2)
-        stored = _philox_outputs(key, first, (skip + count + 1) // 2, pool, workers,
-                                 width)
+        n = (skip + count + 1) // 2
+        out = np.empty(2 * n, dtype=f"<u{width}")
+
+        def fill(i):  # the piece's raw words are freed when it returns
+            k, size = first + i, min(_RAW_PIECE, n - i)
+            raw = np.random.Philox(key=key, counter=k // 4).random_raw(k % 4 + size)
+            raw = raw[k % 4:].astype("<u8", copy=False).view("<u4")
+            out[2 * i:2 * (i + size)] = testers._top_bytes(raw, width)
+
+        _shared(fill, range(0, n, _RAW_PIECE), 2 * n // _WORDS_PER_THREAD, workers)
         position += count
-        return stored[skip:skip + count]
+        return out[skip:skip + count]
 
     return words
 
@@ -291,22 +277,14 @@ def estimate_rejection(f: BinaryTensor, kind: str, trials: int,
     Trial i's randomness is a fixed function of (seed, i): the Philox
     stream rng_for(seed, 1) is consumed in blocks of _CHUNK trials, so reruns
     with the same seed and trial count reproduce every outcome.  Per block,
-    testers._draw reads the stream's 32-bit words in one bulk request: a's
-    axes, b's axes, then the selectors row-major (BLR: x, then y), each value
-    decoded by Lemire's rule as Generator.integers decodes next_uint32, with
-    size-1 axes reading no word.  The counts therefore equal those of
-    per-axis Generator.integers draws.  When every drawn size is a power of
-    two up to 2^8 (2^16), the block keeps only each word's top byte (two
-    bytes), all that its draws decode (testers._word_bytes).  Each sub-block
-    of the draw then runs through the test's query pattern in testers.
+    testers._draw reads the stream's words in one bulk request and decodes
+    them as per-axis Generator.integers draws would, and each sub-block of
+    the draw runs through the test's query pattern in testers.
 
     Each block runs on up to worker_count() threads, one per
-    _WORDS_PER_THREAD words it reads, in two phases.  The stream's words
-    are read by their position in it (_philox_words), so the threads can
-    read a block's words in pieces and every word stays where one sequential
-    read puts it; then each thread takes the next sub-block when it is ready
-    and the threads' rejections are summed.  Counts do not depend on the
-    thread count.
+    _WORDS_PER_THREAD words it reads: they read its words by position
+    (_philox_words), then share out its sub-blocks and sum their
+    rejections.  Counts do not depend on the thread count.
     """
     return _estimate_rejection(f, kind, trials, seed, worker_count())
 
@@ -321,22 +299,17 @@ def _estimate_rejection(f: BinaryTensor, kind: str, trials: int, seed: int,
     rejections = 0
     # The key numpy built, which for seeds of 2^63 or more is rounded.
     key = rng_for(seed, _STREAM_TRIALS).bit_generator.state["state"]["key"]
-    words = _philox_words(key, _pool(workers), workers)
+    words = _philox_words(key, workers)
     for start in range(0, trials, _CHUNK):
         step = min(_CHUNK, trials - start)
         decode, starts = testers._draw(kind, f.shape, step, words)
-        pending = collections.deque(starts)
 
-        def apply():
-            count = 0
-            for i in _taken(pending):
-                columns = testers._query_columns(kind, f.shape, decode(i))
-                count += int(np.count_nonzero(testers._parity(f.bits, columns)))
-            return count
+        def apply(i):
+            columns = testers._query_columns(kind, f.shape, decode(i))
+            return int(np.count_nonzero(testers._parity(f.bits, columns)))
 
-        shares = step * per_trial // _WORDS_PER_THREAD
-        parts = max(1, min(workers, shares, len(starts)))
-        rejections += sum(_on_threads(_pool(workers), parts, apply))
+        threads = step * per_trial // _WORDS_PER_THREAD
+        rejections += sum(_shared(apply, starts, threads, workers))
     lo, hi = wilson_interval(rejections, trials)
     return RejectionEstimate(trials, rejections, seed, lo, hi)
 
@@ -571,24 +544,16 @@ def run_sweep(config: SweepConfig,
     (the empirical soundness constant at this scale).  Rows are pure
     functions of (config, master_seed); worker threads only change timing.
     Rows run on Monte Carlo's helper threads and this one, each thread
-    taking the next row when it is ready.  While rows run on more than one
-    thread, each row's Monte Carlo runs on one, so threads never nest.
+    taking the next row when it is ready.  A row's Monte Carlo runs on one
+    thread unless the sweep has only one row, so threads never nest.
     """
-    jobs = collections.deque()
-    for dims in config.shapes:
-        for test in config.tests:
-            for kind in config.kinds:
-                for param, extra in _param_values(kind, config):
-                    for seed in config.seeds:
-                        jobs.append((dims, test, kind, param, extra, seed))
+    jobs = [(dims, test, kind, param, extra, seed)
+            for dims in config.shapes for test in config.tests for kind in config.kinds
+            for param, extra in _param_values(kind, config) for seed in config.seeds]
     workers = worker_count()
-    parts = max(1, min(workers, len(jobs)))
-    mc_workers = workers if parts == 1 else 1
-
-    def compute():
-        return [_compute_row(config, master_seed, mc_workers, *job) for job in _taken(jobs)]
-
-    rows = [row for part in _on_threads(_pool(workers), parts, compute) for row in part]
+    mc_workers = workers if len(jobs) == 1 else 1
+    rows = _shared(lambda job: _compute_row(config, master_seed, mc_workers, *job),
+                   jobs, workers, workers)
     rows.sort(key=SweepRow.key)
     summary: dict[str, Fraction] = {}
     for row in rows:

@@ -24,8 +24,8 @@ the tests' one definition, run as trials over the whole space.
   matmul scores every prefix, and the first at the minimum wins.
 By Parseval |sum_S W(S)^3| <= n^3, so int64 holds these counts up to D = 20.
 Oracles raise BudgetExceededError rather than sample when a space is too
-large or its counts overflow int64, and when the cube table would pass
-MAX_CUBE_TABLE_BYTES.
+large or its counts overflow int64, and when a cube, prefix or line table
+would pass MAX_CUBE_TABLE_BYTES.
 
 Each oracle has one kernel that works on a batch of tensors, given as the
 rows of a (T, size) 0/1 matrix: exact_rejections and nearest_distances take
@@ -98,11 +98,12 @@ def _check_budget(required: int, budget: int, what: str) -> None:
 
 
 # The cube table and the (size^2, d) int64 differences it is built from may
-# take this many bytes together, and so may the prefix table.  A larger shape
-# is refused before anything is built: (6,)^4 needs 195 MiB, (8,)^4 2 GiB,
-# and (2,)^15 a 512 MiB prefix table.  The build's other temporaries come on
-# top: (6,)^4 peaks at 268 MiB in tracemalloc and a shape of one axis at about
-# twice its count, while the prefix table is filled in place, near its own bytes.
+# take this many bytes together, and so may the prefix table and the line
+# table.  A larger shape is refused before anything is built: (6,)^4 needs
+# 195 MiB, (8,)^4 2 GiB, (2,)^15 a 512 MiB prefix table and (8192,) a 512 MiB
+# line table.  The build's other temporaries come on top: (6,)^4 peaks at
+# 268 MiB in tracemalloc and a shape of one axis at about twice its count,
+# while the prefix and line tables are filled in place, near their own bytes.
 MAX_CUBE_TABLE_BYTES = 1 << 28
 
 
@@ -206,10 +207,14 @@ def _line_table(shape: Shape) -> tuple:
     """
     pts = shape.point_array()
     flat = np.arange(shape.size, dtype=np.int64)[:, None]
-    lines = np.hstack([flat + (np.arange(n) - pts[:, i:i + 1]) * stride
-                       for i, (n, stride) in enumerate(zip(shape.dims, shape.strides))])
-    offsets = np.cumsum((0,) + shape.dims[:-1])
-    return lines, pts.T + offsets[:, None]
+    offsets = np.cumsum((0,) + shape.dims)
+    lines = np.empty((shape.size, offsets[-1]), dtype=np.int64)
+    for i, (n, stride) in enumerate(zip(shape.dims, shape.strides)):  # filled in place
+        line = lines[:, offsets[i]:offsets[i + 1]]
+        np.subtract(np.arange(n), pts[:, i:i + 1], out=line)
+        line *= stride
+        line += flat
+    return lines, pts.T + offsets[:-1, None]
 
 
 # Tensors times cube entries (or anchors times line points, prefixes or
@@ -300,6 +305,8 @@ def _residuals(rows: np.ndarray, shape: Shape) -> np.ndarray:
     absorbing f(a) when d is even; the decode at b is the XOR of each view
     at b's coordinate.
     """
+    _check_table_bytes(8 * shape.size * (sum(shape.dims) + shape.d), shape,
+                       "local-view decode", "line")
     lines, columns = _cached(("lines", shape.dims), lambda: _line_table(shape))
     n, d = shape.size, shape.d
     width = n + lines.shape[1]  # entries of the views and the residual per anchor

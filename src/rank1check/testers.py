@@ -264,18 +264,6 @@ def _top_bytes(words: np.ndarray, width: int) -> np.ndarray:
     return words.astype("<u4", copy=False).view(f"<u{width}")[step - 1::step]
 
 
-def _top_bits(stored: np.ndarray, shift) -> np.ndarray:
-    """stored >> shift, with shift cast to the stored words' dtype: a Python
-    int or a wider array would promote by value under numpy 1, by type under
-    NEP 50."""
-    return stored >> np.asarray(shift, dtype=stored.dtype)
-
-
-def _top_bit_set(stored: np.ndarray, threshold) -> np.ndarray:
-    """stored >= threshold, compared in the stored words' dtype (see _top_bits)."""
-    return stored >= np.asarray(threshold, dtype=stored.dtype)
-
-
 def _draw(kind: str, shape: Shape, n: int, words):
     """n trials' randomness from the test's distribution, as sub-blocks.
 
@@ -318,8 +306,12 @@ def _draw(kind: str, shape: Shape, n: int, words):
     selectors = stream[stream.size - k * n * d:].reshape(k, n, d)
     # Below m = 2^e Lemire's rule (w * m) >> 32 is w >> (32 - e), the stored
     # top bits shifted by bits - e, which is 0 for m = 1; other sizes keep
-    # whole words and take the product on their own axis rows.
-    shifts = np.array([bits + 1 - m.bit_length() for m in dims])[:, None]
+    # whole words and take the product on their own axis rows.  Below 2 a
+    # word decodes to its top bit.  Shifts and threshold are in the stored
+    # words' dtype: a Python int or a wider array would promote by value
+    # under numpy 1, by type under NEP 50.
+    shifts = np.array([bits + 1 - m.bit_length() for m in dims], dtype=stream.dtype)[:, None]
+    half = np.asarray(1 << bits - 1, dtype=stream.dtype)
     products = [(j, m) for j, m in enumerate(dims) if m & (m - 1)]
     # uint32 times int32 strides would promote to int64, so whole-word
     # coordinates below 2^31 are viewed as int32; narrower ones widen in
@@ -329,14 +321,13 @@ def _draw(kind: str, shape: Shape, n: int, words):
     def rows(i):
         j = i + _SUB_BLOCK
         words = points[:, :, i:j]
-        coords = _top_bits(words, shifts)
+        coords = words >> shifts
         a, b = coords.view(np.int32) if signed else coords
         for axis, m in products:
             a[axis], b[axis] = _below(words[:, axis], m)
         if kind == BLR:
             return a[0], b[0]
-        # Below 2 a word decodes to its top bit.
-        selected = _top_bit_set(selectors[:, i:j], 1 << bits - 1).transpose(0, 2, 1)
+        selected = (selectors[:, i:j] >= half).transpose(0, 2, 1)
         return (a, b, *np.ascontiguousarray(selected))
 
     return rows, range(0, n, _SUB_BLOCK)

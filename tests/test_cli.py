@@ -168,6 +168,17 @@ class TestOracle:
         assert err == ("error: conjectured on shape (8, 8, 8, 8) needs 2193883136 "
                        "bytes for its cube table, beyond the 268435456-byte ceiling\n")
 
+    @pytest.mark.parametrize("args", [["oracle", "--test", "shapka"],
+                                      ["decode", "--mode", "local-view"]])
+    def test_line_table_ceiling_is_usage_error(self, capsys, tmp_path, args):
+        # shapka's count and decode's default best anchor share the table.
+        path = tmp_path / "f.tensor"
+        path.write_text(tensor_to_text(BinaryTensor.zeros(Shape((8192,)))))
+        code, out, err = run(args + ["--input", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: local-view decode on shape (8192,) needs 536936448 "
+                       "bytes for its line table, beyond the 268435456-byte ceiling\n")
+
     def test_prefix_table_ceiling_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "f.tensor"
         path.write_text(tensor_to_text(BinaryTensor.zeros(Shape((2,) * 15))))

@@ -264,6 +264,16 @@ class TestTextFormat:
         f = BinaryTensor(Shape((2, 2)), [0, 1, 1, 0])
         assert tensor_to_text(f) == "shape 2 2\n0110\n"
 
+    def test_body_is_one_character_per_bit(self):
+        # Pinned against the per-bit writer it replaced.
+        rng = np.random.default_rng(22)
+        for dims in [(1,), (7,), (1, 5), (3, 1, 4), (1, 1, 1), (2, 1, 3, 1), (9, 11)]:
+            sh = Shape(dims)
+            f = BinaryTensor(sh, rng.integers(0, 2, sh.size))
+            body = "".join("1" if b else "0" for b in f.bits)
+            head = " ".join(str(n) for n in dims)
+            assert tensor_to_text(f) == f"shape {head}\n{body}\n"
+
     def test_round_trip(self):
         for sh in small_shapes():
             rng = np.random.default_rng(sh.size)

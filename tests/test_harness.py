@@ -1,7 +1,8 @@
 """Generators, Wilson intervals, estimation, sweep configs, CSV determinism."""
 
-import concurrent.futures
+import collections
 import hashlib
+import sys
 import threading
 import time
 import tracemalloc
@@ -10,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rank1check import harness
+from rank1check import harness, testers
 from rank1check.core import Shape
 from rank1check.harness import (
     CSV_HEADER,
@@ -375,8 +376,8 @@ class TestWordWidths:
 
 
 class TestPhiloxRaw:
-    """The threaded read by position equals one sequential random_raw, kept
-    at each word width."""
+    """The word source's threaded read by position equals one sequential
+    random_raw, kept at each word width."""
 
     # A read of n outputs gets a thread per _WORDS_PER_THREAD / 2 of them.
     @pytest.mark.parametrize("n", [0, 1, 3, 5, harness._WORDS_PER_THREAD - 1,
@@ -387,12 +388,79 @@ class TestPhiloxRaw:
         key = rng_for(41, 1).bit_generator.state["state"]["key"]
         expected = np.random.Philox(key=key).random_raw(start + n)[start:]
         words = expected.astype("<u8").view("<u4")
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            for width in (1, 2, 4):
-                got = harness._philox_outputs(key, start, n, pool, workers, width)
-                assert got.dtype == np.dtype(f"<u{width}")
-                assert np.array_equal(got, words >> (32 - 8 * width)), width
+        for width in (1, 2, 4):
+            source = harness._philox_words(key, workers)
+            source(2 * start, width)  # a first read takes the source to output start
+            got = source(2 * n, width)
+            assert got.dtype == np.dtype(f"<u{width}")
+            assert np.array_equal(got, words >> (32 - 8 * width)), width
         assert np.array_equal(got.view("<u8"), expected)
+
+
+class TestShared:
+    """harness._shared, the one path that shares work among threads."""
+
+    def test_results_come_back_in_item_order(self):
+        # Item 0 waits until the last item is done, so items finish out of
+        # order, on two threads.
+        last_done = threading.Event()
+        finished = []
+
+        def square(i):
+            if i == 0:
+                assert last_done.wait(timeout=10)
+            finished.append(i)
+            if i == 5:
+                last_done.set()
+            return i * i
+
+        assert harness._shared(square, range(6), 2, 2) == [i * i for i in range(6)]
+        assert finished[-1] == 0
+
+    @pytest.mark.parametrize("threads,workers,items", [
+        (0, 2, 8), (1, 3, 8), (2, 3, 8), (3, 3, 8), (4, 3, 8), (3, 1, 8), (3, 3, 2),
+        (3, 3, 0)])
+    def test_thread_bound(self, threads, workers, items):
+        seen = set()
+
+        def record(i):
+            seen.add(threading.get_ident())
+            time.sleep(0.005)
+            return -i
+
+        assert harness._shared(record, range(items), threads, workers) == \
+            [-i for i in range(items)]
+        assert len(seen) <= min(max(threads, 1), workers, items)
+
+    def test_threads_run_at_once(self):
+        # Each item waits for the other two, so three threads run them.
+        barrier = threading.Barrier(3)
+
+        def meet(i):
+            barrier.wait(timeout=10)
+            return i
+
+        assert harness._shared(meet, range(3), 3, 3) == [0, 1, 2]
+
+    def test_each_item_runs_once_under_contention(self):
+        # More threads than cores and a short switch interval: an item taken
+        # twice or lost shows in the per-thread records.
+        taken = collections.defaultdict(list)
+
+        def take(i):
+            taken[threading.get_ident()].append(i)
+            return i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                taken.clear()
+                assert harness._shared(take, range(500), 6, 6) == list(range(500))
+                assert sorted(i for items in taken.values() for i in items) == \
+                    list(range(500))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestThreadCount:
@@ -448,21 +516,28 @@ class TestThreadCount:
 
     def test_calls_share_their_helper_thread(self, monkeypatch):
         # Threads started anew each call could each take another malloc
-        # arena, which made peak RSS differ between identical runs.
-        names = set()
-        inner = harness._taken
+        # arena, which made peak RSS differ between identical runs.  The
+        # fill runs testers._top_bytes on each piece and the apply
+        # testers._query_columns on each sub-block.
+        names = {"_top_bytes": set(), "_query_columns": set()}
 
-        def spy(shared):
-            if threading.current_thread() is not threading.main_thread():
-                names.add(threading.current_thread().name)
-            return inner(shared)
+        def spy(name):
+            inner = getattr(testers, name)
 
-        monkeypatch.setattr(harness, "_taken", spy)
+            def call(*args):
+                if threading.current_thread() is not threading.main_thread():
+                    names[name].add(threading.current_thread().name)
+                return inner(*args)
+            return call
+
+        for name in names:
+            monkeypatch.setattr(testers, name, spy(name))
         monkeypatch.setenv("RANK1CHECK_THREADS", "2")
         f = generate(GeneratorSpec("uniform-random", Shape((2,) * 8), 35))
         for seed in range(3):  # 32 words a trial: both phases split in two
             estimate_rejection(f, SIC_SUBSETS, _STREAM_BLOCK, seed)
-        assert len(names) == 1
+        assert names["_top_bytes"] == names["_query_columns"]
+        assert len(names["_top_bytes"]) == 1
 
 
 _CORRUPTED = "corrupted-direct-sum"

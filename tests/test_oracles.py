@@ -413,6 +413,40 @@ class TestShapkaKernel:
         assert r.total == 1296 ** 2
         assert peak < 16 << 20
 
+    def test_line_table_ceiling_refuses_before_building(self, monkeypatch):
+        # (8192,)'s 2^26 pairs pass the default tuple budget, but its line
+        # table would hold 8192 x 8193 int64 indices, 512 MiB.  shapka and
+        # the best-anchor decode share it.
+        monkeypatch.setattr(oracles, "_cache", {})
+        f = BinaryTensor.zeros(Shape((8192,)))
+        for call in (lambda: exact_rejection(f, SHAPKA), lambda: best_anchor_decode(f)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetExceededError) as refused:
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(refused.value) == (
+                "local-view decode on shape (8192,) needs 536936448 bytes for its "
+                "line table, beyond the 268435456-byte ceiling")
+            assert peak < 1 << 20
+
+    def test_line_table_is_filled_in_place(self, monkeypatch):
+        # (4096,)'s line table takes 128 MiB; built by stacking its columns
+        # it peaked at twice that.  On one axis the hybrid of a toward b is b,
+        # so shapka never rejects.
+        monkeypatch.setattr(oracles, "_cache", {})
+        f = BinaryTensor(Shape((4096,)), np.random.default_rng(13).integers(0, 2, 4096))
+        tracemalloc.start()
+        try:
+            r = exact_rejection(f, SHAPKA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (r.rejecting, r.total) == (0, 4096 ** 2)
+        assert peak < 140 << 20
+
     def test_anchor_residuals_are_decode_distances(self):
         f = self.six_by_four()
         residuals = oracles._residuals(f.bits[None], f.shape)[0]

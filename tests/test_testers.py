@@ -347,34 +347,36 @@ class TestSampling:
         for e in range(1, 32):
             assert (words >> (32 - e)).tolist() == _below(words, 2**e).tolist()
 
-    def test_kept_bytes_decode_as_whole_words(self):
-        # The top 8 * width bits of a word decode below 2^e <= 2^(8 * width)
-        # to Lemire's value, and its top kept bit is its selector bit,
-        # however the shift and threshold are passed.
-        from rank1check.testers import _below, _top_bit_set, _top_bits, _top_bytes
-        words = np.array([0, 1, 2**31 - 1, 2**31, 2**32 - 2**24, 2**32 - 1],
-                         dtype=np.uint32)
-        dtypes = (np.uint8, np.uint16, np.uint32, np.int64)
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_kept_bytes_decode_as_whole_words(self, width):
+        # _draw decodes each axis of size 2^e <= 2^(8 * width) from a word's
+        # kept top bytes to Lemire's value, and each selector to the word's
+        # top bit.  Where 2^e alone would keep fewer bytes, a second axis
+        # just past the narrower width makes the draws keep `width`.
+        from rank1check.testers import _draw, _top_bytes
+        edges = np.array([0, 1, 2**31 - 1, 2**31, 2**32 - 2**24, 2**32 - 1],
+                         dtype=np.uint64)
+        n = len(edges)  # so each axis reads the edge words in order
+        narrower = {1: 0, 2: 8, 4: 16}[width]
+        for e in range(8 * width + 1):
+            dims = (2**e,) if e > narrower else (2**e, 2 ** (narrower + 1))
+            reads = []
 
-        def forms(value):
-            yield value
-            for dtype in dtypes:
-                if value <= np.iinfo(dtype).max:
-                    yield dtype(value)
-                    yield np.array([value], dtype=dtype)
+            def source(count, kept):
+                assert kept == width
+                reads.append(np.resize(edges, count).astype(np.uint32))
+                return _top_bytes(reads[-1], kept)
 
-        for width in (1, 2, 4):
-            stored = _top_bytes(words, width)
-            assert stored.dtype == np.dtype(f"<u{width}")
-            bits = 8 * width
-            for e in range(bits + 1):
-                want = _below(words, 2**e).tolist()
-                for shift in forms(bits - e):
-                    got = _top_bits(stored, shift)
-                    assert got.dtype == stored.dtype and got.tolist() == want, (width, e)
-            for threshold in forms(1 << bits - 1):
-                got = _top_bit_set(stored, threshold)
-                assert got.tolist() == (words >= 2**31).tolist(), width
+            decode, starts = _draw(SIC_SUBSETS, Shape(dims), n, source)
+            a, b, s, t = decode(starts[0])
+            assert a.dtype.itemsize == width  # decoded in the kept words' dtype
+            for axis, m in enumerate(dims):
+                want = ((edges * np.uint64(m)) >> np.uint64(32)).tolist()
+                assert a[axis].tolist() == b[axis].tolist() == want, (e, axis)
+            (words,) = reads
+            drawn = sum(m > 1 for m in dims)
+            top = words[2 * drawn * n:].reshape(2, n, len(dims)) >= 2**31
+            assert s.tolist() == top[0].T.tolist() and t.tolist() == top[1].T.tolist()
 
     def test_deterministic_in_seed(self):
         from rank1check.harness import rng_for
