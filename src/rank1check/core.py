@@ -192,6 +192,9 @@ class BinaryTensor:
         arr = as_bits(bits, "tensor")
         if np.may_share_memory(arr, bits):
             arr = arr.copy()  # the caller could still write through its array
+        self._freeze(shape, arr)
+
+    def _freeze(self, shape: Shape, arr: np.ndarray) -> None:
         if arr.size != shape.size:
             raise ValueError(
                 f"expected {shape.size} bits for shape {shape.dims}, got {arr.size}"
@@ -205,12 +208,12 @@ class BinaryTensor:
 
     @classmethod
     def zeros(cls, shape: Shape) -> "BinaryTensor":
-        return cls(shape, np.zeros(shape.size, dtype=np.uint8))
+        return _adopt(shape, np.zeros(shape.size, dtype=np.uint8))
 
     @classmethod
     def from_function(cls, shape: Shape, fn: Callable[[Point], int]) -> "BinaryTensor":
-        return cls(shape, np.fromiter((fn(p) & 1 for p in shape.points()),
-                                      dtype=np.uint8, count=shape.size))
+        return _adopt(shape, np.fromiter((fn(p) & 1 for p in shape.points()),
+                                         dtype=np.uint8, count=shape.size))
 
     def as_nd(self) -> np.ndarray:
         return self.bits.reshape(self.shape.dims)
@@ -231,6 +234,13 @@ class BinaryTensor:
 
     def __repr__(self) -> str:
         return f"BinaryTensor(dims={self.shape.dims}, weight={int(self.bits.sum())})"
+
+
+def _adopt(shape: Shape, bits: np.ndarray) -> BinaryTensor:
+    """A tensor over a fresh array that nothing else holds: checked and frozen, not copied."""
+    f = object.__new__(BinaryTensor)
+    f._freeze(shape, as_bits(bits, "tensor"))
+    return f
 
 
 class DirectSum:
@@ -281,12 +291,26 @@ class DirectSum:
         return v
 
     def materialize(self) -> BinaryTensor:
-        arr = np.zeros(self.shape.dims, dtype=np.uint8)
-        for axis, comp in enumerate(self.components):
-            view = [1] * self.shape.d
-            view[axis] = self.shape.dims[axis]
-            arr ^= comp.reshape(view)
-        return BinaryTensor(self.shape, arr)
+        return _adopt(self.shape, self._bits())
+
+    def _bits(self) -> np.ndarray:
+        """The materialized bits, as a fresh writable flat uint8 array.
+
+        Built tail-first: the end block holds the sum of the later axes, and
+        each earlier axis fills its other rows from it, then adds its own last
+        value to it.  No temporaries; about size * (1 + 1/n_0 + ...) writes.
+        """
+        size = self.shape.size
+        out = np.empty(size, dtype=np.uint8)
+        tail = out[size - self.shape.dims[-1]:]
+        tail[:] = self.components[-1]
+        for comp in reversed(self.components[:-1]):
+            start = size - comp.size * tail.size
+            rows = out[start:size - tail.size].reshape(comp.size - 1, tail.size)
+            np.bitwise_xor(tail, comp[:-1, None], out=rows)
+            tail ^= comp[-1]
+            tail = out[start:]
+        return out
 
     def encoding(self) -> bytes:
         """Canonical bit-string: component bits concatenated in axis order."""
@@ -364,7 +388,7 @@ def distance(f: BinaryTensor, g: BinaryTensor) -> Fraction:
 
 def flip(f: BinaryTensor) -> BinaryTensor:
     """Add the constant-one function."""
-    return BinaryTensor(f.shape, f.bits ^ np.uint8(1))
+    return _adopt(f.shape, f.bits ^ np.uint8(1))
 
 
 def reindex(f: BinaryTensor, perms: Sequence[Sequence[int]]) -> BinaryTensor:
@@ -377,7 +401,7 @@ def reindex(f: BinaryTensor, perms: Sequence[Sequence[int]]) -> BinaryTensor:
         if p.size != n or not np.array_equal(np.sort(p), np.arange(n)):
             raise ValueError(f"permutation for axis {i} is not a permutation of [{n}]")
         idx.append(p)
-    return BinaryTensor(f.shape, f.as_nd()[np.ix_(*idx)])
+    return _adopt(f.shape, f.as_nd()[np.ix_(*idx)])
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +439,11 @@ def tensor_from_text(text: str) -> BinaryTensor:
         raise TensorFormatError(
             f"expected {shape.size} bits, got {len(body)} characters"
         )
-    if set(body) - {"0", "1"}:
-        raise TensorFormatError("bit string may contain only 0 and 1")
-    return BinaryTensor(shape, np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-                        - ord("0"))
+    # One byte per character, "?" for non-ASCII ones; every byte but "0" and
+    # "1" then becomes a value above 1 and fails the bit check.
+    raw = body.encode("ascii", "replace")
+    del lines, body  # free the str copy of the body before the bits are made
+    try:
+        return _adopt(shape, np.frombuffer(raw, dtype=np.uint8) - ord("0"))
+    except ValueError:  # the length is checked above, so only the bits can fail
+        raise TensorFormatError("bit string may contain only 0 and 1") from None

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import BinaryTensor, DirectSum, Shape
+from .core import BinaryTensor, DirectSum, Shape, _adopt
 from . import oracles, testers
 
 _MASK64 = (1 << 64) - 1
@@ -130,10 +130,13 @@ class GeneratorSpec:
             raise ValueError(f"kind {self.kind!r} takes no corruption parameter")
 
 
-_RATE_CHUNK = 1 << 20
+# Rate draws go through one reused buffer of this many doubles.
+_RATE_CHUNK = 1 << 16
 
-# generate refuses larger shapes before allocating: a tensor holds a byte
-# per entry and the corrupted kinds copy it, about 512 MiB at the ceiling.
+# generate refuses larger shapes before allocating.  Every kind is built and
+# corrupted in one buffer of a byte per entry, 256 MiB at the ceiling, beside
+# 576 KiB of rate draws.  A flip count above size/50 is the exception: numpy's
+# choice then permutes an int64 array of the whole domain.
 MAX_GENERATE_ENTRIES = 1 << 28
 
 
@@ -146,27 +149,27 @@ def generate(spec: GeneratorSpec) -> BinaryTensor:
             f"{MAX_GENERATE_ENTRIES}-entry ceiling for generated tensors")
     rng = rng_for(spec.seed, _STREAM_GENERATE)
     if spec.kind == KIND_UNIFORM:
-        return BinaryTensor(shape, rng.integers(0, 2, size=shape.size, dtype=np.uint8))
+        return _adopt(shape, rng.integers(0, 2, size=shape.size, dtype=np.uint8))
     if spec.kind == KIND_INDICATOR:
         bits = np.zeros(shape.size, dtype=np.uint8)
         bits[int(rng.integers(0, shape.size))] = 1
-        return BinaryTensor(shape, bits)
-    base = DirectSum.random(shape, rng).materialize()
-    if spec.kind == KIND_DIRECT_SUM:
-        return base
-    bits = base.bits.copy()
+        return _adopt(shape, bits)
+    bits = DirectSum.random(shape, rng)._bits()
     if spec.rate is not None:
-        # One double per entry, drawn a chunk at a time: the same doubles in
-        # the same order as a single rng.random(shape.size), without the
-        # whole-tensor float64 array.
+        # One double per entry: the same doubles in the same order as a
+        # single rng.random(shape.size), without the whole-tensor array.
         rate = float(spec.rate)
+        draws = np.empty(min(_RATE_CHUNK, shape.size))
+        hits = np.empty(draws.size, dtype=bool)
         for i in range(0, shape.size, _RATE_CHUNK):
             chunk = bits[i:i + _RATE_CHUNK]
-            chunk ^= rng.random(chunk.size) < rate
+            d, h = draws[:chunk.size], hits[:chunk.size]
+            rng.random(out=d)
+            chunk ^= np.less(d, rate, out=h).view(np.uint8)
     elif spec.flips:
         idx = rng.choice(shape.size, size=spec.flips, replace=False)
         bits[idx] ^= 1
-    return BinaryTensor(shape, bits)
+    return _adopt(shape, bits)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ the tests' one definition, run as trials over the whole space.
   matmul scores every prefix, and the first at the minimum wins.
 By Parseval |sum_S W(S)^3| <= n^3, so int64 holds these counts up to D = 20.
 Oracles raise BudgetExceededError rather than sample when a space is too
-large or its counts overflow int64, and when a cube, prefix or line table
-would pass MAX_CUBE_TABLE_BYTES.
+large or its counts overflow int64, and when a cube, prefix or line table,
+or nearest_affine's Walsh working set, would pass MAX_CUBE_TABLE_BYTES.
 
 Each oracle has one kernel that works on a batch of tensors, given as the
 rows of a (T, size) 0/1 matrix: exact_rejections and nearest_distances take
@@ -45,7 +45,7 @@ from math import prod
 
 import numpy as np
 
-from .core import BinaryTensor, DirectSum, Point, Shape, as_bits, axes_of
+from .core import BinaryTensor, DirectSum, Point, Shape, _adopt, as_bits, axes_of
 from . import testers
 
 DEFAULT_BUDGET = 1 << 32
@@ -98,19 +98,20 @@ def _check_budget(required: int, budget: int, what: str) -> None:
 
 
 # The cube table and the (size^2, d) int64 differences it is built from may
-# take this many bytes together, and so may the prefix table and the line
-# table.  A larger shape is refused before anything is built: (6,)^4 needs
-# 195 MiB, (8,)^4 2 GiB, (2,)^15 a 512 MiB prefix table and (8192,) a 512 MiB
-# line table.  The build's other temporaries come on top: (6,)^4 peaks at
-# 268 MiB in tracemalloc and a shape of one axis at about twice its count,
-# while the prefix and line tables are filled in place, near their own bytes.
+# take this many bytes together, and so may the prefix table, the line table
+# and nearest_affine's Walsh working set.  A larger shape is refused before
+# anything is built: (6,)^4 needs 195 MiB, (8,)^4 2 GiB, (2,)^15 a 512 MiB
+# prefix table, (8192,) a 512 MiB line table and a table on F2^23 320 MiB.
+# The build's other temporaries come on top: (6,)^4 peaks at 268 MiB in
+# tracemalloc and a shape of one axis at about twice its count, while the
+# prefix and line tables are filled in place, near their own bytes.
 MAX_CUBE_TABLE_BYTES = 1 << 28
 
 
-def _check_table_bytes(needed: int, shape: Shape, what: str, table: str) -> None:
+def _check_table_bytes(needed: int, dims: tuple, what: str, table: str) -> None:
     if needed > MAX_CUBE_TABLE_BYTES:
         raise BudgetExceededError(
-            f"{what} on shape {shape.dims} needs {needed} bytes for its {table} "
+            f"{what} on shape {dims} needs {needed} bytes for its {table} "
             f"table, beyond the {MAX_CUBE_TABLE_BYTES}-byte ceiling"
         )
 
@@ -121,7 +122,8 @@ def _check_cube_bytes(shape: Shape, what: str) -> None:
     # 1 + 2 sum_i (n_i - 1) entries of the pairs with w < 2.
     spans = prod(2 * n - 1 for n in shape.dims) - 1 - 2 * sum(n - 1 for n in shape.dims)
     if spans:  # an empty table builds nothing
-        _check_table_bytes(8 * shape.size * (spans + shape.size * shape.d), shape, what, "cube")
+        _check_table_bytes(8 * shape.size * (spans + shape.size * shape.d), shape.dims, what,
+                           "cube")
 
 
 def _check_int64(bound: int, what: str) -> None:
@@ -305,7 +307,7 @@ def _residuals(rows: np.ndarray, shape: Shape) -> np.ndarray:
     absorbing f(a) when d is even; the decode at b is the XOR of each view
     at b's coordinate.
     """
-    _check_table_bytes(8 * shape.size * (sum(shape.dims) + shape.d), shape,
+    _check_table_bytes(8 * shape.size * (sum(shape.dims) + shape.d), shape.dims,
                        "local-view decode", "line")
     lines, columns = _cached(("lines", shape.dims), lambda: _line_table(shape))
     n, d = shape.size, shape.d
@@ -375,7 +377,8 @@ def _prefix_table(shape: Shape) -> np.ndarray:
     """Canonical sums on axes 0..d-2 in enumeration order, as (prefixes, size / n_last) uint8."""
     dims = shape.dims[:-1]
     free = [(i, v) for i, n in enumerate(dims) for v in range(i > 0, n)]
-    _check_table_bytes(prod(dims) << len(free), shape, "direct-sum enumeration", "prefix")
+    _check_table_bytes(prod(dims) << len(free), shape.dims, "direct-sum enumeration",
+                       "prefix")
     coords = np.indices(dims).reshape(len(dims), prod(dims))
     table = np.zeros((1 << len(free), prod(dims)), dtype=np.uint8)
     for m, (i, v) in enumerate(reversed(free)):  # the first free entry ends most significant
@@ -422,7 +425,7 @@ def nearest_direct_sum(f: BinaryTensor, budget: int = DEFAULT_BUDGET) -> Nearest
 
 def _nearest_sum(f: BinaryTensor, p: np.ndarray) -> DirectSum:
     last = 2 * (f.bits.reshape(p.size, -1) ^ p[:, None]).sum(axis=0) > p.size
-    return local_view_decode(BinaryTensor(f.shape, p[:, None] ^ last), f.shape.origin())
+    return local_view_decode(_adopt(f.shape, p[:, None] ^ last), f.shape.origin())
 
 
 def nearest_distances(shape: Shape, rows, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -458,7 +461,9 @@ def nearest_affine(table) -> NearestResult:
     Ties go to the smallest (constant, mask) pair.
     """
     t = testers.truth_table(table)
-    _check_budget(2 * t.size, DEFAULT_BUDGET, "affine enumeration")
+    # The int64 transform, its n - W and n + W halves and their concatenation.
+    dims = (2,) * (t.size.bit_length() - 1)
+    _check_table_bytes(40 * t.size, dims, "affine enumeration", "Walsh")
     constants, masks, doubled = _affine_fits(t[None])
     return NearestResult(partial(AffineWitness, int(constants[0]), int(masks[0])),
                          Fraction(int(doubled[0]) // 2, t.size))

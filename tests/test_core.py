@@ -173,6 +173,22 @@ class TestDirectSum:
             assert encodings == sorted(encodings)
             assert len(set(encodings)) == len(sums)
 
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_materialize_matches_broadcast_xor(self, data):
+        # The reference: start from zeros and XOR in each component along
+        # its own axis, one full pass per axis.
+        shape = data.draw(shapes(max_d=5, max_n=4))
+        comps = [data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+                 for n in shape.dims]
+        ds = DirectSum(shape, comps)
+        expected = np.zeros(shape.dims, dtype=np.uint8)
+        for axis, comp in enumerate(ds.components):
+            view = [1] * shape.d
+            view[axis] = shape.dims[axis]
+            expected ^= comp.reshape(view)
+        assert np.array_equal(ds.materialize().as_nd(), expected)
+
     def test_canonicalization_soundness_exhaustive(self):
         # Equal materializations iff equal canonical forms, over every pair
         # of direct sums on (2,2,2).
@@ -280,6 +296,13 @@ class TestTextFormat:
             f = BinaryTensor(sh, rng.integers(0, 2, sh.size))
             assert tensor_from_text(tensor_to_text(f)) == f
 
+    @pytest.mark.parametrize("body", ["0112", "01/0", "01\x000", "01\u00e90", "0\u20ac10"])
+    def test_bad_characters_message(self, body):
+        # Characters below "0" wrap to large bytes and non-ASCII ones are
+        # read as "?"; every one gets the same message.
+        with pytest.raises(TensorFormatError, match="^bit string may contain only 0 and 1$"):
+            tensor_from_text(f"shape 2 2\n{body}\n")
+
     @pytest.mark.parametrize("text", [
         "",
         "shape 2 2\n0110",          # missing trailing newline is fine; this is
@@ -326,7 +349,8 @@ class TestTensorValidation:
         lambda: np.zeros(4, dtype=np.uint8),
         lambda: np.zeros((2, 2), dtype=np.uint8),
         lambda: bytearray(4),
-    ], ids=["flat", "nd", "bytearray"])
+        lambda: np.zeros(6, dtype=np.uint8)[1:5],
+    ], ids=["flat", "nd", "bytearray", "slice"])
     def test_owns_its_bits(self, make):
         # Writing to the array the tensor was built from must not reach it.
         src = make()
@@ -336,3 +360,25 @@ class TestTensorValidation:
         assert f.value((0, 0)) == 0
         assert hash(f) == h
         assert f == BinaryTensor.zeros(Shape((2, 2)))
+
+    def test_every_producer_is_read_only(self):
+        sh = Shape((3, 1, 2))
+        rng = np.random.default_rng(9)
+        f = BinaryTensor(sh, rng.integers(0, 2, sh.size))
+        ds = DirectSum.random(sh, rng)
+        made = [
+            f,
+            BinaryTensor.zeros(sh),
+            BinaryTensor.from_function(sh, lambda p: p[0] ^ p[2]),
+            ds.materialize(),
+            materialize(ds),
+            flip(f),
+            reindex(f, [[2, 0, 1], [0], [1, 0]]),
+            tensor_from_text(tensor_to_text(f)),
+        ]
+        for g in made:
+            assert not g.bits.flags.writeable
+            with pytest.raises(ValueError):
+                g.bits[0] = 1
+        for c in ds.components:
+            assert not c.flags.writeable

@@ -79,7 +79,7 @@ class TestGenerate:
         assert abs(mean - 8.0) <= 3 * sigma / np.sqrt(n)
 
     # sha256 of the bits, pinned before the rate mask was drawn in chunks:
-    # (8,)^8 is exactly 16 chunks of 2^20 entries, (1000, 1500) ends on a
+    # (8,)^8 is exactly 256 chunks of 2^16 entries, (1000, 1500) ends on a
     # partial one.
     @pytest.mark.parametrize("dims, seed, rate, sha", [
         ((8,) * 8, 7, Fraction(1, 16),
@@ -91,16 +91,29 @@ class TestGenerate:
         f = generate(GeneratorSpec("corrupted-direct-sum", Shape(dims), seed, rate=rate))
         assert hashlib.sha256(f.bits.tobytes()).hexdigest() == sha
 
-    def test_rate_mask_drawn_in_chunks(self):
-        # A whole-tensor float64 mask alone would take 128 MiB here.
+    @pytest.mark.parametrize("kind, extra", [
+        ("direct-sum", {}),
+        ("corrupted-direct-sum", {"rate": Fraction(1, 16)}),
+        ("corrupted-direct-sum", {"flips": 1000}),
+        ("uniform-random", {}),
+        ("single-point-indicator", {}),
+    ], ids=["direct-sum", "rate", "flips", "uniform", "indicator"])
+    def test_peak_is_the_tensor_and_one_rate_buffer(self, kind, extra):
+        # Every kind is built and corrupted in the tensor's own bytes.  A
+        # whole-tensor float64 rate mask alone would take 128 MiB here, and
+        # each copy of the bits 16 MiB.  A flip count above size/50 is not
+        # covered: numpy's choice then permutes an int64 array of the domain.
+        generate(GeneratorSpec(kind, Shape((2,) * 10), 7, **extra))  # lazy set-up
+        shape = Shape((8,) * 8)
         tracemalloc.start()
         try:
-            generate(GeneratorSpec("corrupted-direct-sum", Shape((8,) * 8), 7,
-                                   rate=Fraction(1, 16)))
+            f = generate(GeneratorSpec(kind, shape, 7, **extra))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 << 20
+        rate_buffer = 9 * harness._RATE_CHUNK  # the doubles and their hits
+        assert peak <= shape.size + rate_buffer + (64 << 10)
+        assert not f.bits.flags.writeable
 
     def test_indicator_has_weight_one(self):
         f = generate(GeneratorSpec("single-point-indicator", Shape((3, 3)), 4))

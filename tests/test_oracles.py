@@ -689,6 +689,32 @@ class TestNearestAffine:
                 assert res.distance == Fraction(dist, n)
                 assert res.witness == AffineWitness(c, m)
 
+    def test_walsh_working_set_refused_before_building(self):
+        # 40 bytes per entry: 320 MiB on F2^23, beyond the 256 MiB ceiling.
+        table = np.zeros(1 << 23, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as refused:
+                nearest_affine(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == (
+            f"affine enumeration on shape {(2,) * 23} needs 335544320 bytes for "
+            "its Walsh table, beyond the 268435456-byte ceiling")
+        assert peak < 1 << 20
+
+    def test_walsh_working_set_is_what_is_counted(self):
+        table = np.random.default_rng(16).integers(0, 2, 1 << 16, dtype=np.uint8)
+        nearest_affine(table[:4])  # lazy set-up
+        tracemalloc.start()
+        try:
+            nearest_affine(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * table.size + (64 << 10)  # 2.5 MiB
+
 
 class TestLocalViewDecode:
     def test_direct_sum_round_trip_every_anchor(self):
