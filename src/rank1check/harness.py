@@ -11,6 +11,7 @@ import collections
 import concurrent.futures
 import functools
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -236,39 +237,73 @@ _RAW_PIECE = 1 << 16
 _WORDS_PER_THREAD = 1 << 20
 
 
-def _philox_words(key: np.ndarray, workers: int):
-    """Word source for testers' draws: Philox(key)'s next_uint32 stream.
+def _philox_words(key: np.ndarray, position: int, count: int, width: int,
+                  workers: int) -> np.ndarray:
+    """Words [position, position + count) of Philox(key)'s next_uint32 stream,
+    each cut to its top `width` bytes (testers._top_bytes).
 
     Philox is counter-based: output k of a fresh generator is lane k % 4 of
     counter k // 4 + 1, Philox(key, counter=c) reads counter c + 1 first,
     and word w is half w % 2 of output w // 2, the low half first.  So any
-    range of the stream is read from its position alone.  Each request
-    `words(count, width)` reads the outputs behind its words in pieces of
-    _RAW_PIECE outputs, each from a generator built at the piece's counter
-    and skipping the lanes before the piece's first output, on one thread
-    per _WORDS_PER_THREAD words, and keeps the top `width` bytes of each
-    word (testers._top_bytes).  A request that opens on a high half reads
-    that output again and drops its low half.  Every word therefore lands
-    where one sequential read puts it: with width 4 these are the words
-    Generator.integers(0, 2**32, dtype=uint32) gives on a fresh Philox(key).
+    range of the stream is read from its position alone.  The outputs behind
+    the words are read in pieces of _RAW_PIECE outputs, each from a generator
+    built at the piece's counter and skipping the lanes before the piece's
+    first output, on one thread per _WORDS_PER_THREAD words.  A range that
+    opens on a high half reads that output again and drops its low half.
+    Every word therefore lands where one sequential read puts it: with width
+    4 these are the words Generator.integers(0, 2**32, dtype=uint32) gives
+    on a fresh Philox(key) after `position` words.
     """
+    first, skip = divmod(position, 2)
+    n = (skip + count + 1) // 2
+    out = np.empty(2 * n, dtype=f"<u{width}")
+
+    def fill(i):  # the piece's raw words are freed when it returns
+        k, size = first + i, min(_RAW_PIECE, n - i)
+        raw = np.random.Philox(key=key, counter=k // 4).random_raw(k % 4 + size)
+        raw = raw[k % 4:].astype("<u8", copy=False).view("<u4")
+        out[2 * i:2 * (i + size)] = testers._top_bytes(raw, width)
+
+    _shared(fill, range(0, n, _RAW_PIECE), 2 * n // _WORDS_PER_THREAD, workers)
+    return out[skip:skip + count]
+
+
+# The words of the last first block read, as (key bytes, width, words from
+# word 0), kept read-only for the next call on the same stream.
+_first_block = None
+_first_block_lock = threading.Lock()
+
+
+def _trial_words(key: np.ndarray, workers: int):
+    """estimate_rejection's word source: `words(count, width)` returns the
+    next count words of Philox(key)'s stream.
+
+    Every call reads its first block from word 0, and each test's draws are
+    a prefix of sic-subsets', whatever the shape.  So the process keeps the
+    words of the last read from word 0: a read of the same key and width
+    that lies inside them is a view of them, and any other read goes
+    through _philox_words.  Only a read from word 0 replaces them: a
+    block's top-ups of skipped words and a call's later blocks start where
+    no other call of the stream starts.  A word depends only on its key,
+    position and width, so counts do not depend on what was kept.
+    """
+    name = key.tobytes()
     position = 0
 
     def words(count: int, width: int) -> np.ndarray:
+        global _first_block
         nonlocal position
-        first, skip = divmod(position, 2)
-        n = (skip + count + 1) // 2
-        out = np.empty(2 * n, dtype=f"<u{width}")
-
-        def fill(i):  # the piece's raw words are freed when it returns
-            k, size = first + i, min(_RAW_PIECE, n - i)
-            raw = np.random.Philox(key=key, counter=k // 4).random_raw(k % 4 + size)
-            raw = raw[k % 4:].astype("<u8", copy=False).view("<u4")
-            out[2 * i:2 * (i + size)] = testers._top_bytes(raw, width)
-
-        _shared(fill, range(0, n, _RAW_PIECE), 2 * n // _WORDS_PER_THREAD, workers)
-        position += count
-        return out[skip:skip + count]
+        start, position = position, position + count
+        with _first_block_lock:
+            kept = _first_block
+        if kept is not None and kept[:2] == (name, width) and position <= kept[2].size:
+            return kept[2][start:position]
+        out = _philox_words(key, start, count, width, workers)
+        if start == 0:
+            out.flags.writeable = False
+            with _first_block_lock:
+                _first_block = (name, width, out)
+        return out
 
     return words
 
@@ -288,6 +323,11 @@ def estimate_rejection(f: BinaryTensor, kind: str, trials: int,
     _WORDS_PER_THREAD words it reads: they read its words by position
     (_philox_words), then share out its sub-blocks and sum their
     rejections.  Counts do not depend on the thread count.
+
+    The words are read through _trial_words, which keeps the last first
+    block read, so a tensor's other tests and a sweep's other rows of the
+    seed read none of its words again.  After a call returns, the process
+    holds at most one first block's words.
     """
     return _estimate_rejection(f, kind, trials, seed, worker_count())
 
@@ -302,7 +342,7 @@ def _estimate_rejection(f: BinaryTensor, kind: str, trials: int, seed: int,
     rejections = 0
     # The key numpy built, which for seeds of 2^63 or more is rounded.
     key = rng_for(seed, _STREAM_TRIALS).bit_generator.state["state"]["key"]
-    words = _philox_words(key, workers)
+    words = _trial_words(key, workers)
     for start in range(0, trials, _CHUNK):
         step = min(_CHUNK, trials - start)
         decode, starts = testers._draw(kind, f.shape, step, words)
@@ -550,9 +590,11 @@ def run_sweep(config: SweepConfig,
     taking the next row when it is ready.  A row's Monte Carlo runs on one
     thread unless the sweep has only one row, so threads never nest.
     """
+    # Seed-major: every row of a seed reads the same trials stream, so rows
+    # run one after another can share the words estimate_rejection keeps.
     jobs = [(dims, test, kind, param, extra, seed)
-            for dims in config.shapes for test in config.tests for kind in config.kinds
-            for param, extra in _param_values(kind, config) for seed in config.seeds]
+            for seed in config.seeds for dims in config.shapes for test in config.tests
+            for kind in config.kinds for param, extra in _param_values(kind, config)]
     workers = worker_count()
     mc_workers = workers if len(jobs) == 1 else 1
     rows = _shared(lambda job: _compute_row(config, master_seed, mc_workers, *job),

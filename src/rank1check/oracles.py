@@ -101,7 +101,8 @@ def _check_budget(required: int, budget: int, what: str) -> None:
 # take this many bytes together, and so may the prefix table, the line table
 # and nearest_affine's Walsh working set.  A larger shape is refused before
 # anything is built: (6,)^4 needs 195 MiB, (8,)^4 2 GiB, (2,)^15 a 512 MiB
-# prefix table, (8192,) a 512 MiB line table and a table on F2^23 320 MiB.
+# prefix table, (8192,) a 512 MiB line table and a table on F2^25 512 MiB
+# (F2^24 needs exactly 256 MiB and fits).
 # The build's other temporaries come on top: (6,)^4 peaks at 268 MiB in
 # tracemalloc and a shape of one axis at about twice its count, while the
 # prefix and line tables are filled in place, near their own bytes.
@@ -441,18 +442,24 @@ def _affine_fits(tables: np.ndarray) -> tuple:
 
     Returns int64 arrays (constants, masks, doubled): the first (constant,
     mask) pair at minimum distance and twice that distance.  Twice the
-    distance to constant ^ chi_mask is n - (-1)^constant W(mask), laid out
-    at constant * n + mask, so the first argmin is the smallest pair.
+    distance to constant ^ chi_mask is n - (-1)^constant W(mask).  So the
+    nearest with constant 0 is at W's first argmax and the nearest with
+    constant 1 at its first argmin, and constant 0 wins a tie.
     """
     count, n = tables.shape
-    best = np.empty(count, dtype=np.int64)
+    constants = np.empty(count, dtype=np.int64)
+    masks = np.empty(count, dtype=np.int64)
     doubled = np.empty(count, dtype=np.int64)
-    for part in _passes(count, 2 * n):
+    for part in _passes(count, n):
         w = _walsh(tables[part])
-        distances = np.hstack((n - w, n + w))
-        best[part] = distances.argmin(axis=1)
-        doubled[part] = distances.min(axis=1)
-    return best // n, best % n, doubled
+        top, bottom = w.argmax(axis=1), w.argmin(axis=1)
+        rows = np.arange(len(w))
+        high, low = n - w[rows, top], n + w[rows, bottom]
+        ones = high > low  # constant 1 is strictly nearer
+        constants[part] = ones
+        masks[part] = np.where(ones, bottom, top)
+        doubled[part] = np.where(ones, low, high)
+    return constants, masks, doubled
 
 
 def nearest_affine(table) -> NearestResult:
@@ -461,9 +468,9 @@ def nearest_affine(table) -> NearestResult:
     Ties go to the smallest (constant, mask) pair.
     """
     t = testers.truth_table(table)
-    # The int64 transform, its n - W and n + W halves and their concatenation.
+    # The int64 transform and the butterfly step that replaces it.
     dims = (2,) * (t.size.bit_length() - 1)
-    _check_table_bytes(40 * t.size, dims, "affine enumeration", "Walsh")
+    _check_table_bytes(16 * t.size, dims, "affine enumeration", "Walsh")
     constants, masks, doubled = _affine_fits(t[None])
     return NearestResult(partial(AffineWitness, int(constants[0]), int(masks[0])),
                          Fraction(int(doubled[0]) // 2, t.size))

@@ -103,9 +103,9 @@ class TrialOutcome:
 # indices of the points a and b, and the (d, rows) array diff, whose row j is
 # (b_j - a_j) * stride_j.  A selector is a (d, rows) 0/1 array naming the
 # axes on which a query takes b's coordinate instead of a's; the query's flat
-# index is _spliced(flat_a, diff, selector).  Any sum of diff's rows is the
-# offset between a and a splice, inside (-size, size), so the index dtype
-# _draw picks never overflows.
+# index is _spliced(flat_a, diff, selector).  Every query lies in [0, size),
+# so the arithmetic may run modulo 2^bits in an unsigned dtype that holds
+# size - 1: diff's rows and their sums wrap, and the queries come out exact.
 # diff vanishes where a = b, so a selector only matters on delta(a, b): a
 # subset of axes and a vertex of the cube spanned by a and b pick the same
 # point.  A pattern returns the test's query columns, and a row is accepted
@@ -115,7 +115,7 @@ class TrialOutcome:
 
 def _spliced(flat_a: np.ndarray, diff: np.ndarray, selector: np.ndarray) -> np.ndarray:
     """Flat index of the point taking b's coordinates where selector is 1."""
-    # numpy sums int32 into int64 unless told otherwise.
+    # numpy sums narrower integers into 64 bits unless told otherwise.
     return flat_a + (diff * selector).sum(axis=0, dtype=flat_a.dtype)
 
 
@@ -281,9 +281,8 @@ def _draw(kind: str, shape: Shape, n: int, words):
     starts): decode(i) is the randomness of the up to _SUB_BLOCK trials from
     start i, laid out as _query_columns takes it: a and b as axis-major
     (d, rows) coordinates and (d, rows) 0/1 selectors, or BLR's x and y as
-    table indices.  Coordinates are int32 when whole words are kept and the
-    shape has at most 2^31 entries, else unsigned in the words' dtype.
-    decode only reads the words, so threads may decode different starts at
+    table indices.  Coordinates are unsigned, in the words' dtype.  decode
+    only reads the words, so threads may decode different starts at
     once.  Sizes above 2^32 are refused.
     """
     dims, k, groups = _word_groups(kind, shape, n)
@@ -313,16 +312,11 @@ def _draw(kind: str, shape: Shape, n: int, words):
     shifts = np.array([bits + 1 - m.bit_length() for m in dims], dtype=stream.dtype)[:, None]
     half = np.asarray(1 << bits - 1, dtype=stream.dtype)
     products = [(j, m) for j, m in enumerate(dims) if m & (m - 1)]
-    # uint32 times int32 strides would promote to int64, so whole-word
-    # coordinates below 2^31 are viewed as int32; narrower ones widen in
-    # _query_columns' stride multiply.
-    signed = width == 4 and shape.size <= 2**31
 
     def rows(i):
         j = i + _SUB_BLOCK
         words = points[:, :, i:j]
-        coords = words >> shifts
-        a, b = coords.view(np.int32) if signed else coords
+        a, b = words >> shifts
         for axis, m in products:
             a[axis], b[axis] = _below(words[:, axis], m)
         if kind == BLR:
@@ -339,16 +333,19 @@ def _query_columns(kind: str, shape: Shape, randomness) -> tuple:
         return _blr_queries(*randomness)
     pattern, _ = _tensor_test(kind)
     a, b, *selectors = randomness
-    index = np.int32 if shape.size <= 2**31 else np.int64
+    # _draw's unsigned coordinates take the arithmetic modulo 2^bits in the
+    # narrowest unsigned dtype that holds size - 1; the scalar trials' int64
+    # rows stay signed.
+    index = np.min_scalar_type(shape.size - 1) if a.dtype.kind == "u" else a.dtype
     strides = np.array(shape.strides, dtype=index)[:, None]
-    a, b = a * strides, b * strides
-    return pattern(a.sum(axis=0, dtype=a.dtype), b.sum(axis=0, dtype=a.dtype), b - a,
+    a, b = np.multiply(a, strides, dtype=index), np.multiply(b, strides, dtype=index)
+    return pattern(a.sum(axis=0, dtype=index), b.sum(axis=0, dtype=index), b - a,
                    *selectors)
 
 
 def _parity(bits: np.ndarray, columns) -> np.ndarray:
     """Per-row XOR of bits over the query columns: 1 where the test rejects."""
-    # numpy gathers by int32 indices far slower than it casts them to intp.
+    # numpy gathers by narrower indices far slower than it casts them to intp.
     return functools.reduce(np.bitwise_xor,
                             (bits[np.asarray(c, dtype=np.intp)] for c in columns))
 

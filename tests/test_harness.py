@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import itertools
 import sys
 import threading
 import time
@@ -402,9 +403,7 @@ class TestPhiloxRaw:
         expected = np.random.Philox(key=key).random_raw(start + n)[start:]
         words = expected.astype("<u8").view("<u4")
         for width in (1, 2, 4):
-            source = harness._philox_words(key, workers)
-            source(2 * start, width)  # a first read takes the source to output start
-            got = source(2 * n, width)
+            got = harness._philox_words(key, 2 * start, 2 * n, width, workers)
             assert got.dtype == np.dtype(f"<u{width}")
             assert np.array_equal(got, words >> (32 - 8 * width)), width
         assert np.array_equal(got.view("<u8"), expected)
@@ -490,6 +489,9 @@ class TestThreadCount:
         out = []
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("RANK1CHECK_THREADS", threads)
+            # A call on another seed replaces the words the process keeps,
+            # so each count reads its own on its threads.
+            estimate_rejection(f, kind, 1, seed + 1)
             out.append(estimate_rejection(f, kind, trials, seed).rejections)
         return out
 
@@ -547,10 +549,150 @@ class TestThreadCount:
             monkeypatch.setattr(testers, name, spy(name))
         monkeypatch.setenv("RANK1CHECK_THREADS", "2")
         f = generate(GeneratorSpec("uniform-random", Shape((2,) * 8), 35))
+        # Each call is on a seed of its own, so none is served from the
+        # words the one before it kept, and a first call on seed 3 replaces
+        # whatever an earlier test left.
+        estimate_rejection(f, SIC_SUBSETS, 1, 3)
         for seed in range(3):  # 32 words a trial: both phases split in two
             estimate_rejection(f, SIC_SUBSETS, _STREAM_BLOCK, seed)
         assert names["_top_bytes"] == names["_query_columns"]
         assert len(names["_top_bytes"]) == 1
+
+
+class TestKeptFirstBlock:
+    """The words of the last first block read, which later calls on the same
+    stream are served from, never change a count."""
+
+    @staticmethod
+    def reads(monkeypatch):
+        """The (position, count) of every read that goes to Philox."""
+        seen = []
+        inner = harness._philox_words
+
+        def spy(key, position, count, width, workers):
+            seen.append((position, count))
+            return inner(key, position, count, width, workers)
+
+        monkeypatch.setattr(harness, "_philox_words", spy)
+        return seen
+
+    @pytest.mark.parametrize("dims,kinds", [((2,) * 5, ALL_TEST_KINDS),
+                                            ((3, 5, 2), TENSOR_TEST_KINDS)])
+    def test_every_test_order(self, dims, kinds):
+        f = generate(GeneratorSpec("uniform-random", Shape(dims), 51))
+        expected = {kind: reference_rejections(f, kind, 2000, 52) for kind in kinds}
+        for order in itertools.permutations(kinds):
+            estimate_rejection(f, SHAPKA, 1, 53)  # another stream first
+            for kind in order:
+                assert estimate_rejection(f, kind, 2000, 52).rejections == \
+                    expected[kind], order
+
+    @pytest.mark.parametrize("between", [
+        ((4, 2, 8), SIC_SUBSETS, 55),  # another seed
+        ((2, 2, 2, 2), SIC_SUBSETS, 54),  # another shape, the same width
+        ((3, 5, 2), SIC_SUBSETS, 54),  # another width
+        ((2,) * 5, BLR, 54),  # BLR's draws on the same stream
+    ])
+    def test_call_between(self, between):
+        f = generate(GeneratorSpec("uniform-random", Shape((4, 2, 8)), 56))
+        dims, kind, seed = between
+        g = generate(GeneratorSpec("uniform-random", Shape(dims), 57))
+        assert estimate_rejection(f, SIC_SUBSETS, 5000, 54).rejections == \
+            reference_rejections(f, SIC_SUBSETS, 5000, 54)
+        assert estimate_rejection(g, kind, 3000, seed).rejections == \
+            reference_rejections(g, kind, 3000, seed)
+        for kind in (SHAPKA, SIC_CUBE):
+            assert estimate_rejection(f, kind, 5000, 54).rejections == \
+                reference_rejections(f, kind, 5000, 54)
+
+    @pytest.mark.parametrize("dims", [(3, 3, 3), (1000003, 2)])
+    def test_skip_shapes_keep_their_block(self, monkeypatch, dims):
+        # Both shapes decode by Lemire's product.  Below 3 a word is skipped
+        # about once in 2^32; below 1000003 about 22 times in 1e5, each
+        # skip read by a top-up after the block.  sic-subsets reads the most
+        # of any test, and its top-ups must not evict its block: the other
+        # tests read from Philox only sic-cube's top-ups, past the block.
+        f = generate(GeneratorSpec("uniform-random", Shape(dims), 58))
+        block = 4 * len(dims) * 100000
+        estimate_rejection(f, SIC_SUBSETS, 1, 60)
+        reads = self.reads(monkeypatch)
+        for kind in (SIC_SUBSETS, SHAPKA, CONJECTURED, SIC_CUBE):
+            assert estimate_rejection(f, kind, 100000, 59).rejections == \
+                reference_rejections(f, kind, 100000, 59)
+        assert reads[0] == (0, block)
+        assert all(position >= block for position, _ in reads[1:])
+        assert (len(reads) > 1) == (dims[0] > 3)
+
+    def test_second_block_starts_mid_stream(self, monkeypatch):
+        # A second block starts where the first one's words end, which for a
+        # test that reads fewer words a trial is inside the kept first block.
+        f = generate(GeneratorSpec("uniform-random", Shape((3, 5, 2)), 61))
+        estimate_rejection(f, SIC_SUBSETS, 1, 63)
+        reads = self.reads(monkeypatch)
+        for kind in (SIC_SUBSETS, SIC_SUBSETS, SHAPKA, CONJECTURED):
+            assert estimate_rejection(f, kind, 150000, 62).rejections == \
+                reference_rejections(f, kind, 150000, 62)
+        # sic-subsets reads 12 words a trial.  Its second call reads its
+        # second block again; shapka's and conjectured's second blocks, at 6
+        # and 9 words a trial, lie inside sic-subsets' first.
+        first, second = 12 * _STREAM_BLOCK, 12 * (150000 - _STREAM_BLOCK)
+        assert reads == [(0, first), (first, second), (first, second)]
+
+    def test_threads_with_different_keys(self):
+        # More threads than cores and a short switch interval, each thread
+        # calling on a seed of its own: every call replaces or reads the
+        # kept words while the others do too.
+        f = generate(GeneratorSpec("uniform-random", Shape((3, 4, 2)), 64))
+        seeds = range(65, 71)
+        expected = {s: reference_rejections(f, SIC_SUBSETS, 3000, s) for s in seeds}
+        got = collections.defaultdict(list)
+
+        def run(seed):
+            for kind in (SIC_SUBSETS, SHAPKA, SIC_SUBSETS):
+                got[seed].append((kind, estimate_rejection(f, kind, 3000, seed).rejections))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(s,)) for s in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for s in seeds:
+            shapka = reference_rejections(f, SHAPKA, 3000, s)
+            assert got[s] == [(SIC_SUBSETS, expected[s]), (SHAPKA, shapka),
+                              (SIC_SUBSETS, expected[s])]
+
+    def test_served_words_are_read_only_and_whole(self):
+        # A read ending at the kept words' end is served from them, one
+        # ending a word past it is read from Philox.
+        key = rng_for(73, 1).bit_generator.state["state"]["key"]
+        for count in (100, 60, 100, 101, 101):
+            served = harness._trial_words(key, 1)(count, 1)
+            assert not served.flags.writeable
+            with pytest.raises(ValueError):
+                served[0] = 1
+            assert np.array_equal(served, harness._philox_words(key, 0, count, 1, 1))
+
+    def test_one_first_block_held_after_return(self):
+        # (2,)^16 sic-subsets reads 64 one-byte words a trial.  Only the
+        # last call's first block outlives it: not the calls before it, nor
+        # a block after the first.
+        f = generate(GeneratorSpec("uniform-random", Shape((2,) * 16), 74))
+        estimate_rejection(f, SIC_SUBSETS, 100000, 75)  # starts the helper threads
+        for trials, bound in ((100000, 64 * 100000), (150000, 64 * _STREAM_BLOCK)):
+            tracemalloc.start()
+            try:
+                for seed in (76, 77, 78):
+                    estimate_rejection(f, SIC_SUBSETS, trials, seed)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert bound <= held < bound + (64 << 10), trials
 
 
 _CORRUPTED = "corrupted-direct-sum"

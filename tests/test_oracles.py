@@ -690,8 +690,9 @@ class TestNearestAffine:
                 assert res.witness == AffineWitness(c, m)
 
     def test_walsh_working_set_refused_before_building(self):
-        # 40 bytes per entry: 320 MiB on F2^23, beyond the 256 MiB ceiling.
-        table = np.zeros(1 << 23, dtype=np.uint8)
+        # 16 bytes per entry: 512 MiB on F2^25, beyond the 256 MiB ceiling,
+        # which F2^24 meets exactly.
+        table = np.zeros(1 << 25, dtype=np.uint8)
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError) as refused:
@@ -700,7 +701,7 @@ class TestNearestAffine:
         finally:
             tracemalloc.stop()
         assert str(refused.value) == (
-            f"affine enumeration on shape {(2,) * 23} needs 335544320 bytes for "
+            f"affine enumeration on shape {(2,) * 25} needs 536870912 bytes for "
             "its Walsh table, beyond the 268435456-byte ceiling")
         assert peak < 1 << 20
 
@@ -713,7 +714,7 @@ class TestNearestAffine:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40 * table.size + (64 << 10)  # 2.5 MiB
+        assert peak < 16 * table.size + (64 << 10)  # 1 MiB
 
 
 class TestLocalViewDecode:

@@ -444,7 +444,8 @@ class TestSampling:
 
 
 class TestIndexDtype:
-    """Monte-Carlo query columns are int32 up to 2^31 entries, int64 above.
+    """Monte-Carlo query columns are in the narrowest unsigned dtype that
+    holds size - 1, and their arithmetic wraps modulo its 2^bits.
 
     Each shape has power-of-two axes only, so no word is skipped and every
     trial's coordinates are the top bits of its words.  The columns are
@@ -484,9 +485,11 @@ class TestIndexDtype:
 
     @pytest.mark.parametrize("kind", TENSOR_TEST_KINDS)
     @pytest.mark.parametrize("dims,dtype", [
-        ((65536, 65536), np.int64),
-        ((2**31,), np.int32),
-        ((2**16, 2**15), np.int32),
+        ((65536, 65536, 2), np.uint64),
+        ((65536, 65536), np.uint32),
+        ((2**31,), np.uint32),
+        ((256, 256), np.uint16),
+        ((16, 16), np.uint8),
     ])
     def test_columns_equal_python_indices(self, dims, dtype, kind):
         from rank1check.testers import _draw, _query_columns, _top_bytes
