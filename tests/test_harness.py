@@ -667,16 +667,21 @@ class TestKeptFirstBlock:
             assert got[s] == [(SIC_SUBSETS, expected[s]), (SHAPKA, shapka),
                               (SIC_SUBSETS, expected[s])]
 
-    def test_served_words_are_read_only_and_whole(self):
+    def test_served_words_are_read_only_and_whole(self, monkeypatch):
         # A read ending at the kept words' end is served from them, one
         # ending a word past it is read from Philox.
         key = rng_for(73, 1).bit_generator.state["state"]["key"]
+        other = rng_for(72, 1).bit_generator.state["state"]["key"]
+        harness._trial_words(other, 1)(10, 1)  # keep another stream's words
+        expected = harness._philox_words(key, 0, 101, 1, 1)
+        seen = self.reads(monkeypatch)
         for count in (100, 60, 100, 101, 101):
             served = harness._trial_words(key, 1)(count, 1)
             assert not served.flags.writeable
             with pytest.raises(ValueError):
                 served[0] = 1
-            assert np.array_equal(served, harness._philox_words(key, 0, count, 1, 1))
+            assert np.array_equal(served, expected[:count])
+        assert seen == [(0, 100), (0, 101)]
 
     def test_one_first_block_held_after_return(self):
         # (2,)^16 sic-subsets reads 64 one-byte words a trial.  Only the

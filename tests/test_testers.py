@@ -488,6 +488,7 @@ class TestIndexDtype:
         ((65536, 65536, 2), np.uint64),
         ((65536, 65536), np.uint32),
         ((2**31,), np.uint32),
+        ((2**16, 2**15), np.uint32),
         ((256, 256), np.uint16),
         ((16, 16), np.uint8),
     ])
