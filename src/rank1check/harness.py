@@ -7,9 +7,9 @@ execution order.  Exact oracle columns never depend on any seed.
 
 from __future__ import annotations
 
-import collections
 import concurrent.futures
 import functools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -69,19 +69,20 @@ def _shared(fn, items, threads: int, workers: int) -> list:
     that falls behind takes fewer.  Every thread is waited for before an
     error is raised, so none is left running past it.
     """
-    pending = collections.deque(enumerate(items))
-    results = [None] * len(pending)
+    pending = enumerate(items)  # taken one at a time: no item list is built
+    taking = threading.Lock()
+    results = [None] * len(items)
 
     def run():
         while True:
-            try:
-                i, item = pending.popleft()
-            except IndexError:
+            with taking:
+                job = next(pending, None)
+            if job is None:
                 return
-            results[i] = fn(item)
+            results[job[0]] = fn(job[1])
 
     later = [_pool(workers).submit(run)
-             for _ in range(1, min(threads, workers, len(pending)))]
+             for _ in range(1, min(threads, workers, len(items)))]
     try:
         run()
     finally:
@@ -89,6 +90,39 @@ def _shared(fn, items, threads: int, workers: int) -> list:
     for job in later:
         job.result()
     return results
+
+
+# Outputs a thread reads from one Philox it builds, and a piece a thread
+# takes at a time.  Building the generator costs about 10-20 us.
+_RAW_PIECE = 1 << 16
+
+# A read is shared among threads only in shares of at least this many
+# 32-bit words.  Thread hand-offs and waiting for the slowest thread cost
+# about the same whatever the share, and on a loaded host smaller shares
+# ran slower on two threads than on one.
+_WORDS_PER_THREAD = 1 << 20
+
+
+def _philox_read(key: np.ndarray, first: int, n: int, fill, workers: int,
+                 held: Optional[int] = None) -> None:
+    """Calls fill(i, raw) for pieces that cover outputs [first, first + n)
+    of Philox(key)'s stream: raw holds outputs [first + i, first + i +
+    raw.size) as little-endian uint64.  Output k of a fresh generator is lane k % 4 of
+    counter k // 4 + 1, and Philox(key, counter=c) reads counter c + 1 first,
+    so each piece is read from its position alone.  Pieces run on one thread
+    per _WORDS_PER_THREAD 32-bit words (two to an output), at most `workers`.
+    Each has _RAW_PIECE outputs, or held // threads so that the threads
+    together hold at most `held` outputs.
+    """
+    threads = max(1, min(2 * n // _WORDS_PER_THREAD, workers))
+    piece = _RAW_PIECE if held is None else max(1, held // threads)
+
+    def read(i):  # the piece's outputs are freed when fill returns
+        k, size = first + i, min(piece, n - i)
+        raw = np.random.Philox(key=key, counter=k // 4).random_raw(k % 4 + size)
+        fill(i, raw[k % 4:].astype("<u8", copy=False))
+
+    _shared(read, range(0, n, piece), threads, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -131,18 +165,37 @@ class GeneratorSpec:
             raise ValueError(f"kind {self.kind!r} takes no corruption parameter")
 
 
-# Rate draws go through one reused buffer of this many doubles.
+# generate's threads together hold at most this many Philox outputs in flight.
 _RATE_CHUNK = 1 << 16
 
 # generate refuses larger shapes before allocating.  Every kind is built and
 # corrupted in one buffer of a byte per entry, 256 MiB at the ceiling, beside
-# 576 KiB of rate draws.  A flip count above size/50 is the exception: numpy's
-# choice then permutes an int64 array of the whole domain.
+# 576 KiB of draws in flight over all threads (9 bytes an output with its
+# hit).  A flip count above size/50 is the exception: numpy's choice then
+# permutes an int64 array of the whole domain.
 MAX_GENERATE_ENTRIES = 1 << 28
 
 
 def generate(spec: GeneratorSpec) -> BinaryTensor:
-    """Deterministic tensor for the spec; same spec, same bits."""
+    """Deterministic tensor for the spec; same spec, same bits.
+
+    Direct sums, flip counts and indicators are numpy's calls on
+    rng_for(seed, 0).  The uniform bits and rate flips are read by stream
+    position (_philox_read) on up to worker_count() threads, one per
+    _WORDS_PER_THREAD words of draws, and equal numpy's sequential calls.
+    integers(0, 2, dtype=uint8) reads next_uint32 a byte at a time, low
+    first, and Lemire's rule on two values gives byte >> 7: bit k is the top
+    bit of byte k of the outputs from 0.  random maps output r to
+    (r >> 11) * 2^-53, so it is below rate exactly when
+    r < ceil(rate * 2^53) * 2^11, and for every r once that ceiling is 2^53.
+    Its draws start after DirectSum.random's, at output
+    4 * (counter - 1) + buffer_pos: doubles skip a pending 32-bit half.
+    """
+    return _generate(spec, worker_count())
+
+
+def _generate(spec: GeneratorSpec, workers: int) -> BinaryTensor:
+    """generate on at most `workers` threads."""
     shape = spec.shape
     if shape.size > MAX_GENERATE_ENTRIES:
         raise oracles.BudgetExceededError(
@@ -150,27 +203,44 @@ def generate(spec: GeneratorSpec) -> BinaryTensor:
             f"{MAX_GENERATE_ENTRIES}-entry ceiling for generated tensors")
     rng = rng_for(spec.seed, _STREAM_GENERATE)
     if spec.kind == KIND_UNIFORM:
-        return _adopt(shape, rng.integers(0, 2, size=shape.size, dtype=np.uint8))
+        bits = np.empty(shape.size, dtype=np.uint8)
+
+        def top_bits(i, raw):
+            out = bits[8 * i:8 * (i + raw.size)]
+            np.right_shift(raw.view(np.uint8)[:out.size], 7, out=out)
+
+        key = rng.bit_generator.state["state"]["key"]
+        _philox_read(key, 0, -(-shape.size // 8), top_bits, workers, _RATE_CHUNK)
+        return _adopt(shape, bits)
     if spec.kind == KIND_INDICATOR:
         bits = np.zeros(shape.size, dtype=np.uint8)
         bits[int(rng.integers(0, shape.size))] = 1
         return _adopt(shape, bits)
     bits = DirectSum.random(shape, rng)._bits()
     if spec.rate is not None:
-        # One double per entry: the same doubles in the same order as a
-        # single rng.random(shape.size), without the whole-tensor array.
-        rate = float(spec.rate)
-        draws = np.empty(min(_RATE_CHUNK, shape.size))
-        hits = np.empty(draws.size, dtype=bool)
-        for i in range(0, shape.size, _RATE_CHUNK):
-            chunk = bits[i:i + _RATE_CHUNK]
-            d, h = draws[:chunk.size], hits[:chunk.size]
-            rng.random(out=d)
-            chunk ^= np.less(d, rate, out=h).view(np.uint8)
+        _flip_at_rate(bits, rng, float(spec.rate), workers)
     elif spec.flips:
         idx = rng.choice(shape.size, size=spec.flips, replace=False)
         bits[idx] ^= 1
     return _adopt(shape, bits)
+
+
+def _flip_at_rate(bits: np.ndarray, rng: np.random.Generator, rate: float,
+                  workers: int) -> None:
+    """bits ^= rng.random(bits.size) < rate, read by position; rng is left as is."""
+    limit = math.ceil(math.ldexp(rate, 53))
+    if limit >> 53:  # every double is below rate
+        bits ^= 1
+        return
+    state = rng.bit_generator.state
+    counter = sum(int(c) << 64 * i for i, c in enumerate(state["state"]["counter"]))
+    threshold = np.uint64(limit << 11)
+
+    def flip(i, raw):
+        bits[i:i + raw.size] ^= np.less(raw, threshold).view(np.uint8)
+
+    _philox_read(state["state"]["key"], 4 * (counter - 1) + state["buffer_pos"],
+                 bits.size, flip, workers, _RATE_CHUNK)
 
 
 # ---------------------------------------------------------------------------
@@ -226,45 +296,26 @@ class RejectionEstimate:
 
 _CHUNK = 1 << 17
 
-# Outputs a thread reads from one Philox it builds, and a piece a thread
-# takes at a time.  Building the generator costs about 10-20 us.
-_RAW_PIECE = 1 << 16
-
-# A block is shared among threads only in shares of at least this many
-# 32-bit words.  Thread hand-offs and waiting for the slowest thread cost
-# about the same whatever the share, and on a loaded host smaller shares
-# ran slower on two threads than on one.
-_WORDS_PER_THREAD = 1 << 20
-
-
 def _philox_words(key: np.ndarray, position: int, count: int, width: int,
                   workers: int) -> np.ndarray:
     """Words [position, position + count) of Philox(key)'s next_uint32 stream,
     each cut to its top `width` bytes (testers._top_bytes).
 
-    Philox is counter-based: output k of a fresh generator is lane k % 4 of
-    counter k // 4 + 1, Philox(key, counter=c) reads counter c + 1 first,
-    and word w is half w % 2 of output w // 2, the low half first.  So any
-    range of the stream is read from its position alone.  The outputs behind
-    the words are read in pieces of _RAW_PIECE outputs, each from a generator
-    built at the piece's counter and skipping the lanes before the piece's
-    first output, on one thread per _WORDS_PER_THREAD words.  A range that
-    opens on a high half reads that output again and drops its low half.
-    Every word therefore lands where one sequential read puts it: with width
-    4 these are the words Generator.integers(0, 2**32, dtype=uint32) gives
-    on a fresh Philox(key) after `position` words.
+    Word w is half w % 2 of output w // 2, the low half first, and the
+    outputs are read by position (_philox_read).  A range that opens on a
+    high half reads that output again and drops its low half.  Every word
+    therefore lands where one sequential read puts it: with width 4 these
+    are the words Generator.integers(0, 2**32, dtype=uint32) gives on a
+    fresh Philox(key) after `position` words.
     """
     first, skip = divmod(position, 2)
     n = (skip + count + 1) // 2
     out = np.empty(2 * n, dtype=f"<u{width}")
 
-    def fill(i):  # the piece's raw words are freed when it returns
-        k, size = first + i, min(_RAW_PIECE, n - i)
-        raw = np.random.Philox(key=key, counter=k // 4).random_raw(k % 4 + size)
-        raw = raw[k % 4:].astype("<u8", copy=False).view("<u4")
-        out[2 * i:2 * (i + size)] = testers._top_bytes(raw, width)
+    def fill(i, raw):
+        out[2 * i:2 * (i + raw.size)] = testers._top_bytes(raw.view("<u4"), width)
 
-    _shared(fill, range(0, n, _RAW_PIECE), 2 * n // _WORDS_PER_THREAD, workers)
+    _philox_read(key, first, n, fill, workers)
     return out[skip:skip + count]
 
 
@@ -282,7 +333,8 @@ def _trial_words(key: np.ndarray, workers: int):
     a prefix of sic-subsets', whatever the shape.  So the process keeps the
     words of the last read from word 0: a read of the same key and width
     that lies inside them is a view of them, and any other read goes
-    through _philox_words.  Only a read from word 0 replaces them: a
+    through _philox_words.  Only a read from word 0 replaces them, and it
+    drops them before it reads, so two first blocks are never held: a
     block's top-ups of skipped words and a call's later blocks start where
     no other call of the stream starts.  A word depends only on its key,
     position and width, so counts do not depend on what was kept.
@@ -296,8 +348,10 @@ def _trial_words(key: np.ndarray, workers: int):
         start, position = position, position + count
         with _first_block_lock:
             kept = _first_block
-        if kept is not None and kept[:2] == (name, width) and position <= kept[2].size:
-            return kept[2][start:position]
+            if kept is not None and kept[:2] == (name, width) and position <= kept[2].size:
+                return kept[2][start:position]
+            if start == 0:  # its replacement is read next: never hold two
+                _first_block = kept = None
         out = _philox_words(key, start, count, width, workers)
         if start == 0:
             out.flags.writeable = False
@@ -564,7 +618,7 @@ def _compute_row(config: SweepConfig, master_seed: int, mc_workers: int,
                  extra: dict, seed: int) -> SweepRow:
     shape = Shape(dims)
     eff_seed = _row_seed(master_seed, seed)
-    tensor = generate(GeneratorSpec(kind, shape, eff_seed, **extra))
+    tensor = _generate(GeneratorSpec(kind, shape, eff_seed, **extra), mc_workers)
     est = _estimate_rejection(tensor, test, config.trials, eff_seed, mc_workers)
     exact_rej = exact_dist = None
     try:

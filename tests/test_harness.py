@@ -3,17 +3,20 @@
 import collections
 import hashlib
 import itertools
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rank1check import harness, testers
-from rank1check.core import Shape
+from rank1check.core import DirectSum, Shape
 from rank1check.harness import (
     CSV_HEADER,
     DEFAULT_SWEEP_CONFIG,
@@ -92,6 +95,7 @@ class TestGenerate:
         f = generate(GeneratorSpec("corrupted-direct-sum", Shape(dims), seed, rate=rate))
         assert hashlib.sha256(f.bits.tobytes()).hexdigest() == sha
 
+    @pytest.mark.parametrize("workers", [1, 2, 8])
     @pytest.mark.parametrize("kind, extra", [
         ("direct-sum", {}),
         ("corrupted-direct-sum", {"rate": Fraction(1, 16)}),
@@ -99,16 +103,18 @@ class TestGenerate:
         ("uniform-random", {}),
         ("single-point-indicator", {}),
     ], ids=["direct-sum", "rate", "flips", "uniform", "indicator"])
-    def test_peak_is_the_tensor_and_one_rate_buffer(self, kind, extra):
-        # Every kind is built and corrupted in the tensor's own bytes.  A
-        # whole-tensor float64 rate mask alone would take 128 MiB here, and
-        # each copy of the bits 16 MiB.  A flip count above size/50 is not
-        # covered: numpy's choice then permutes an int64 array of the domain.
-        generate(GeneratorSpec(kind, Shape((2,) * 10), 7, **extra))  # lazy set-up
+    def test_peak_is_the_tensor_and_one_rate_buffer(self, kind, extra, workers):
+        # Every kind is built and corrupted in the tensor's own bytes, and
+        # the threads together hold one rate buffer of draws.  A whole-tensor
+        # float64 rate mask alone would take 128 MiB here, and each copy of
+        # the bits 16 MiB.  A flip count above size/50 is not covered:
+        # numpy's choice then permutes an int64 array of the domain.
         shape = Shape((8,) * 8)
+        spec = GeneratorSpec(kind, shape, 7, **extra)
+        harness._generate(spec, workers)  # lazy set-up, the helper threads too
         tracemalloc.start()
         try:
-            f = generate(GeneratorSpec(kind, shape, 7, **extra))
+            f = harness._generate(spec, workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -234,6 +240,136 @@ class TestEstimate:
         f = generate(GeneratorSpec("direct-sum", Shape((2, 2)), 0))
         with pytest.raises(ValueError):
             estimate_rejection(f, SHAPKA, 0, 0)
+
+
+_SEEDS = (0, 7, 2**63 + 5, 2**64 - 1)
+_RATES = (Fraction(0), Fraction(1), Fraction(1, 16), Fraction(1, 3),
+          Fraction(1, 2**60), 1 - Fraction(1, 2**60))
+
+
+def reference_generate(spec):
+    """generate's bits from numpy's sequential calls on rng_for(seed, 0): one
+    integers call for the uniform bits, one random call for the rate flips."""
+    rng = rng_for(spec.seed, 0)
+    size = spec.shape.size
+    if spec.kind == "uniform-random":
+        return rng.integers(0, 2, size=size, dtype=np.uint8)
+    if spec.kind == "single-point-indicator":
+        bits = np.zeros(size, dtype=np.uint8)
+        bits[int(rng.integers(0, size))] = 1
+        return bits
+    bits = DirectSum.random(spec.shape, rng).materialize().bits.copy()
+    if spec.rate is not None:
+        bits ^= rng.random(size) < float(spec.rate)
+    elif spec.flips:
+        bits[rng.choice(size, size=spec.flips, replace=False)] ^= 1
+    return bits
+
+
+def every_spec(dims):
+    """Every kind on dims at each of _SEEDS, the corrupted one at each of
+    _RATES and at a flip count."""
+    shape = Shape(dims)
+    for seed in _SEEDS:
+        yield GeneratorSpec("direct-sum", shape, seed)
+        yield GeneratorSpec("uniform-random", shape, seed)
+        yield GeneratorSpec("single-point-indicator", shape, seed)
+        yield GeneratorSpec(_CORRUPTED, shape, seed, flips=min(3, shape.size))
+        for rate in _RATES:
+            yield GeneratorSpec(_CORRUPTED, shape, seed, rate=rate)
+
+
+def draw_state(outputs, buffer_pos, half):
+    """rng_for(5, 0) after `outputs` raw outputs, its buffer position then
+    set to buffer_pos (0 re-reads the buffer's first lane), with a pending
+    32-bit half if `half`."""
+    rng = rng_for(5, 0)
+    rng.bit_generator.random_raw(outputs)
+    state = rng.bit_generator.state
+    state["buffer_pos"] = buffer_pos
+    state["has_uint32"], state["uinteger"] = int(half), 12345
+    rng.bit_generator.state = state
+    return rng
+
+
+# numpy rounds the key of a seed of 2^63 or more through a float.
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+class TestGenerateByPosition:
+    """generate reads the uniform bits and rate draws by stream position, in
+    pieces across threads; every bit equals numpy's sequential draws."""
+
+    # Pieces of 2^6 outputs on one thread and a thread per 2^3 outputs put
+    # piece and thread edges inside small shapes: one rate piece is (4, 16)
+    # and one uniform piece (512,).  Axes of size 1 draw one word each.
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_small_pieces_equal_numpy(self, monkeypatch, workers):
+        monkeypatch.setattr(harness, "_RATE_CHUNK", 1 << 6)
+        monkeypatch.setattr(harness, "_WORDS_PER_THREAD", 1 << 4)
+        for dims in [(1,), (1, 1, 1), (3,), (5, 1, 2), (7, 9, 3), (63,), (4, 16),
+                     (65,), (1, 511), (512,), (513, 1), (3, 5, 7, 11)]:
+            for spec in every_spec(dims):
+                got = harness._generate(spec, workers)
+                assert np.array_equal(got.bits, reference_generate(spec)), spec
+
+    # One rate piece is _RATE_CHUNK entries and one uniform piece eight times
+    # that; (2,)^21 reads rate draws on up to 4 threads.
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("dims", [(2,) * 16, (2**16 - 1,), (2**16 + 1,), (2,) * 19,
+                                      (3, 2**17 + 5), (2,) * 21])
+    def test_full_pieces_equal_numpy(self, dims, workers):
+        assert harness._RATE_CHUNK == 1 << 16
+        for spec in every_spec(dims):
+            got = harness._generate(spec, workers)
+            assert np.array_equal(got.bits, reference_generate(spec)), spec
+
+    @pytest.mark.parametrize("dims", [(2,) * 23, (3, 2**22 + 1)])
+    def test_threaded_uniform_equals_numpy(self, dims):
+        # 2^20 outputs and more: the uniform bits are read on 2 and 3 threads.
+        spec = GeneratorSpec("uniform-random", Shape(dims), 7)
+        expected = reference_generate(spec)
+        for workers in (2, 3):
+            assert np.array_equal(harness._generate(spec, workers).bits, expected)
+
+    def test_rate_draws_start_after_the_direct_sum(self):
+        # The direct sum's words leave Philox at each buffer position 1-4,
+        # with and without a pending 32-bit half.
+        states = set()
+        for n in range(1, 40):
+            dims = (n,) if n % 3 else (n, 1, 2)
+            spec = GeneratorSpec(_CORRUPTED, Shape(dims), n, rate=Fraction(1, 3))
+            rng = rng_for(n, 0)
+            DirectSum.random(spec.shape, rng)
+            state = rng.bit_generator.state
+            states.add((state["buffer_pos"], state["has_uint32"]))
+            assert np.array_equal(generate(spec).bits, reference_generate(spec)), dims
+        assert states == {(p, h) for p in (1, 2, 3, 4) for h in (0, 1)}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("half", [False, True])
+    @pytest.mark.parametrize("outputs, buffer_pos", [
+        (0, 4), (5, 1), (6, 2), (7, 3), (8, 4), (8, 0), (4, 0)])
+    def test_flips_from_any_state(self, monkeypatch, outputs, buffer_pos, half, workers):
+        # Beside the spec rates, two rates at a drawn double d: d itself,
+        # which that draw must not flip, and a rate just above d, which it
+        # must.  The first catches <= for <, the second a rounded-down
+        # threshold.
+        monkeypatch.setattr(harness, "_RATE_CHUNK", 1 << 10)
+        monkeypatch.setattr(harness, "_WORDS_PER_THREAD", 1 << 9)
+        n = (1 << 15) + 3
+        rng = draw_state(outputs, buffer_pos, half)
+        raw = np.random.Philox(key=rng.bit_generator.state["state"]["key"])
+        first = outputs - 4 if buffer_pos == 0 else outputs
+        raw = raw.random_raw(first + n)[first:]
+        equal = raw[raw & 0x7ff == 0][0] >> np.uint64(11)
+        below = raw[raw < np.uint64(1 << 63)][0] >> np.uint64(11)
+        rates = [float(r) for r in _RATES] + [
+            float(Fraction(int(equal), 2**53)), float(Fraction(2 * int(below) + 1, 2**54))]
+        bits = np.random.default_rng(outputs).integers(0, 2, n, dtype=np.uint8)
+        for rate in rates:
+            got = bits.copy()
+            harness._flip_at_rate(got, rng, rate, workers)
+            expected = bits ^ (draw_state(outputs, buffer_pos, half).random(n) < rate)
+            assert np.array_equal(got, expected), rate
 
 
 _STREAM_BLOCK = 1 << 17
@@ -699,6 +835,26 @@ class TestKeptFirstBlock:
                 tracemalloc.stop()
             assert bound <= held < bound + (64 << 10), trials
 
+    def test_kept_words_are_released_before_the_next_first_block(self, monkeypatch):
+        # (2,)^16 sic-subsets keeps 64 one-byte words a trial.  A first read
+        # on another stream drops the kept words before it reads its own,
+        # so the process never holds two first blocks: on one thread the
+        # call works in about 2 MB beside them, and holding both would add
+        # 6.4 MB.
+        monkeypatch.setenv("RANK1CHECK_THREADS", "1")
+        f = generate(GeneratorSpec("uniform-random", Shape((2,) * 16), 74))
+        estimate_rejection(f, SIC_SUBSETS, 100000, 75)  # starts the helper threads
+        tracemalloc.start()
+        try:
+            estimate_rejection(f, SIC_SUBSETS, 100000, 76)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            estimate_rejection(f, SIC_SUBSETS, 100000, 77)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 64 * 100000 <= held and peak < held + (4 << 20)
+
 
 _CORRUPTED = "corrupted-direct-sum"
 
@@ -912,22 +1068,46 @@ class TestWorkerCount:
             worker_count()
 
     def test_sweep_rows_run_monte_carlo_on_one_thread(self, monkeypatch):
+        # A row's generator and Monte Carlo both run on the row's workers.
         seen = []
-        inner = harness._estimate_rejection
+        estimate, generate_ = harness._estimate_rejection, harness._generate
 
-        def spy(f, kind, trials, seed, workers):
-            seen.append(workers)
-            return inner(f, kind, trials, seed, workers)
+        def estimate_spy(f, kind, trials, seed, workers):
+            seen.append(("estimate", workers))
+            return estimate(f, kind, trials, seed, workers)
 
-        monkeypatch.setattr(harness, "_estimate_rejection", spy)
+        def generate_spy(spec, workers):
+            seen.append(("generate", workers))
+            return generate_(spec, workers)
+
+        monkeypatch.setattr(harness, "_estimate_rejection", estimate_spy)
+        monkeypatch.setattr(harness, "_generate", generate_spy)
         monkeypatch.setenv("RANK1CHECK_THREADS", "2")
         run_sweep(parse_sweep_config(SMALL_CONFIG), master_seed=8)
-        assert len(seen) > 1 and set(seen) == {1}
+        assert len(seen) > 2 and set(seen) == {("estimate", 1), ("generate", 1)}
         seen.clear()
         one_row = ("shapes = 2,2\ntests = shapka\nkinds = direct-sum\n"
                    "trials = 2000\nseeds = 1\n")
         run_sweep(parse_sweep_config(one_row), master_seed=8)
-        assert seen == [2]
+        assert seen == [("generate", 2), ("estimate", 2)]
+
+    def test_rows_on_the_helper_thread_never_wait_on_it(self):
+        # Two rows whose rate draws are big enough for two threads.  A row
+        # on _pool(2)'s only helper that shared its draws would queue a
+        # piece job behind itself and wait forever; a subprocess with a
+        # timeout turns that into a failure.
+        config = ("shapes = " + ",".join(["2"] * 20) + "\ntests = shapka\n"
+                  "kinds = corrupted-direct-sum\nrates = 1/16; 1/8\ntrials = 1\n"
+                  "seeds = 1\noracle_budget = 0\n")
+        probe = ("import sys; from rank1check.harness import parse_sweep_config, "
+                 "run_sweep; print(len(run_sweep(parse_sweep_config(sys.argv[1]))[0]))")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, RANK1CHECK_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", probe, config], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "2\n"), done.stderr
 
     def test_sweeps_share_their_helper_thread(self, monkeypatch):
         # Rows run on Monte Carlo's kept helper threads and the calling
