@@ -14,9 +14,9 @@ from rank1check import (
     local_view_decode,
     materialize,
     nearest_direct_sum,
-    shapka_residual_identity_check,
 )
 from rank1check.harness import GeneratorSpec, generate
+from rank1check.testers import ShapkaRandomness, shapka_trial
 
 shape = Shape((2, 2, 2))
 
@@ -35,17 +35,17 @@ for a in shape.points():
 anchor, ds, dist = best_anchor_decode(f)
 print("best anchor", anchor, "reaches", dist)
 
-# The residual identity, spot-checked everywhere on this tensor.
+# The residual identity, checked everywhere on this tensor: the decode's
+# residual at b is the parity of the (a, b) query set.
 mismatches = sum(
-    shapka_residual_identity_check(f, a, b)[0]
-    != shapka_residual_identity_check(f, a, b)[1]
+    (f.value(b) ^ local_view_decode(f, a).eval(b))
+    != (not shapka_trial(f, ShapkaRandomness(a, b)).accepted)
     for a in shape.points() for b in shape.points()
 )
 print("\nresidual identity mismatches over all (a, b):", mismatches)
 
 # Consequence: for each anchor, the decode distance equals the fraction of
 # probes b whose query-set parity is 1, which is what the tester samples.
-from rank1check.testers import ShapkaRandomness, shapka_trial
 a = anchor
 rejecting = sum(
     not shapka_trial(f, ShapkaRandomness(a, b)).accepted for b in shape.points()

@@ -56,7 +56,6 @@ from .oracles import (
     ExactRejection,
     NearestResult,
     best_anchor_decode,
-    biased_character_probability,
     exact_blr_rejection,
     exact_rejection,
     exact_rejections,
@@ -66,7 +65,6 @@ from .oracles import (
     nearest_affine,
     nearest_direct_sum,
     nearest_distances,
-    shapka_residual_identity_check,
 )
 from .agreement import (
     DEFAULT_ALPHA,

@@ -5,7 +5,9 @@ enumerated: each count comes from a closed form over a small per-shape
 table, and the test suite checks it against the query patterns of testers,
 the tests' one definition, run as trials over the whole space.
 - BLR and the sic tests read the integer Walsh-Hadamard transform W of
-  F = (-1)^g for a table g on F2^D, with n = 2^D.  BLR on g rejects
+  F = (-1)^g for a table g on F2^D, with n = 2^D (Bellare, Coppersmith,
+  Hastad, Kiwi and Sudan, "Linearity testing in characteristic two", 1996).
+  BLR on g rejects
   (n^2 - F(0) sum_S W(S)^3 / n) / 2 of its n^2 pairs, and c ^ chi_S is at
   distance (n - (-1)^c W(S)) / 2 from g.
 - sic-subsets, sic-cube and the conjectured test read the cube each pair
@@ -15,17 +17,19 @@ the tests' one definition, run as trials over the whole space.
   the x with g(0) ^ g(x) ^ g(1...1) ^ g(~x) = 1, each standing for
   2^(d - w) tuples.  _cubes builds these cubes, for the per-shape table
   here and for agreement's affine bridge.
-- shapka reads the axis lines through every anchor a.  By the residual
-  identity its (a, b) parity is f(b) ^ local_view_decode(f, a)(b), so it
-  rejects sum_a |f ^ local_view_decode(f, a)| pairs.
-- A canonical direct sum is a prefix, its components on axes 0..d-2, plus a
-  last component l with l(0) = 0 when d >= 2; given the prefix, the nearest l
-  takes the majority on each last-axis value, ties going to 0.  One integer
-  matmul scores every prefix, and the first at the minimum wins.
+- shapka and the nearest direct sum read the same transform taken over the
+  binary axes only.  By the residual identity shapka's (a, b) parity is
+  f(b) ^ local_view_decode(f, a)(b), so it rejects sum_a |f ^
+  local_view_decode(f, a)| pairs; each anchor's count reads the transform
+  at the binary axes where f changes next to a, after a Gram product over
+  the longest other axis.  A direct sum is +-chi_S on the binary axes times
+  components on the others, so the nearest search scores every character S
+  and every prefix (components on the other axes but the longest, each 0 at
+  0), with the majority on the longest.
 By Parseval |sum_S W(S)^3| <= n^3, so int64 holds these counts up to D = 20.
 Oracles raise BudgetExceededError rather than sample when a space is too
-large or its counts overflow int64, and when a cube, prefix or line table,
-or nearest_affine's Walsh working set, would pass MAX_CUBE_TABLE_BYTES.
+large or its counts overflow int64, and when a cube, Gram or prefix table,
+or a Walsh working set, would pass MAX_CUBE_TABLE_BYTES.
 
 Each oracle has one kernel that works on a batch of tensors, given as the
 rows of a (T, size) 0/1 matrix: exact_rejections and nearest_distances take
@@ -40,12 +44,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from math import prod
 
 import numpy as np
 
-from .core import BinaryTensor, DirectSum, Point, Shape, _adopt, as_bits, axes_of
+from .core import BinaryTensor, DirectSum, Point, Shape, as_bits, axes_of
 from . import testers
 
 DEFAULT_BUDGET = 1 << 32
@@ -98,14 +102,15 @@ def _check_budget(required: int, budget: int, what: str) -> None:
 
 
 # The cube table and the (size^2, d) int64 differences it is built from may
-# take this many bytes together, and so may the prefix table, the line table
-# and nearest_affine's Walsh working set.  A larger shape is refused before
-# anything is built: (6,)^4 needs 195 MiB, (8,)^4 2 GiB, (2,)^15 a 512 MiB
-# prefix table, (8192,) a 512 MiB line table and a table on F2^25 512 MiB
-# (F2^24 needs exactly 256 MiB and fits).
+# take this many bytes together, and so may shapka's Gram table, the nearest
+# search's prefix table and a Walsh working set (16 bytes per entry, for the
+# nearest search and nearest_affine).  A larger shape is refused before
+# anything is built: cubes on (6,)^4 need 195 MiB and on (8,)^4 2 GiB, the
+# Gram table on (3,)^10 2.9 GiB, the prefix table on (8,)^4 1 GiB, and a
+# Walsh working set on F2^25 512 MiB (F2^24 needs exactly 256 MiB and fits).
 # The build's other temporaries come on top: (6,)^4 peaks at 268 MiB in
 # tracemalloc and a shape of one axis at about twice its count, while the
-# prefix and line tables are filled in place, near their own bytes.
+# prefix table is filled in place, near its own bytes.
 MAX_CUBE_TABLE_BYTES = 1 << 28
 
 
@@ -134,8 +139,8 @@ def _check_int64(bound: int, what: str) -> None:
         )
 
 
-# Cube, line and prefix tables depend only on the shape, so they
-# are built once per process and shared between threads.
+# Cube and prefix tables depend only on the shape, so they are built once
+# per process and shared between threads.
 _cache: dict = {}
 _cache_lock = threading.Lock()
 
@@ -154,7 +159,7 @@ def _cached(key, build):
 # ---------------------------------------------------------------------------
 # sic-subsets, sic-cube and the conjectured test are counted from the cube
 # table: the splices of b onto a for every pair (a, b).  shapka is counted
-# from the line table: the axis lines through every anchor a.
+# from a Walsh transform over the binary axes.
 
 
 def _cubes(flat_a: np.ndarray, diff: np.ndarray):
@@ -200,26 +205,6 @@ def _cube_table(shape: Shape) -> list:
     return [(w, cubes) for w, _, cubes in _cubes(keep, diff)]
 
 
-def _line_table(shape: Shape) -> tuple:
-    """The axis lines through every anchor, and each point's place on them.
-
-    lines is (size, sum n_i) int64: row a lists the flat indices of the line
-    through a along axis 0, then along axis 1, and so on.  columns is
-    (d, size) int64: entry (i, b) is the column of row a holding a with
-    coordinate i set to b's.
-    """
-    pts = shape.point_array()
-    flat = np.arange(shape.size, dtype=np.int64)[:, None]
-    offsets = np.cumsum((0,) + shape.dims)
-    lines = np.empty((shape.size, offsets[-1]), dtype=np.int64)
-    for i, (n, stride) in enumerate(zip(shape.dims, shape.strides)):  # filled in place
-        line = lines[:, offsets[i]:offsets[i + 1]]
-        np.subtract(np.arange(n), pts[:, i:i + 1], out=line)
-        line *= stride
-        line += flat
-    return lines, pts.T + offsets[:-1, None]
-
-
 # Tensors times cube entries (or anchors times line points, prefixes or
 # truth-table entries) that one pass of a batched kernel holds, so its
 # temporaries stay near a MiB at any batch size; the weighted sum and the
@@ -240,20 +225,48 @@ _SIGNS = np.array([1, -1])  # a bit b as the int64 (-1)^b
 
 
 def _walsh(rows: np.ndarray) -> np.ndarray:
-    """Integer Walsh-Hadamard transform of (-1)^row for each row of a (T, 2^D) bit matrix.
+    """Integer Walsh-Hadamard transform of (-1)^row for each row of a (T, 2, ..., 2) bit array.
 
-    Entry S of a row's transform is sum_x (-1)^(row[x] ^ chi_S(x)).  It is in
-    mask order: bit i of S is coordinate i, which reversing the axes of the
-    (2,)*D table puts at bit i of the flat index.
+    Entry S of a row's transform is sum_x (-1)^(row[x] ^ chi_S(x)), where x
+    and S index the row's (2,)*D table in C order: axis i is bit D - 1 - i.
+    A (T, 2^D) matrix is read as (T, 2, ..., 2); pass a transposed view for
+    another bit order.
     """
-    count, n = rows.shape
+    count = len(rows)
+    w = 1 - 2 * rows.reshape(count, -1).astype(np.int64)
+    n = w.shape[1]
     dim = n.bit_length() - 1
-    w = rows.reshape((count,) + (2,) * dim).transpose(0, *range(dim, 0, -1))
-    w = 1 - 2 * w.reshape(count, n).astype(np.int64)
-    for j in range(0, dim, 2):  # flat index bits dim - 1 - j and dim - 2 - j, if any
-        hadamard = _HADAMARD_4 if j + 1 < dim else _HADAMARD_2
-        w = hadamard @ w.reshape(count << j, len(hadamard), -1)
+    for j in range(0, dim - 2, 2):  # flat index bits dim - 1 - j and dim - 2 - j
+        w = _HADAMARD_4 @ w.reshape(count << j, 4, -1)
+    if dim:  # the last one or two bits, as one 2-D product (H is symmetric)
+        hadamard = _HADAMARD_2 if dim % 2 else _HADAMARD_4
+        w = w.reshape(-1, len(hadamard)) @ hadamard
     return w.reshape(count, n)
+
+
+@lru_cache
+def _axes(dims: tuple) -> tuple:
+    """(binary, prefix, last): the axes of length 2; the first longest axis of
+    length 3 or more (None if none), where the nearest search takes the
+    majority; and the other such axes."""
+    binary = tuple(i for i, n in enumerate(dims) if n == 2)
+    other = [i for i, n in enumerate(dims) if n > 2]
+    last = max(other, key=dims.__getitem__, default=None)
+    return binary, tuple(i for i in other if i != last), last
+
+
+def _binary_walsh(f: np.ndarray, dims: tuple) -> np.ndarray:
+    """W_S(x) = sum over the binary axes' y of (-1)^f(y, x) chi_S(y), for a (T, *dims) bit array.
+
+    Returned as (T, prefix entries, n_last, 2^|binary|) int64: the prefix
+    axes in order, then the last axis (length 1 if none).  Bit |binary| - 1 - k
+    of S is binary axis k.  Axes of length 1 go with the prefix.
+    """
+    binary, _, last = _axes(dims)
+    order = [i for i in range(len(dims)) if dims[i] != 2 and i != last]
+    order += [last] * (last is not None) + list(binary)
+    w = _walsh(f.transpose(0, *(1 + i for i in order)).reshape(-1, 1 << len(binary)))
+    return w.reshape(len(f), -1, dims[last] if last is not None else 1, 1 << len(binary))
 
 
 def _blr_counts(tables: np.ndarray) -> np.ndarray:
@@ -304,26 +317,58 @@ def _cube_rejections(rows: np.ndarray, shape: Shape, kind: str, k: int) -> np.nd
 def _residuals(rows: np.ndarray, shape: Shape) -> np.ndarray:
     """|f ^ local_view_decode(f, a)| for each row f and anchor a, as (T, size) int64.
 
-    The local views at a are f on the axis lines through a, the last one
-    absorbing f(a) when d is even; the decode at b is the XOR of each view
-    at b's coordinate.
+    With F = (-1)^f it is (size - A_a) / 2, A_a = F(a)^[d even] sum_b F(b)
+    prod_i F(a with coordinate i set to b_i).  That factor is F(a) on an axis
+    of length 1, and F(a) chi(a_i ^ b_i) or F(a) on a binary axis i, as f(a ^
+    e_i) differs from f(a) or not.  So with S_a those binary axes and M the
+    axes of length 3 or more, for _binary_walsh's W,
+        A_a = F(a)^(1 + |M|) chi_{S_a}(a) sum_x W_{S_a}(x) prod_{i in M} F(a with i set to x_i).
+    The sum over the last axis is a Gram product of F and W, shared by the
+    anchors that agree off it; the prefix axes are summed against a's lines.
     """
-    _check_table_bytes(8 * shape.size * (sum(shape.dims) + shape.d), shape.dims,
-                       "local-view decode", "line")
-    lines, columns = _cached(("lines", shape.dims), lambda: _line_table(shape))
-    n, d = shape.size, shape.d
-    width = n + lines.shape[1]  # entries of the views and the residual per anchor
-    out = np.empty((len(rows), n), dtype=np.int64)
-    for part in _passes(len(rows), n * width):
-        block = rows[part]
-        for anchors in _passes(n, len(block) * width):
-            views = block[:, lines[anchors]]
-            if d % 2 == 0:
-                views[..., -shape.dims[-1]:] ^= block[:, anchors, None]
-            residual = block[:, None] ^ views[..., columns[0]]
-            for column in columns[1:]:
-                residual ^= views[..., column]
-            out[part, anchors] = np.einsum("tab->ta", residual, dtype=np.int64)
+    dims, size = shape.dims, shape.size
+    binary, prefix, last = _axes(dims)
+    rest = 1  # rows of the Gram table, one per index off the last axis
+    if last is not None:
+        rest, step = size // dims[last], shape.strides[last]
+        _check_table_bytes(8 * rest * rest, dims, "local-view decode", "Gram")
+    steps = np.array(shape.strides)[:, None]
+    coords = np.arange(size) // steps % np.array(dims)[:, None]
+    starts = np.arange(size) - coords * steps  # the first point of each axis line through a
+    across = (starts + (1 - coords) * steps)[list(binary)]  # a ^ e_i, on a binary axis i
+    coords = coords[list(binary)].astype(np.uint8)
+    off = (np.zeros(size, dtype=np.intp) if last is None else  # a's Gram row
+           starts[last] // (dims[last] * step) * step + starts[last] % step)
+    chars, m = 1 << len(binary), prod(dims[i] for i in prefix)
+    letters = "".join(chr(65 + k) for k in range(len(prefix)))
+    spec = ",".join(["tc" + letters] + ["tc" + x for x in letters]) + "->tc"
+    out = np.empty((len(rows), size), dtype=np.int64)
+    for part in _passes(len(rows), 8 * size + rest * rest):  # some eight int64 arrays a row
+        f = rows[part]
+        t = len(f)
+        # S_a, numbered as _binary_walsh numbers S, and the sign of A_a's sum.
+        flips = f & (1 - (len(prefix) + (last is not None)) % 2)
+        changes = f[:, across] ^ f[:, None]
+        flips ^= np.bitwise_xor.reduce(changes & coords, axis=1)  # chi_{S_a}(a)
+        codes = np.zeros(f.shape, dtype=np.min_scalar_type(chars - 1))
+        for k in range(len(binary)):
+            codes <<= 1
+            codes |= changes[:, k]
+        w = _binary_walsh(f.reshape((-1,) + dims), dims)
+        if last is not None:  # the Gram product; the prefix axes read signs too
+            signs = _SIGNS[f]
+            x = np.moveaxis(signs.reshape((t,) + dims), 1 + last, -1).reshape(t, rest, -1)
+            w = x @ w.transpose(0, 2, 3, 1).reshape(t, dims[last], -1)
+        w = w.reshape(-1, m)  # row (t rest + off) chars + S
+        base = np.arange(0, t * rest * chars, rest * chars)[:, None]
+        for c in _passes(size, t * m):
+            key = base + off[c] * chars + codes[:, c]
+            views = [w.take(key, axis=0).reshape((t, -1) + tuple(dims[i] for i in prefix))]
+            views[0] *= _SIGNS.take(flips[:, c]).reshape(key.shape + (1,) * len(prefix))
+            for i in prefix:  # F on the line through each anchor along axis i
+                views.append(signs[:, starts[i, c, None] + np.arange(dims[i]) * steps[i]])
+            a = np.subtract(size, np.einsum(spec, *views), out=out[part, c])
+            a >>= 1
     return out
 
 
@@ -375,58 +420,84 @@ def exact_blr_rejection(table) -> ExactRejection:
 
 
 def _prefix_table(shape: Shape) -> np.ndarray:
-    """Canonical sums on axes 0..d-2 in enumeration order, as (prefixes, size / n_last) uint8."""
-    dims = shape.dims[:-1]
-    free = [(i, v) for i, n in enumerate(dims) for v in range(i > 0, n)]
+    """Canonical sums on the prefix axes, each component 0 at 0, as (prefixes, entries) uint8.
+
+    Row p sets the free entries whose bits are set in p, the first most significant.
+    """
+    _, prefix, _ = _axes(shape.dims)
+    dims = [shape.dims[i] for i in prefix]
+    free = [(k, v) for k, n in enumerate(dims) for v in range(1, n)]
     _check_table_bytes(prod(dims) << len(free), shape.dims, "direct-sum enumeration",
                        "prefix")
     coords = np.indices(dims).reshape(len(dims), prod(dims))
     table = np.zeros((1 << len(free), prod(dims)), dtype=np.uint8)
-    for m, (i, v) in enumerate(reversed(free)):  # the first free entry ends most significant
-        np.bitwise_xor(table[:1 << m], coords[i] == v, out=table[1 << m:2 << m])
+    for m, (k, v) in enumerate(reversed(free)):  # the first free entry ends most significant
+        np.bitwise_xor(table[:1 << m], coords[k] == v, out=table[1 << m:2 << m])
     return table
 
 
-def _nearest(rows: np.ndarray, shape: Shape, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a (T, size) bit matrix: its nearest sum's prefix row, and the distance.
+def _correlations(rows: np.ndarray, shape: Shape):
+    """Yields (part, chunk, v) over the rows of a (T, size) bit matrix and the prefixes.
 
-    In +-1 form r_c . p = fiber - 2 |r_c ^ p| for the fiber r_c at last-axis value c,
-    so p with the majority l is at (size - sum_c |r_c . p|) / 2, r_0 . p signed if d >= 2.
-    Prefixes come in complementary pairs, so for d >= 2 the best has r_0 . p >= 0: l(0) = 0.
+    v[t, c, S, p] correlates F = (-1)^f, row t of part, with chi_S times
+    prefix p on the fiber where the last axis is c.  A direct sum is +-chi_S
+    times a prefix times a last component of any signs, so the nearest one
+    is at (size - max over (S, p) of sum_c |v[t, c, S, p]|) / 2.
     """
-    _check_budget(DirectSum.count(shape), budget, "direct-sum enumeration")
+    _check_table_bytes(16 * shape.size, shape.dims, "direct-sum enumeration", "Walsh")
     prefixes = _cached(("prefixes", shape.dims), lambda: _prefix_table(shape))
-    (count, fiber), last = prefixes.shape, shape.dims[-1]
-    best, top = np.empty((2, len(rows)), dtype=np.int64)
-    for part in _passes(len(rows), 4 * (shape.size + last * count)):  # 4 int64 arrays each
-        r = _SIGNS[rows[part].reshape(-1, fiber, last).swapaxes(1, 2)]
-        totals = np.empty((len(r), count), dtype=np.int64)
-        for chunk in _passes(count, max(len(r) * last, fiber)):
-            agree = r @ _SIGNS[prefixes[chunk].T]
-            score = np.abs(agree)
-            if shape.d > 1:
-                score[:, 0] = agree[:, 0]
-            score.sum(axis=1, out=totals[:, chunk])
-        best[part], top[part] = totals.argmax(axis=1), totals.max(axis=1)
-    return prefixes[best], (shape.size - top) // 2
+    count, entries = prefixes.shape
+    for part in _passes(len(rows), shape.size):
+        w = _binary_walsh(rows[part].reshape((-1,) + shape.dims), shape.dims)
+        t, _, n_last, chars = w.shape
+        w = w.reshape(t, entries, -1).swapaxes(1, 2)
+        for chunk in _passes(count, max(t * n_last * chars, entries)):
+            v = w @ _SIGNS[prefixes[chunk].T] if entries > 1 else w  # no prefix axis: W itself
+            yield part, chunk, v.reshape(t, n_last, chars, -1)
 
 
 def nearest_direct_sum(f: BinaryTensor, budget: int = DEFAULT_BUDGET) -> NearestResult:
     """Global minimum over all canonical direct sums.
 
-    Ties go to the lexicographically smallest canonical bit-string, which is
-    the enumeration order, so the first minimum wins.  On an all-binary
-    shape the direct sums are exactly the affine functions, so the distance
-    is also nearest_affine's on the same bits.  The witness is built when
-    read: it costs more than the search, and most callers read only the distance.
+    Ties go to the lexicographically smallest canonical bit-string.  On an
+    all-binary shape the direct sums are exactly the affine functions, so the
+    distance is also nearest_affine's on the same bits.  The witness is built
+    when read: it runs the search again, and most callers read only the distance.
     """
-    (p,), (count,) = _nearest(f.bits[None], f.shape, budget)
-    return NearestResult(partial(_nearest_sum, f, p), Fraction(int(count), f.shape.size))
+    (count,) = nearest_distances(f.shape, f.bits[None], budget)
+    return NearestResult(partial(_nearest_sum, f, f.shape.size - 2 * int(count)),
+                         Fraction(int(count), f.shape.size))
 
 
-def _nearest_sum(f: BinaryTensor, p: np.ndarray) -> DirectSum:
-    last = 2 * (f.bits.reshape(p.size, -1) ^ p[:, None]).sum(axis=0) > p.size
-    return local_view_decode(_adopt(f.shape, p[:, None] ^ last), f.shape.origin())
+def _nearest_sum(f: BinaryTensor, top: int) -> DirectSum:
+    """The canonical sum with the smallest bit-string among those at correlation top.
+
+    Each (S, p) at the top gives the sums whose last component has the sign
+    of v on each fiber, either sign where v is 0.  The canonical form moves
+    the last component's value at 0 into component 0, whose first bit leads
+    the string, so the smallest of them takes 0 wherever v is 0.
+    """
+    dims = f.shape.dims
+    binary, prefix, last = _axes(dims)
+    found = []
+    for _, chunk, v in _correlations(f.bits[None], f.shape):
+        s, p = np.nonzero(np.abs(v[0]).sum(axis=0) == top)
+        found.append((s, p + chunk.start, v[0][:, s, p].T))
+    s, p, v = (np.concatenate(x) for x in zip(*found))
+    comps = [np.zeros((len(s), n), dtype=np.uint8) for n in dims]
+    free = [(i, 1) for i in binary] + [(i, x) for i in prefix for x in range(1, dims[i])]
+    code = s << (len(free) - len(binary)) | p  # the first free entry most significant
+    for m, (i, x) in enumerate(free):
+        comps[i][:, x] = code >> (len(free) - 1 - m) & 1
+    signs = (v < 0).astype(np.uint8)  # the last component, or the constant if none
+    if last != 0:
+        comps[0] ^= signs[:, :1]
+        signs ^= signs[:, :1]
+    signs[v == 0] = 0
+    if last is not None:
+        comps[last] = signs
+    best = np.lexsort(np.hstack(comps).T[::-1])[0]
+    return DirectSum(f.shape, [c[best] for c in comps])
 
 
 def nearest_distances(shape: Shape, rows, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -434,7 +505,13 @@ def nearest_distances(shape: Shape, rows, budget: int = DEFAULT_BUDGET) -> np.nd
 
     Returns int64 counts; a row's distance is its count over shape.size.
     """
-    return _nearest(_bit_rows(shape, rows), shape, budget)[1]
+    _check_budget(DirectSum.count(shape), budget, "direct-sum enumeration")
+    rows = _bit_rows(shape, rows)
+    top = np.zeros(len(rows), dtype=np.int64)
+    for part, _, v in _correlations(rows, shape):
+        score = np.abs(v, out=v).sum(axis=1).reshape(len(v), -1)
+        np.maximum(top[part], score.max(axis=1), out=top[part])
+    return (shape.size - top) // 2
 
 
 def _affine_fits(tables: np.ndarray) -> tuple:
@@ -447,11 +524,13 @@ def _affine_fits(tables: np.ndarray) -> tuple:
     constant 1 at its first argmin, and constant 0 wins a tie.
     """
     count, n = tables.shape
+    dim = n.bit_length() - 1
     constants = np.empty(count, dtype=np.int64)
     masks = np.empty(count, dtype=np.int64)
     doubled = np.empty(count, dtype=np.int64)
     for part in _passes(count, n):
-        w = _walsh(tables[part])
+        # Reversed axes put coordinate i at bit i of the transform's index.
+        w = _walsh(tables[part].reshape((-1,) + (2,) * dim).transpose(0, *range(dim, 0, -1)))
         top, bottom = w.argmax(axis=1), w.argmin(axis=1)
         rows = np.arange(len(w))
         high, low = n - w[rows, top], n + w[rows, bottom]
@@ -550,19 +629,6 @@ def local_view_decode(f: BinaryTensor, a: Point) -> DirectSum:
     return DirectSum(f.shape, comps)
 
 
-def shapka_residual_identity_check(f: BinaryTensor, a: Point, b: Point) -> tuple[int, int]:
-    """Both sides of the residual identity; they must agree for every input.
-
-    Left: (f - local-view sum)(b).  Right: the query-set parity at (a, b).
-    """
-    a = f.shape.require_point(a)
-    b = f.shape.require_point(b)
-    ds = local_view_decode(f, a)
-    lhs = f.value(b) ^ ds.eval(b)
-    rhs = 0 if testers.shapka_trial(f, testers.ShapkaRandomness(a, b)).accepted else 1
-    return lhs, rhs
-
-
 def is_direct_sum(f: BinaryTensor) -> bool:
     """Exact membership test via decode-and-compare at the origin anchor."""
     return local_view_decode(f, f.shape.origin()).materialize() == f
@@ -580,15 +646,3 @@ def best_anchor_decode(f: BinaryTensor) -> tuple[Point, DirectSum, Fraction]:
     best = int(residuals.argmin())
     a = f.shape.point_at(best)
     return a, local_view_decode(f, a), Fraction(int(residuals[best]), f.shape.size)
-
-
-# ---------------------------------------------------------------------------
-# Biased characters
-# ---------------------------------------------------------------------------
-
-
-def biased_character_probability(s_size: int) -> Fraction:
-    """Pr[chi_S(x) = 0] when each bit is 1 with probability 2/3: (1+(-1/3)^s)/2."""
-    if s_size < 0:
-        raise ValueError("set size must be nonnegative")
-    return (1 + Fraction(-1, 3) ** s_size) / 2

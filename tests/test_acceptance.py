@@ -30,7 +30,6 @@ from rank1check.agreement import (
     random_direct_product,
 )
 from rank1check.oracles import (
-    biased_character_probability,
     exact_blr_rejection,
     exact_rejection,
     nearest_affine,
@@ -39,7 +38,7 @@ from rank1check.oracles import (
 from rank1check.spectral import build_skeleton, quotient_spectrum, verify_spectrum
 from rank1check.testers import CONJECTURED, SHAPKA, SIC_CUBE, SIC_SUBSETS
 from rank1check.harness import rng_for
-from test_oracles import biased_character_probability_enumerated
+from test_oracles import biased_character_probability, biased_character_probability_enumerated
 
 
 def _report(num, name, ok, started, detail=""):

@@ -68,7 +68,35 @@ def test_median_completed_ops(tmp_path, capsys):
     mc = json.loads(out.read_text())["workloads"]["mc-large"]
     assert mc["median_ops"] == {"parent": 510, "change": 700}
     assert "ops" not in mc["metrics"]
-    assert capsys.readouterr().out == "mc-large: median ops 510 (parent) 700 (change)\n"
+    assert capsys.readouterr().out == (
+        "mc-large: median ops 510 (parent) 700 (change); peak_rss_mb 100 (parent) "
+        "100 (change), +0 MB per 1000 ops\n")
+
+
+def test_rss_per_thousand_ops(tmp_path, capsys):
+    # The change completes 2000 more ops and peaks 0.8 MB higher: 0.4 MB per
+    # 1000 ops, a rise that tracks the op count.  Equal op counts give none.
+    write_records(tmp_path / "parent", "aaa",
+                  {("mc-large", s): (10.0, 50.0 + s) for s in (1, 2, 3)} |
+                  {("oracle-mid", 1): (10.0, 40.0)},
+                  {("mc-large", s): 10000 for s in (1, 2, 3)})
+    write_records(tmp_path / "change", "bbb",
+                  {("mc-large", s): (12.0, 50.8 + s) for s in (1, 2, 3)} |
+                  {("oracle-mid", 1): (10.0, 41.0)},
+                  {("mc-large", s): 12000 for s in (1, 2, 3)})
+    out = tmp_path / "bench.json"
+    assert bench_compare.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                               "-o", str(out)]) == 0
+    workloads = json.loads(out.read_text())["workloads"]
+    mc = workloads["mc-large"]
+    assert mc["median_peak_rss_mb"] == {"parent": 52.0, "change": 52.8}
+    assert abs(mc["rss_mb_per_1000_ops"] - 0.4) < 1e-9
+    assert workloads["oracle-mid"]["rss_mb_per_1000_ops"] is None
+    assert capsys.readouterr().out.splitlines() == [
+        "mc-large: median ops 10000 (parent) 12000 (change); peak_rss_mb 52 (parent) "
+        "52.8 (change), +0.4 MB per 1000 ops",
+        "oracle-mid: median ops 100 (parent) 100 (change); peak_rss_mb 40 (parent) "
+        "41 (change), equal op counts"]
 
 
 def test_verdicts_against_the_bound(tmp_path):

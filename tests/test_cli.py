@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rank1check import cli, oracles
-from rank1check.core import tensor_from_text, tensor_to_text, BinaryTensor, Shape
+from rank1check.core import tensor_from_text, tensor_to_text, BinaryTensor, DirectSum, Shape
 from rank1check.agreement import dp_from_text, dp_to_text, DPShape, DPFunction
 from rank1check.harness import DEFAULT_SWEEP_CONFIG
 
@@ -170,23 +170,36 @@ class TestOracle:
 
     @pytest.mark.parametrize("args", [["oracle", "--test", "shapka"],
                                       ["decode", "--mode", "local-view"]])
-    def test_line_table_ceiling_is_usage_error(self, capsys, tmp_path, args):
+    def test_gram_table_ceiling_is_usage_error(self, capsys, tmp_path, args):
         # shapka's count and decode's default best anchor share the table.
         path = tmp_path / "f.tensor"
-        path.write_text(tensor_to_text(BinaryTensor.zeros(Shape((8192,)))))
+        path.write_text(tensor_to_text(BinaryTensor.zeros(Shape((3,) * 10))))
         code, out, err = run(args + ["--input", str(path)], capsys)
         assert (code, out) == (2, "")
-        assert err == ("error: local-view decode on shape (8192,) needs 536936448 "
-                       "bytes for its line table, beyond the 268435456-byte ceiling\n")
+        assert err == (f"error: local-view decode on shape {(3,) * 10} needs 3099363912 "
+                       "bytes for its Gram table, beyond the 268435456-byte ceiling\n")
 
     def test_prefix_table_ceiling_is_usage_error(self, capsys, tmp_path):
+        # shapka's count runs; the nearest search's prefix table, on the axes
+        # (8, 8, 8), would hold 2^21 x 512 bytes.
         path = tmp_path / "f.tensor"
-        path.write_text(tensor_to_text(BinaryTensor.zeros(Shape((2,) * 15))))
-        code, out, err = run(["oracle", "--input", str(path), "--test", "blr"], capsys)
+        path.write_text(tensor_to_text(BinaryTensor.zeros(Shape((8,) * 4))))
+        code, out, err = run(["oracle", "--input", str(path), "--test", "shapka"], capsys)
         assert (code, out) == (2, "")
-        assert err == (f"error: direct-sum enumeration on shape {(2,) * 15} needs "
-                       "536870912 bytes for its prefix table, beyond the "
+        assert err == ("error: direct-sum enumeration on shape (8, 8, 8, 8) needs "
+                       "1073741824 bytes for its prefix table, beyond the "
                        "268435456-byte ceiling\n")
+
+    def test_blr_on_sixteen_binary_axes(self, capsys, tmp_path):
+        # BLR's count and the nearest distance both read a transform here.
+        sh = Shape((2,) * 16)
+        bits = DirectSum.random(sh, np.random.default_rng(16)).materialize().bits.copy()
+        bits[[3, 100, 200]] ^= 1
+        path = tmp_path / "f.tensor"
+        path.write_text(tensor_to_text(BinaryTensor(sh, bits)))
+        code, out, _ = run(["oracle", "--input", str(path), "--test", "blr"], capsys)
+        assert code == 0
+        assert "exact_dist=3/65536 " in out
 
     @pytest.mark.parametrize("args,message", [
         ([], "oracle needs --input (or --assert-soundness)"),

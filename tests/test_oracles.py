@@ -2,6 +2,7 @@
 
 import tracemalloc
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from rank1check.oracles import (
     BudgetExceededError,
     ExactRejection,
     best_anchor_decode,
-    biased_character_probability,
     exact_blr_rejection,
     exact_rejection,
     exact_rejections,
@@ -35,7 +35,6 @@ from rank1check.oracles import (
     nearest_affine,
     nearest_direct_sum,
     nearest_distances,
-    shapka_residual_identity_check,
 )
 from rank1check.testers import (
     ALL_TEST_KINDS,
@@ -50,6 +49,7 @@ from rank1check.testers import (
     SicCubeRandomness,
     SicSubsetsRandomness,
     run_trial,
+    shapka_trial,
 )
 from test_core import cube_points
 
@@ -392,7 +392,7 @@ class TestSicCubeKernel:
 
 
 class TestShapkaKernel:
-    """shapka is counted by the residual identity, from the lines through each anchor."""
+    """shapka is counted by the residual identity, from a Walsh transform over the binary axes."""
 
     @staticmethod
     def six_by_four():
@@ -400,8 +400,8 @@ class TestShapkaKernel:
         return BinaryTensor(sh, np.random.default_rng(12).integers(0, 2, sh.size))
 
     def test_four_axes_of_six_cold(self, monkeypatch):
-        # The (a, b) pairs of this shape number 1296^2; the line table holds
-        # 1296 * 24 indices.
+        # The (a, b) pairs of this shape number 1296^2; the Gram table holds
+        # 216^2 int64 entries.
         monkeypatch.setattr(oracles, "_cache", {})
         f = self.six_by_four()
         tracemalloc.start()
@@ -413,12 +413,12 @@ class TestShapkaKernel:
         assert r.total == 1296 ** 2
         assert peak < 16 << 20
 
-    def test_line_table_ceiling_refuses_before_building(self, monkeypatch):
-        # (8192,)'s 2^26 pairs pass the default tuple budget, but its line
-        # table would hold 8192 x 8193 int64 indices, 512 MiB.  shapka and
-        # the best-anchor decode share it.
+    def test_gram_table_ceiling_refuses_before_building(self, monkeypatch):
+        # (3,)^10's 3^20 pairs pass the default tuple budget, but its Gram
+        # table would hold 3^9 x 3^9 int64 entries, 2.9 GiB.  shapka and the
+        # best-anchor decode share it.
         monkeypatch.setattr(oracles, "_cache", {})
-        f = BinaryTensor.zeros(Shape((8192,)))
+        f = BinaryTensor.zeros(Shape((3,) * 10))
         for call in (lambda: exact_rejection(f, SHAPKA), lambda: best_anchor_decode(f)):
             tracemalloc.start()
             try:
@@ -428,24 +428,32 @@ class TestShapkaKernel:
             finally:
                 tracemalloc.stop()
             assert str(refused.value) == (
-                "local-view decode on shape (8192,) needs 536936448 bytes for its "
-                "line table, beyond the 268435456-byte ceiling")
+                f"local-view decode on shape {(3,) * 10} needs 3099363912 bytes for its "
+                "Gram table, beyond the 268435456-byte ceiling")
             assert peak < 1 << 20
 
-    def test_line_table_is_filled_in_place(self, monkeypatch):
-        # (4096,)'s line table takes 128 MiB; built by stacking its columns
-        # it peaked at twice that.  On one axis the hybrid of a toward b is b,
-        # so shapka never rejects.
-        monkeypatch.setattr(oracles, "_cache", {})
-        f = BinaryTensor(Shape((4096,)), np.random.default_rng(13).integers(0, 2, 4096))
-        tracemalloc.start()
-        try:
-            r = exact_rejection(f, SHAPKA)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (r.rejecting, r.total) == (0, 4096 ** 2)
-        assert peak < 140 << 20
+    def test_gram_table_is_what_is_counted(self, monkeypatch):
+        # (2,)^11 x 3: the Gram table holds 2^11 x 2^11 int64 entries, 32 MiB,
+        # and the rest of the count stays near a MiB beside it.  A shape of
+        # one axis needs no table: its Gram table is a single entry.
+        for dims, gram, seed in (((2,) * 11 + (3,), 32 << 20, 13), ((4096,), 8, 14)):
+            monkeypatch.setattr(oracles, "_cache", {})
+            sh = Shape(dims)
+            f = BinaryTensor(sh, np.random.default_rng(seed).integers(0, 2, sh.size))
+            tracemalloc.start()
+            try:
+                r = exact_rejection(f, SHAPKA)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert r.total == sh.size ** 2
+            assert gram <= peak < gram + (2 << 20)
+            monkeypatch.setattr(oracles, "MAX_CUBE_TABLE_BYTES", gram - 1)
+            with pytest.raises(BudgetExceededError, match=f" needs {gram} bytes for its Gram"):
+                exact_rejection(f, SHAPKA)
+            monkeypatch.setattr(oracles, "MAX_CUBE_TABLE_BYTES", gram)
+            assert exact_rejection(f, SHAPKA) == r
+        assert r.rejecting == 0  # on one axis the hybrid of a toward b is b
 
     def test_anchor_residuals_are_decode_distances(self):
         f = self.six_by_four()
@@ -472,8 +480,7 @@ class TestShapkaKernel:
             assert best_anchor_decode(ds.materialize()) == (sh.origin(), ds, 0)
 
     def test_best_anchor_refuses_beyond_the_budget(self):
-        # 65792^2 anchor-point pairs exceed 2^32; the line table alone would
-        # hold 65792 * 513 int64 indices.
+        # 65792^2 anchor-point pairs exceed 2^32, before any table is sized.
         f = BinaryTensor.zeros(Shape((257, 256)))
         tracemalloc.start()
         try:
@@ -579,7 +586,7 @@ class TestNearestKernel:
     @pytest.mark.parametrize("dims", [(16, 16), (8, 8, 8)])
     def test_large_shapes_cold(self, monkeypatch, dims):
         # A scan would hold 2^31 candidates on (16,16) and 2^22 on (8,8,8);
-        # the prefix table holds 2^16 x 16 and 2^15 x 64 bytes.  Three flips
+        # the prefix table holds 2^15 x 16 and 2^14 x 64 bytes.  Three flips
         # from a direct sum decode to it, since two sums differ in at least
         # 16 entries.
         monkeypatch.setattr(oracles, "_cache", {})
@@ -598,10 +605,10 @@ class TestNearestKernel:
         assert peak < 32 << 20
 
     def test_prefix_table_ceiling_refuses_before_building(self, monkeypatch):
-        # (2,)^15's 2^16 direct sums pass the default tuple budget, but its
-        # prefix table would hold 2^15 x 2^14 bytes.
+        # (3,)^10's 2^21 direct sums pass the default tuple budget, but its
+        # prefix table would hold 2^18 x 3^9 bytes.
         monkeypatch.setattr(oracles, "_cache", {})
-        f = BinaryTensor.zeros(Shape((2,) * 15))
+        f = BinaryTensor.zeros(Shape((3,) * 10))
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError) as refused:
@@ -610,8 +617,25 @@ class TestNearestKernel:
         finally:
             tracemalloc.stop()
         assert str(refused.value) == (
-            f"direct-sum enumeration on shape {(2,) * 15} needs 536870912 bytes for "
+            f"direct-sum enumeration on shape {(3,) * 10} needs 5159780352 bytes for "
             "its prefix table, beyond the 268435456-byte ceiling")
+        assert peak < 1 << 20
+
+    def test_walsh_ceiling_refuses_before_building(self, monkeypatch):
+        # (2,)^25's 2^26 direct sums pass the default tuple budget; its
+        # transform is charged 16 bytes per entry, as nearest_affine's is.
+        monkeypatch.setattr(oracles, "_cache", {})
+        f = BinaryTensor.zeros(Shape((2,) * 25))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as refused:
+                nearest_distances(f.shape, f.bits[None])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == (
+            f"direct-sum enumeration on shape {(2,) * 25} needs 536870912 bytes for "
+            "its Walsh table, beyond the 268435456-byte ceiling")
         assert peak < 1 << 20
 
     def test_tuple_budget_is_checked_before_the_prefix_table(self):
@@ -620,7 +644,7 @@ class TestNearestKernel:
             nearest_direct_sum(BinaryTensor.zeros(Shape((2,) * 15)), budget=65535)
 
     def test_thirteen_binary_axes_answer(self, monkeypatch):
-        # A 32 MiB prefix table, under the ceiling.
+        # An all-binary shape has no prefix axis: the search reads the transform.
         monkeypatch.setattr(oracles, "_cache", {})
         sh = Shape((2,) * 13)
         ds = DirectSum.random(sh, np.random.default_rng(13))
@@ -629,27 +653,58 @@ class TestNearestKernel:
         res = nearest_direct_sum(BinaryTensor(sh, bits))
         assert (res.witness, res.distance) == (ds, Fraction(3, sh.size))
 
-    def test_prefix_table_is_built_in_place(self):
-        # (2,)^13's table holds 2^12 x 2^12 bytes; a build that doubled a
-        # copy of it would peak near twice that.
+    def test_sixteen_binary_axes_cold(self, monkeypatch):
+        # The old prefix table would have needed 2 GiB here; the search holds
+        # the transform, 16 bytes per entry.
+        monkeypatch.setattr(oracles, "_cache", {})
+        sh = Shape((2,) * 16)
+        ds = DirectSum.random(sh, np.random.default_rng(16))
+        bits = ds.materialize().bits.copy()
+        bits[[3, 100, 200, 40000]] ^= 1
+        f = BinaryTensor(sh, bits)
         tracemalloc.start()
         try:
-            table = oracles._prefix_table(Shape((2,) * 13))
+            res = nearest_direct_sum(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.distance == Fraction(4, sh.size)
+        assert peak < 16 * sh.size + (1 << 20)
+        assert res.witness == ds
+
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_equals_nearest_affine_on_binary_shapes(self, dim):
+        sh = Shape((2,) * dim)
+        rows = TestNearestKernel.tensors(sh, dim)
+        affine = [nearest_affine(row).distance * sh.size for row in rows]
+        assert nearest_distances(sh, rows).tolist() == affine
+
+    def test_prefix_table_is_built_in_place(self):
+        # (8,8,8,4)'s table, on the prefix axes (8, 8, 4), holds 2^17 x 2^8
+        # bytes; a build that doubled a copy of it would peak near twice that.
+        tracemalloc.start()
+        try:
+            table = oracles._prefix_table(Shape((8, 8, 8, 4)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert table.nbytes == 32 << 20
         assert peak < 1.1 * table.nbytes
 
-    @pytest.mark.parametrize("dims", [(5,), (2, 3), (3, 1, 2), (2, 2, 2), (4, 4, 4), (2,) * 6])
+    @pytest.mark.parametrize("dims", [(5,), (2, 3), (3, 1, 2), (2, 2, 2), (4, 4, 4), (2,) * 6,
+                                      (5, 5, 5)])
     def test_prefix_byte_count_is_the_table(self, monkeypatch, dims):
+        # The search is charged its transform, 16 bytes per entry, and then
+        # its prefix table.
         sh = Shape(dims)
-        table = oracles._prefix_table(sh)
+        walsh, prefix = 16 * sh.size, oracles._prefix_table(sh).nbytes
         monkeypatch.setattr(oracles, "_cache", {})
-        monkeypatch.setattr(oracles, "MAX_CUBE_TABLE_BYTES", table.nbytes - 1)
-        with pytest.raises(BudgetExceededError, match=f" needs {table.nbytes} bytes for its prefix"):
-            nearest_direct_sum(BinaryTensor.zeros(sh))
-        monkeypatch.setattr(oracles, "MAX_CUBE_TABLE_BYTES", table.nbytes)
+        for needed, table in ((walsh, "Walsh"), (prefix, "prefix")):
+            monkeypatch.setattr(oracles, "MAX_CUBE_TABLE_BYTES", needed - 1)
+            if table == "Walsh" or prefix > walsh:
+                with pytest.raises(BudgetExceededError, match=f" needs {needed} bytes for its {table}"):
+                    nearest_direct_sum(BinaryTensor.zeros(sh))
+        monkeypatch.setattr(oracles, "MAX_CUBE_TABLE_BYTES", max(walsh, prefix))
         assert nearest_direct_sum(BinaryTensor.zeros(sh)).distance == 0
 
 
@@ -766,6 +821,18 @@ class TestLocalViewDecode:
                     assert distance(f, decoded) == Fraction(rejecting, sh.size)
 
 
+def shapka_residual_identity_check(f, a, b):
+    """Both sides of the residual identity; they must agree for every input.
+
+    Left: (f - local-view sum)(b).  Right: the query-set parity at (a, b).
+    """
+    a = f.shape.require_point(a)
+    b = f.shape.require_point(b)
+    lhs = f.value(b) ^ local_view_decode(f, a).eval(b)
+    rhs = 0 if shapka_trial(f, ShapkaRandomness(a, b)).accepted else 1
+    return lhs, rhs
+
+
 class TestResidualIdentity:
     def test_exhaustive_two_by_two(self):
         sh = Shape((2, 2))
@@ -805,6 +872,13 @@ class TestMembership:
         sh = Shape((3, 2))
         ds = DirectSum.random(sh, np.random.default_rng(10))
         assert is_direct_sum(flip(ds.materialize()))
+
+
+def biased_character_probability(s_size: int) -> Fraction:
+    """Pr[chi_S(x) = 0] when each bit is 1 with probability 2/3: (1+(-1/3)^s)/2."""
+    if s_size < 0:
+        raise ValueError("set size must be nonnegative")
+    return (1 + Fraction(-1, 3) ** s_size) / 2
 
 
 def biased_character_probability_enumerated(s_size: int, dim: int | None = None) -> Fraction:
@@ -926,6 +1000,123 @@ class TestExhaustiveSoundness:
             exhaustive_soundness(Shape((2, 2)), CONJECTURED)
         with pytest.raises(ValueError, match=r"^cannot iterate 2\^25 tensors"):
             exhaustive_soundness(Shape((5, 5)), SHAPKA)
+
+
+def reference_residuals(rows, shape):
+    """|f ^ local_view_decode(f, a)| for each row and anchor, gathered pair by pair.
+
+    The line-table kernel that the Walsh kernel replaced: row a of the table
+    lists the axis lines through a, and the decode at b XORs each view at
+    b's coordinate.
+    """
+    pts = shape.point_array()
+    offsets = np.cumsum((0,) + shape.dims)
+    lines = np.concatenate([np.arange(n) - pts[:, i:i + 1] for i, n in enumerate(shape.dims)],
+                           axis=1) * np.repeat(shape.strides, shape.dims)
+    lines += np.arange(shape.size)[:, None]
+    columns = pts.T + offsets[:-1, None]
+    views = rows[:, lines]  # (T, size, sum n_i)
+    if shape.d % 2 == 0:
+        views[..., -shape.dims[-1]:] ^= rows[:, :, None]
+    residual = rows[:, None] ^ views[..., columns[0]]
+    for column in columns[1:]:
+        residual ^= views[..., column]
+    return residual.sum(axis=2, dtype=np.int64)
+
+
+def brute_force_distances(shape, rows):
+    """The distance, times size, from each row to the nearest of every direct sum."""
+    sums = np.array([ds.materialize().bits for ds in DirectSum.enumerate_all(shape)])
+    agree = (1 - 2 * rows.astype(np.int64)) @ (1 - 2 * sums.astype(np.int64)).T
+    return (shape.size - agree.max(axis=1)) // 2
+
+
+@st.composite
+def unit_axis_batches(draw):
+    """(shape, rows): up to 24 entries and 5 axes, at least one of them of length 1."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)
+                .filter(lambda ds: np.prod(ds) <= 24))
+    at = draw(st.integers(0, len(dims)))
+    shape = Shape(tuple(dims[:at]) + (1,) + tuple(dims[at:]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    count = draw(st.integers(1, 6))
+    return shape, np.random.default_rng(seed).integers(0, 2, (count, shape.size), dtype=np.uint8)
+
+
+class TestWalshKernels:
+    """shapka's count and the nearest search against the kernels they replaced."""
+
+    @pytest.mark.parametrize("dims", [(1,), (2,), (3,), (1, 2), (2, 2), (2, 3), (3, 2),
+                                      (1, 3), (3, 3), (2, 1, 2), (2, 2, 2), (3, 1, 2),
+                                      (2, 2, 3), (2, 3, 2), (1, 2, 1, 3), (2, 2, 2, 2)])
+    def test_every_tensor(self, dims):
+        sh = Shape(dims)
+        rows = ((np.arange(1 << sh.size)[:, None] >> np.arange(sh.size)) & 1).astype(np.uint8)
+        assert np.array_equal(oracles._residuals(rows, sh), reference_residuals(rows, sh))
+        assert np.array_equal(nearest_distances(sh, rows), brute_force_distances(sh, rows))
+
+    @settings(max_examples=80, deadline=None)
+    @given(unit_axis_batches())
+    def test_batches_with_unit_axes(self, batch):
+        shape, rows = batch
+        assert np.array_equal(oracles._residuals(rows, shape), reference_residuals(rows, shape))
+        assert np.array_equal(nearest_distances(shape, rows), brute_force_distances(shape, rows))
+
+    @pytest.mark.parametrize("dims", [(4, 4), (3, 4, 2), (2, 5, 3), (6, 6), (2,) * 7,
+                                      (3, 3, 3), (4, 2, 1, 3)])
+    def test_random_rows_of_larger_shapes(self, dims):
+        sh = Shape(dims)
+        rows = TestNearestKernel.tensors(sh, sum(dims))
+        assert np.array_equal(oracles._residuals(rows, sh), reference_residuals(rows, sh))
+
+
+def upper_envelope_shapes():
+    """Every shape, up to axis order, of d >= 2 axes of length >= 2 with at most 2^16 cosets."""
+    found = []
+
+    def extend(dims):
+        for n in range(dims[-1] if dims else 2, 18):
+            longer = dims + (n,)
+            cosets = prod(longer) - 1 - sum(m - 1 for m in longer)
+            if len(longer) >= 2 and cosets > 16:
+                return
+            if len(longer) >= 2:
+                found.append(longer)
+            extend(longer)
+
+    extend(())
+    return found
+
+
+class TestUpperEnvelope:
+    """eps <= q dist for the four tensor tests, on every coset of the small shapes.
+
+    Each query is uniform on the domain and each test's parity vanishes on
+    direct sums, so f = s ^ e rejects only when a query lands in e's support:
+    q is 4 for the sic and conjectured tests and d + 1 + [d even] for shapka.
+    shapka's eps >= dist then brackets the distance in [eps / q, eps].
+    """
+
+    @pytest.mark.parametrize("dims", upper_envelope_shapes(), ids=str)
+    def test_rejection_at_most_q_times_distance(self, dims):
+        sh = Shape(dims)
+        corner = np.array(dims) - 1
+        free = np.flatnonzero((sh.point_array() != corner).sum(axis=1) > 1)
+        codes = np.arange(1 << free.size)
+        rows = np.zeros((codes.size, sh.size), dtype=np.uint8)
+        rows[:, free] = (codes[:, None] >> np.arange(free.size)) & 1
+        dist = nearest_distances(sh, rows)
+        worst = {}
+        for kind in TENSOR_TEST_KINDS:
+            q = sh.d + 1 + (sh.d % 2 == 0) if kind == SHAPKA else 4
+            rej, total = exact_rejections(sh, kind, rows)
+            assert (rej * sh.size <= q * dist * total).all(), kind
+            if kind == SHAPKA:
+                assert (rej * sh.size >= dist * total).all()
+            far = dist > 0
+            worst[kind] = max(Fraction(int(r) * sh.size, int(d) * total)
+                              for r, d in set(zip(rej[far].tolist(), dist[far].tolist())))
+        print(f"{dims}: max eps/dist", {k: str(v) for k, v in worst.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,11 @@ nine tenths of the pairs, a tie counting for neither side, and its median
 is better than the parent's by more than the parent's q3 - q1.  Per
 workload it also gives, and prints, each side's median count of completed
 ops (the records' `samples.ops`): a metric such as peak_rss_mb can move
-with the op count alone.  The git sha, package versions, nproc and
+with the op count alone.  So it also gives each side's median peak_rss_mb
+and the change in it per 1000 added completed ops ("rss_mb_per_1000_ops",
+null when the op counts are equal), and prints both next to the op counts:
+a rise that only tracks the op count reads as a steady MB per 1000 ops.
+The git sha, package versions, nproc and
 RANK1CHECK_THREADS of each side are recorded; a side whose records
 disagree on them is refused.  Each side's `src_sha256` is recorded too,
 and names the code it ran where the checkout has no git history: the sha256
@@ -122,6 +126,13 @@ def compare(parent: dict, change: dict, metrics: dict) -> dict:
                          > before["q3"] - before["q1"]),
             }
         out[workload] = {"seeds": seeds, "median_ops": ops, "metrics": rows}
+        rss = rows.get("peak_rss_mb")
+        if rss is not None:
+            rise = rss["change"]["median"] - rss["parent"]["median"]
+            added = ops["change"] - ops["parent"]
+            out[workload]["median_peak_rss_mb"] = {side: rss[side]["median"]
+                                                   for side in ("parent", "change")}
+            out[workload]["rss_mb_per_1000_ops"] = 1000 * rise / added if added else None
     return out
 
 
@@ -146,8 +157,12 @@ def main(argv=None) -> int:
     args.output.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     for workload, row in result["workloads"].items():
         ops = row["median_ops"]
-        print(f"{workload}: median ops {ops['parent']:g} (parent) "
-              f"{ops['change']:g} (change)")
+        line = f"{workload}: median ops {ops['parent']:g} (parent) {ops['change']:g} (change)"
+        if "median_peak_rss_mb" in row:
+            rss, per = row["median_peak_rss_mb"], row["rss_mb_per_1000_ops"]
+            line += (f"; peak_rss_mb {rss['parent']:g} (parent) {rss['change']:g} (change), "
+                     + ("equal op counts" if per is None else f"{per:+.3g} MB per 1000 ops"))
+        print(line)
     return 0
 
 
