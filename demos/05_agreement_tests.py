@@ -12,8 +12,6 @@ from rank1check import (
     DPShape,
     DirectSum,
     Shape,
-    alpha_pair_distribution,
-    bridge_pair_distribution,
     corrupt_entries,
     dp_plurality_decode,
     exact_alpha_rejection,
@@ -22,7 +20,6 @@ from rank1check import (
     random_direct_product,
     rng_for,
     sic_to_dp_bridge,
-    two_step_alpha_pair_distribution,
 )
 
 dsh = DPShape((3, 3, 3, 3), 2)
@@ -62,15 +59,3 @@ f = materialize(DirectSum.random(shape, rng))
 F = sic_to_dp_bridge(f, (0, 0, 0))
 print("\nbridge of a direct sum decodes with agreement",
       dp_plurality_decode(F).agreement)
-
-# Sampler identities behind the parameter conversions, checked exactly:
-# chaining two alpha draws through a shared first query equals one draw at
-# alpha squared, and the correlated probe pair has a symmetric law.
-small = DPShape((2, 2), 2)
-derived = two_step_alpha_pair_distribution(small, Fraction(3, 4))
-direct = alpha_pair_distribution(small, Fraction(9, 16))
-print("\ntwo chained 3/4-draws == one 9/16-draw:", derived == direct)
-
-law = bridge_pair_distribution(Shape((2, 2)))
-symmetric = all(law[(b, c)] == law[(c, b)] for (b, c) in law)
-print("correlated pair law symmetric:", symmetric)

@@ -73,8 +73,6 @@ from .agreement import (
     DPFunction,
     DPShape,
     PluralityDecode,
-    alpha_pair_distribution,
-    bridge_pair_distribution,
     corrupt_entries,
     default_intersection_size,
     direct_product,
@@ -86,10 +84,8 @@ from .agreement import (
     exact_fixed_t_rejection,
     random_direct_product,
     sample_alpha_randomness,
-    sample_bridge_pair,
     sample_fixed_t_randomness,
     sic_to_dp_bridge,
-    two_step_alpha_pair_distribution,
 )
 from .spectral import (
     SPECTRUM_CSV_HEADER,

@@ -318,73 +318,6 @@ def sic_to_dp_bridge(f: BinaryTensor, anchor: Point) -> DPFunction:
 
 
 # ---------------------------------------------------------------------------
-# Exact pair distributions for the sampler identities
-# ---------------------------------------------------------------------------
-
-
-def _product_law(per_axis: Sequence[dict]) -> dict:
-    """Joint law over (x, y, mask) of independent per-axis laws over (v, w, tie)."""
-    out = {((), (), 0): Fraction(1)}
-    for i, law in enumerate(per_axis):
-        out = {(x + (v,), y + (w,), mask | tie << i): p * q
-               for (x, y, mask), p in out.items() for (v, w, tie), q in law.items() if q}
-    return out
-
-
-def _alpha_axis(n: int, alpha: Fraction) -> dict:
-    """One coordinate of the alpha test: v uniform, tied with probability alpha, else w uniform."""
-    law = {(v, w, 0): (1 - alpha) / n ** 2 for v in range(n) for w in range(n)}
-    return law | {(v, v, 1): alpha / n for v in range(n)}
-
-
-def bridge_pair_distribution(shape: Shape, tie: Fraction = DEFAULT_ALPHA) -> dict:
-    """Exact law of the correlated pair (b, b') used by the bridge experiment.
-
-    Per coordinate: keep b's value with probability `tie`, otherwise resample
-    uniformly among the other values.  Size-one axes always tie.
-    """
-    def axis(n):
-        return {(v, w, int(v == w)): Fraction(1, n) * (tie if v == w else (1 - tie) / (n - 1))
-                if n > 1 else Fraction(1) for v in range(n) for w in range(n)}
-    law = _product_law([axis(n) for n in shape.dims])
-    return {(b, b2): p for (b, b2, _), p in law.items()}
-
-
-def sample_bridge_pair(shape: Shape, rng: np.random.Generator,
-                       tie: Fraction = DEFAULT_ALPHA) -> tuple[Point, Point]:
-    b = tuple(int(rng.integers(0, n)) for n in shape.dims)
-    b2 = []
-    for i, n in enumerate(shape.dims):
-        if n == 1 or rng.random() < float(tie):
-            b2.append(b[i])
-        else:
-            v = int(rng.integers(0, n - 1))
-            b2.append(v if v < b[i] else v + 1)
-    return b, tuple(b2)
-
-
-def alpha_pair_distribution(dpshape: DPShape, alpha: Fraction) -> dict:
-    """Exact law of (x, y, tied mask) under the alpha agreement test."""
-    return _product_law([_alpha_axis(n, Fraction(alpha)) for n in dpshape.sizes])
-
-
-def two_step_alpha_pair_distribution(dpshape: DPShape, alpha: Fraction) -> dict:
-    """Law of (y, y', mask tied in both) from alpha draws (x, y), (x, y') sharing x.
-
-    Coordinatewise this reproduces a single draw at rate alpha^2, which the
-    exhaustive equality test pins down.
-    """
-    per_axis = []
-    for n in dpshape.sizes:
-        step, law = _alpha_axis(n, Fraction(alpha)), {}
-        for ((v, w, s), p), ((v2, w2, s2), q) in itertools.product(step.items(), repeat=2):
-            if v == v2:  # p and q each hold x's 1/n: keep one
-                law[w, w2, s & s2] = law.get((w, w2, s & s2), 0) + p * q * n
-        per_axis.append(law)
-    return _product_law(per_axis)
-
-
-# ---------------------------------------------------------------------------
 # Text format
 # ---------------------------------------------------------------------------
 # Line 1: "dpshape k M N1 ... Nk".  Then one line per domain point in

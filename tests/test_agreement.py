@@ -14,8 +14,6 @@ from rank1check.agreement import (
     DPFunction,
     DPShape,
     _agreement_rejects,
-    alpha_pair_distribution,
-    bridge_pair_distribution,
     corrupt_entries,
     default_intersection_size,
     direct_product,
@@ -27,10 +25,8 @@ from rank1check.agreement import (
     exact_fixed_t_rejection,
     random_direct_product,
     sample_alpha_randomness,
-    sample_bridge_pair,
     sample_fixed_t_randomness,
     sic_to_dp_bridge,
-    two_step_alpha_pair_distribution,
 )
 from rank1check.core import (
     BinaryTensor,
@@ -296,7 +292,7 @@ class TestOraclesAgainstPattern:
     def test_alpha(self, dsh):
         # Every (x, y, tied) row of the exact law, weighted by its probability.
         for alpha in (Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
-            law = alpha_pair_distribution(dsh, alpha)
+            law = reference_alpha_law(dsh, alpha)
             weights = list(law.values())
             for g in self.functions(dsh):
                 rejects = _agreement_rejects(g, *_law_rows(law, dsh.k))
@@ -517,21 +513,6 @@ def reference_two_step_law(dsh, alpha):
     return out
 
 
-def reference_bridge_law(shape, tie):
-    """The bridge pair's law, pair by pair over the whole domain."""
-    out = {}
-    for b in shape.points():
-        for b2 in shape.points():
-            p = Fraction(1)
-            for v, w, n in zip(b, b2, shape.dims):
-                if n == 1:
-                    continue
-                p *= Fraction(1, n) * (tie if v == w else (1 - tie) / (n - 1))
-            if p:
-                out[(b, b2)] = p
-    return out
-
-
 def chi_square(law, sample, n):
     counts = {}
     for _ in range(n):
@@ -543,25 +524,9 @@ def chi_square(law, sample, n):
 
 
 class TestPairDistributions:
-    def test_bridge_pair_symmetric_exact(self):
-        for dims in [(2, 2), (3, 2), (2,)]:
-            dist = bridge_pair_distribution(Shape(dims))
-            assert sum(dist.values()) == 1
-            for (b, b2), p in dist.items():
-                assert dist.get((b2, b)) == p
-
-    def test_bridge_pair_sampler_chi_square(self):
-        # Sampled counts against the exact law; generous chi-square bound.
-        sh = Shape((2, 2))
-        rng = rng_for(21)
-        chi2 = chi_square(bridge_pair_distribution(sh), lambda: sample_bridge_pair(sh, rng),
-                          20000)
-        # 15 degrees of freedom; 99.9th percentile is ~37.7
-        assert chi2 < 37.7
-
     def test_alpha_sampler_chi_square(self):
         dsh = DPShape((2, 2), 2)
-        law = alpha_pair_distribution(dsh, DEFAULT_ALPHA)
+        law = reference_alpha_law(dsh, DEFAULT_ALPHA)
         rng = rng_for(23)
 
         def sample():
@@ -576,27 +541,15 @@ class TestPairDistributions:
     def test_two_step_equals_alpha_squared(self):
         for sizes in [(2, 2), (2, 3)]:
             dsh = DPShape(sizes, 2)
-            derived = two_step_alpha_pair_distribution(dsh, Fraction(3, 4))
-            direct = alpha_pair_distribution(dsh, Fraction(9, 16))
+            derived = reference_two_step_law(dsh, Fraction(3, 4))
+            direct = reference_alpha_law(dsh, Fraction(9, 16))
             assert set(derived) == set(direct)
             for key, p in derived.items():
                 assert direct[key] == p
 
-    @pytest.mark.parametrize("sizes", [(2,), (3,), (2, 2), (2, 3), (1, 2, 3)])
-    def test_product_laws_match_the_joint_enumeration(self, sizes):
-        # The per-axis product law against the whole-domain loops it replaced.
-        dsh = DPShape(sizes, 2)
-        for alpha in (Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
-            assert alpha_pair_distribution(dsh, alpha) == reference_alpha_law(dsh, alpha)
-            assert (two_step_alpha_pair_distribution(dsh, alpha)
-                    == reference_two_step_law(dsh, alpha))
-        for tie in (Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
-            assert (bridge_pair_distribution(Shape(sizes), tie)
-                    == reference_bridge_law(Shape(sizes), tie))
-
     def test_alpha_pair_distribution_normalizes(self):
         dsh = DPShape((2, 2), 2)
-        law = alpha_pair_distribution(dsh, Fraction(3, 4))
+        law = reference_alpha_law(dsh, Fraction(3, 4))
         assert sum(law.values()) == 1
 
 

@@ -1070,6 +1070,66 @@ class TestWalshKernels:
         assert np.array_equal(oracles._residuals(rows, sh), reference_residuals(rows, sh))
 
 
+def widened_sic_counts(shape, rows):
+    """sic rejecting counts of a (T, size) bit matrix, without the cube table.
+
+    On an axis of length n the sum over (a_i, b_i, s_i, t_i) is the kernel
+    4 sum_v e_v^4 + 1/2 sum_{u<v} ((e_u + e_v)^4 + (e_u - e_v)^4).  So with G
+    the transform of (-1)^f on every axis by e_v, then e_u + e_v and e_u - e_v,
+    the sign sum is 2^-d sum 8^(unit states) G^4, out of size^2 4^d.
+    """
+    weight = np.ones(1, dtype=np.int64)
+    for n in shape.dims:
+        weight = np.outer(weight, np.repeat([8, 1], [n, n * (n - 1)])).ravel()
+    signs = []
+    step = max(1, (1 << 20) // weight.size)
+    for i in range(0, len(rows), step):
+        g = 1 - 2 * rows[i:i + step].reshape(-1, *shape.dims).astype(np.int64)
+        for n in shape.dims:  # axis 1 moves last each time, so the axes end in order
+            u, v = np.triu_indices(n, 1)
+            x = np.moveaxis(g, 1, -1)
+            g = np.concatenate([x, x[..., u] + x[..., v], x[..., u] - x[..., v]], axis=-1)
+        signs.append(g.reshape(len(g), -1) ** 4 @ weight)
+    return (shape.size ** 2 * 8 ** shape.d - np.concatenate(signs)) >> (shape.d + 1)
+
+
+def flattened_conjectured_counts(shape, rows):
+    """Conjectured rejecting counts: (2^d size^2 - sum_C ||M_C M_C^T||^2) / 2 over
+    the splits C of the axes, M_C the +-1 tensor with C's axes as rows."""
+    d = shape.d
+    f = 1 - 2 * rows.reshape(-1, *shape.dims).astype(np.int64)
+    signs = 0
+    for mask in range(1 << d):
+        split = [i for i in range(d) if mask >> i & 1]
+        rest = [i for i in range(d) if not mask >> i & 1]
+        m = f.transpose(0, *(1 + i for i in split + rest))
+        m = m.reshape(len(f), prod(shape.dims[i] for i in split), -1)
+        if m.shape[1] > m.shape[2]:  # the smaller Gram matrix has the same norm
+            m = m.swapaxes(1, 2)
+        signs = signs + ((m @ m.swapaxes(1, 2)) ** 2).sum(axis=(1, 2))
+    return ((shape.size ** 2 << d) - signs) // 2
+
+
+def closed_form_counts(shape, rows):
+    """The rejecting counts of the cube-table kinds, from the two forms above."""
+    sic = widened_sic_counts(shape, rows)
+    return {SIC_SUBSETS: sic, SIC_CUBE: sic, CONJECTURED: flattened_conjectured_counts(shape, rows)}
+
+
+class TestCubeTableClosedForms:
+    """The cube table's counts against both closed forms, past brute force's (2,)^6."""
+
+    @pytest.mark.parametrize("dims", [(4, 4, 4), (5, 5), (6, 6), (1, 5, 1, 2), (2,) * 7,
+                                      (2,) * 8], ids=str)
+    def test_seeded_batches(self, dims):
+        sh = Shape(dims)
+        rows = np.random.default_rng(sh.size).integers(0, 2, (8, sh.size), dtype=np.uint8)
+        rows[0] = DirectSum.random(sh, np.random.default_rng(0)).materialize().bits
+        for kind, counts in closed_form_counts(sh, rows).items():
+            rej = exact_rejections(sh, kind, rows)[0]
+            assert rej[0] == 0 and np.array_equal(rej, counts), kind
+
+
 def upper_envelope_shapes():
     """Every shape, up to axis order, of d >= 2 axes of length >= 2 with at most 2^16 cosets."""
     found = []
@@ -1094,7 +1154,8 @@ class TestUpperEnvelope:
     Each query is uniform on the domain and each test's parity vanishes on
     direct sums, so f = s ^ e rejects only when a query lands in e's support:
     q is 4 for the sic and conjectured tests and d + 1 + [d even] for shapka.
-    shapka's eps >= dist then brackets the distance in [eps / q, eps].
+    shapka's eps >= dist then brackets the distance in [eps / q, eps].  The
+    sic and conjectured counts must also equal closed_form_counts.
     """
 
     @pytest.mark.parametrize("dims", upper_envelope_shapes(), ids=str)
@@ -1107,9 +1168,12 @@ class TestUpperEnvelope:
         rows[:, free] = (codes[:, None] >> np.arange(free.size)) & 1
         dist = nearest_distances(sh, rows)
         worst = {}
+        closed = closed_form_counts(sh, rows)
         for kind in TENSOR_TEST_KINDS:
             q = sh.d + 1 + (sh.d % 2 == 0) if kind == SHAPKA else 4
             rej, total = exact_rejections(sh, kind, rows)
+            if kind in closed:
+                assert np.array_equal(rej, closed[kind]), kind
             assert (rej * sh.size <= q * dist * total).all(), kind
             if kind == SHAPKA:
                 assert (rej * sh.size >= dist * total).all()
