@@ -7,8 +7,8 @@ coordinates, and a row rejects when g(x) and g(y) differ on one of them.  The
 alpha test ties each coordinate with probability alpha, the fixed-t test a
 uniform t-subset, and nothing else tells them apart.  The bridge turns a
 binary tensor into such a function by fitting an affine function on every
-spanned subcube.  It takes those cubes from oracles._cubes, the builder of the
-oracles' cube table, and fits each width's cubes in one batched Walsh pass.
+spanned subcube.  _cubes builds those cubes, grouped by width, and the bridge
+fits each width's cubes in one batched Walsh pass.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .oracles import (
     ExactRejection,
     _affine_fits,
     _check_budget,
-    _cubes,
     nearest_affine,  # not called here; perfbench/spans.py wraps agreement.nearest_affine
 )
 from .testers import TrialOutcome
@@ -290,6 +289,30 @@ def dp_plurality_decode(g: DPFunction) -> PluralityDecode:
 # ---------------------------------------------------------------------------
 # The affine bridge from tensors to direct products
 # ---------------------------------------------------------------------------
+
+
+def _cubes(flat_a: np.ndarray, diff: np.ndarray):
+    """The cube each pair (a, b) spans, grouped by width w = |delta(a, b)|.
+
+    flat_a holds the flat index of each pair's a, and the (pairs, d) diff
+    its (b - a) * strides.  Yields (w, pairs, cubes) for each width present,
+    in increasing w: pairs lists the pairs of width w in their given order,
+    and row p of the (len(pairs), 2^w) int64 cubes holds the flat index of
+    the splice of b onto a along each x in F2^w, x in row-major order with
+    the first differing axis most significant: column 0 is a, the last b.
+    """
+    differ = diff != 0
+    width = differ.sum(axis=1)
+    # bincount, not np.unique: a first np.unique call adds about 0.9 MB of
+    # peak RSS (numpy 2.4).
+    for w in np.flatnonzero(np.bincount(width)).tolist():
+        pairs = np.flatnonzero(width == w)
+        steps = diff[pairs][differ[pairs]].reshape(len(pairs), w)
+        cubes = np.empty((len(pairs), 1 << w), dtype=np.int64)
+        cubes[:, 0] = flat_a[pairs]
+        for j in range(w):  # doubling in place, so the first axis ends most significant
+            np.add(cubes[:, :1 << j], steps[:, w - 1 - j, None], out=cubes[:, 1 << j:2 << j])
+        yield w, pairs, cubes
 
 
 def sic_to_dp_bridge(f: BinaryTensor, anchor: Point) -> DPFunction:

@@ -1,22 +1,19 @@
 """Exact ground truth over the full randomness space of each test.
 
 Rejection probabilities are integer counts, never floats.  No tuple is
-enumerated: each count comes from a closed form over a small per-shape
-table, and the test suite checks it against the query patterns of testers,
+enumerated: each count comes from a closed form over transforms of the
+tensor, and the test suite checks it against the query patterns of testers,
 the tests' one definition, run as trials over the whole space.
-- BLR and the sic tests read the integer Walsh-Hadamard transform W of
+- BLR reads the integer Walsh-Hadamard transform W of
   F = (-1)^g for a table g on F2^D, with n = 2^D (Bellare, Coppersmith,
   Hastad, Kiwi and Sudan, "Linearity testing in characteristic two", 1996).
   BLR on g rejects
   (n^2 - F(0) sum_S W(S)^3 / n) / 2 of its n^2 pairs, and c ^ chi_S is at
   distance (n - (-1)^c W(S)) / 2 from g.
-- sic-subsets, sic-cube and the conjectured test read the cube each pair
-  (a, b) spans: g(x) is f at the splice of b onto a along x in F2^w,
-  w = |delta(a, b)|.  The sic tests are BLR on g, each of the pair's 4^w
-  selections standing for 4^(d - w) tuples.  The conjectured test rejects
-  the x with g(0) ^ g(x) ^ g(1...1) ^ g(~x) = 1, each standing for
-  2^(d - w) tuples.  _cubes builds these cubes, for the per-shape table
-  here and for agreement's affine bridge.
+- sic-subsets, sic-cube and the conjectured test sum BLR's pattern over the
+  pairs (a, b) and their selections.  Summed axis by axis, the pattern pairs
+  up its four queries, so each count is a sum of fourth moments of F =
+  (-1)^f transformed on every axis (_sic_counts, _conjectured_counts).
 - shapka and the nearest direct sum read the same transform taken over the
   binary axes only.  By the residual identity shapka's (a, b) parity is
   f(b) ^ local_view_decode(f, a)(b), so it rejects sum_a |f ^
@@ -28,8 +25,8 @@ the tests' one definition, run as trials over the whole space.
   0), with the majority on the longest.
 By Parseval |sum_S W(S)^3| <= n^3, so int64 holds these counts up to D = 20.
 Oracles raise BudgetExceededError rather than sample when a space is too
-large or its counts overflow int64, and when a cube, Gram or prefix table,
-or a Walsh working set, would pass MAX_CUBE_TABLE_BYTES.
+large or its counts overflow int64, and when a widened, Gram or prefix
+table, or a Walsh working set, would pass MAX_CUBE_TABLE_BYTES.
 
 Each oracle has one kernel that works on a batch of tensors, given as the
 rows of a (T, size) 0/1 matrix: exact_rejections and nearest_distances take
@@ -101,16 +98,14 @@ def _check_budget(required: int, budget: int, what: str) -> None:
         )
 
 
-# The cube table and the (size^2, d) int64 differences it is built from may
-# take this many bytes together, and so may shapka's Gram table, the nearest
-# search's prefix table and a Walsh working set (16 bytes per entry, for the
-# nearest search and nearest_affine).  A larger shape is refused before
-# anything is built: cubes on (6,)^4 need 195 MiB and on (8,)^4 2 GiB, the
-# Gram table on (3,)^10 2.9 GiB, the prefix table on (8,)^4 1 GiB, and a
-# Walsh working set on F2^25 512 MiB (F2^24 needs exactly 256 MiB and fits).
-# The build's other temporaries come on top: (6,)^4 peaks at 268 MiB in
-# tracemalloc and a shape of one axis at about twice its count, while the
-# prefix table is filled in place, near its own bytes.
+# The sic tests' widened table, shapka's Gram table, the nearest search's
+# prefix table and a Walsh working set (16 bytes per entry, for the nearest
+# search and nearest_affine) may each take this many bytes.  A larger shape
+# is refused before anything is built: the widened table on (128,64) 512 MiB
+# ((64,64) and (8,)^4 need 128 MiB), the Gram table on (3,)^10 2.9 GiB, the
+# prefix table on (8,)^4 1 GiB, and a Walsh working set on F2^25 512 MiB
+# (F2^24 needs exactly 256 MiB and fits).  The first and third are filled in
+# place, near their own bytes.
 MAX_CUBE_TABLE_BYTES = 1 << 28
 
 
@@ -122,16 +117,6 @@ def _check_table_bytes(needed: int, dims: tuple, what: str, table: str) -> None:
         )
 
 
-def _check_cube_bytes(shape: Shape, what: str) -> None:
-    # Each a spans prod_i (2 n_i - 1) cube entries over all b: axis i adds one
-    # for b_i = a_i and two for each other value.  The table drops the
-    # 1 + 2 sum_i (n_i - 1) entries of the pairs with w < 2.
-    spans = prod(2 * n - 1 for n in shape.dims) - 1 - 2 * sum(n - 1 for n in shape.dims)
-    if spans:  # an empty table builds nothing
-        _check_table_bytes(8 * shape.size * (spans + shape.size * shape.d), shape.dims, what,
-                           "cube")
-
-
 def _check_int64(bound: int, what: str) -> None:
     if bound >= 1 << 63:
         raise BudgetExceededError(
@@ -139,8 +124,8 @@ def _check_int64(bound: int, what: str) -> None:
         )
 
 
-# Cube and prefix tables depend only on the shape, so they are built once
-# per process and shared between threads.
+# Prefix tables depend only on the shape, so they are built once per
+# process and shared between threads.
 _cache: dict = {}
 _cache_lock = threading.Lock()
 
@@ -157,55 +142,7 @@ def _cached(key, build):
 # ---------------------------------------------------------------------------
 # Tensor tests
 # ---------------------------------------------------------------------------
-# sic-subsets, sic-cube and the conjectured test are counted from the cube
-# table: the splices of b onto a for every pair (a, b).  shapka is counted
-# from a Walsh transform over the binary axes.
-
-
-def _cubes(flat_a: np.ndarray, diff: np.ndarray):
-    """The cube each pair (a, b) spans, grouped by width w = |delta(a, b)|.
-
-    flat_a holds the flat index of each pair's a, and the (pairs, d) diff
-    its (b - a) * strides.  Yields (w, pairs, cubes) for each width present,
-    in increasing w: pairs lists the pairs of width w in their given order,
-    and row p of the (len(pairs), 2^w) int64 cubes holds the flat index of
-    the splice of b onto a along each x in F2^w, x in row-major order with
-    the first differing axis most significant.  So column 0 is a, the last
-    column is b and column 2^w - 1 - x is x's complement.
-    """
-    differ = diff != 0
-    width = differ.sum(axis=1)
-    # bincount, not np.unique: a first np.unique call adds about 0.9 MB of
-    # peak RSS (numpy 2.4).
-    for w in np.flatnonzero(np.bincount(width)).tolist():
-        pairs = np.flatnonzero(width == w)
-        steps = diff[pairs][differ[pairs]].reshape(len(pairs), w)
-        cubes = np.empty((len(pairs), 1 << w), dtype=np.int64)
-        cubes[:, 0] = flat_a[pairs]
-        for j in range(w):  # doubling in place, so the first axis ends most significant
-            np.add(cubes[:, :1 << j], steps[:, w - 1 - j, None], out=cubes[:, 1 << j:2 << j])
-        yield w, pairs, cubes
-
-
-def _cube_table(shape: Shape) -> list:
-    """The cubes of every pair (a, b) with w >= 2, as a list of (w, cubes).
-
-    Pairs are a-major.  Pairs with w < 2 are left out: every test's queries
-    on them cancel in pairs.
-    """
-    if sum(n > 1 for n in shape.dims) < 2:  # no pair has w >= 2: build nothing
-        return []
-    n = shape.size
-    pts = shape.point_array()
-    diff = (pts[None] - pts[:, None]).reshape(n * n, -1)
-    diff *= shape.strides
-    keep = np.flatnonzero(np.count_nonzero(diff, axis=1) >= 2)
-    diff = diff[keep]  # frees the differences of the pairs left out
-    keep //= n  # each kept pair's a
-    return [(w, cubes) for w, _, cubes in _cubes(keep, diff)]
-
-
-# Tensors times cube entries (or anchors times line points, prefixes or
+# Tensors times widened entries (or anchors times line points, prefixes or
 # truth-table entries) that one pass of a batched kernel holds, so its
 # temporaries stay near a MiB at any batch size; the weighted sum and the
 # transform work in int64.  A single tensor always gets a pass of its own.
@@ -291,27 +228,61 @@ def _blr_rejections(rows: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
     return out, n * n
 
 
-def _cube_rejections(rows: np.ndarray, shape: Shape, kind: str, k: int) -> np.ndarray:
-    """Rejecting count of each row of a (T, size) bit matrix, from the cube table.
+def _sic_counts(rows: np.ndarray, dims: tuple) -> np.ndarray:
+    """sic rejecting count of each row of a (T, size) bit matrix, out of size^2 4^d.
 
-    The sic tests: a pair of width w rejects BLR's count on its cube.  The
-    conjectured test: it rejects the x in F2^w with g(0) ^ g(x) ^ g(1...1) ^
-    g(~x) = 1.  Each of these stands for 2^(k (d - w)) tuples, so no sum
-    exceeds the total that passed _check_int64; BLR's cube sum is at most
-    8^w, below that total's 16^w.
+    Summed over (a_i, b_i, s_i, t_i), axis i of length n puts the queries
+    (q0, q1, q2, q3) on one point n times and once in each pairing q0 q2 | q1 q3,
+    q0 q1 | q2 q3 and q0 q3 | q1 q2: the kernel 4 sum_v e_v^4 + 1/2 sum_{u<v}
+    ((e_u + e_v)^4 + (e_u - e_v)^4).  With G the transform of F = (-1)^f on every
+    axis by these states, the sign sum is 2^-d sum 8^(unit states) G^4, whose
+    nonnegative terms sum to at most size^2 8^d < 2^63 under the byte ceiling.
+    G fills the widened table of prod_i n_i^2 int64 in place, unit states
+    first, in some 4 size^2 adds: fewer than the size^2 4^d tuples budgeted.
     """
+    out = np.empty(len(rows), dtype=np.int64)
+    for part in _passes(len(rows), prod(n * n for n in dims)):
+        g = np.empty((len(rows[part]),) + tuple(n * n for n in dims), dtype=np.int64)
+        at = [slice(None)] + [slice(n) for n in dims]  # the unit states of every axis
+        g[tuple(at)] = _SIGNS[rows[part]].reshape((-1,) + dims)
+        for i, n in enumerate(dims, 1):  # e_u + e_v and e_u - e_v for each u < v
+            at[i] = slice(None)
+            axis = np.moveaxis(g[tuple(at)], i, 0)
+            for u in range(n - 1):
+                start, m = n + u * (2 * n - u - 1), n - 1 - u
+                np.add(axis[u], axis[u + 1:n], out=axis[start:start + m])
+                np.subtract(axis[u], axis[u + 1:n], out=axis[start + m:start + 2 * m])
+        g *= g  # G^2, then G^4
+        g *= g
+        for i, n in enumerate(dims, 1):  # weight 8 on each unit state
+            g[(slice(None),) * i + (slice(n),)] *= 8
+        out[part] = g.reshape(len(g), -1).sum(axis=1)
+    return ((prod(dims) ** 2 << 3 * len(dims)) - out) >> len(dims) + 1
+
+
+def _conjectured_counts(rows: np.ndarray, dims: tuple) -> np.ndarray:
+    """Conjectured rejecting count of each row of a (T, size) bit matrix, out of size^2 2^d.
+
+    Summed over (a_i, b_i, x_i), axis i puts the queries once in each pairing
+    q0 q1 | q2 q3 and q0 q3 | q1 q2, so the sign sum over all tuples is sum_C
+    |M_C M_C^T|^2 over the splits C of the axes, M_C the +-1 tensor with C's
+    axes as rows: below 2^d size^2 multiply-adds.  M_C^T gives the same norm,
+    so each split is read with its complement, at the C without the last axis.
+    """
+    d, size = len(dims), prod(dims)
     out = np.zeros(len(rows), dtype=np.int64)
-    for w, cubes in _cached(("cubes", shape.dims), lambda: _cube_table(shape)):
-        for part in _passes(len(rows), cubes.size):
-            g = np.take(rows[part], cubes, axis=1)
-            if kind == testers.CONJECTURED:
-                parity = g ^ g[..., ::-1] ^ (g[..., :1] ^ g[..., -1:])
-                counts = np.count_nonzero(parity.reshape(len(g), -1), axis=1)
-            else:
-                counts = _blr_counts(g.reshape(-1, 1 << w)).reshape(len(g), -1)
-                counts = counts.sum(axis=1)
-            out[part] += counts << k * (shape.d - w)
-    return out
+    for part in _passes(len(rows), size):
+        f = _SIGNS[rows[part]].reshape((-1,) + dims)
+        for mask in range(1 << (d - 1)):
+            split = [i for i in range(d) if mask >> i & 1]
+            rest = [i for i in range(d) if not mask >> i & 1]
+            m = f.transpose(0, *(1 + i for i in split + rest))
+            m = m.reshape(len(f), prod(dims[i] for i in split), -1)
+            if m.shape[1] > m.shape[2]:  # form the smaller Gram matrix
+                m = m.swapaxes(1, 2)
+            gram = m @ m.swapaxes(1, 2)
+            out[part] += 2 * np.einsum("tij,tij->t", gram, gram)
+    return ((size * size << d) - out) >> 1
 
 
 def _residuals(rows: np.ndarray, shape: Shape) -> np.ndarray:
@@ -405,8 +376,13 @@ def exact_rejections(shape: Shape, kind: str, rows,
     _check_int64(total, f"{kind} enumeration")  # every count is at most total
     if kind == testers.SHAPKA:  # the residual identity: rej = sum_a |f ^ LV_a(f)|
         return _residuals(bits, shape).sum(axis=1), total
-    _check_cube_bytes(shape, kind)
-    return _cube_rejections(bits, shape, kind, k), total
+    dims = tuple(n for n in shape.dims if n > 1)  # an axis of length 1 scales counts by 2^k
+    if len(dims) < 2:  # the queries of every tuple cancel in pairs
+        return np.zeros(len(bits), dtype=np.int64), total
+    if kind == testers.CONJECTURED:
+        return _conjectured_counts(bits, dims) << shape.d - len(dims), total
+    _check_table_bytes(8 * prod(n * n for n in dims), shape.dims, kind, "widened")
+    return _sic_counts(bits, dims) << 2 * (shape.d - len(dims)), total
 
 
 def exact_blr_rejection(table) -> ExactRejection:

@@ -4,9 +4,9 @@ A pattern maps a batch of randomness rows to the flat indices the test
 queries; the test rejects a row when f's parity over them is 1.  The
 one-shot trials below (a batch of one) and Monte Carlo in harness (a
 sampled batch) apply the same pattern.  The exact oracles count the whole
-randomness space from closed forms over small per-shape tables instead, and
-the tests check them against these trials.  Those tables, and the cubes the
-affine bridge fits, are built in oracles: no code here enumerates a cube.
+randomness space from closed forms over per-axis transforms of the tensor
+instead, and the tests check them against these trials.  No code here
+enumerates a cube: the affine bridge builds its own, in agreement.
 Trials are pure functions of (tensor, randomness) and safe to run concurrently.
 """
 

@@ -159,14 +159,14 @@ class TestOracle:
                             "sic-subsets", "--budget", "3"], capsys)
         assert code == 2
 
-    def test_cube_table_ceiling_is_usage_error(self, capsys, tmp_path):
+    def test_widened_table_ceiling_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "f.tensor"
-        path.write_text(tensor_to_text(BinaryTensor.zeros(Shape((8,) * 4))))
+        path.write_text(tensor_to_text(BinaryTensor.zeros(Shape((128, 64)))))
         code, out, err = run(["oracle", "--input", str(path), "--test",
-                              "conjectured"], capsys)
+                              "sic-subsets"], capsys)
         assert (code, out) == (2, "")
-        assert err == ("error: conjectured on shape (8, 8, 8, 8) needs 2193883136 "
-                       "bytes for its cube table, beyond the 268435456-byte ceiling\n")
+        assert err == ("error: sic-subsets on shape (128, 64) needs 536870912 "
+                       "bytes for its widened table, beyond the 268435456-byte ceiling\n")
 
     @pytest.mark.parametrize("args", [["oracle", "--test", "shapka"],
                                       ["decode", "--mode", "local-view"]])

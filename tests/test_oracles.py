@@ -1,5 +1,6 @@
 """Exact oracles: enumeration counts, nearest codewords, decoders, identities."""
 
+import time
 import tracemalloc
 from fractions import Fraction
 from math import prod
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rank1check import oracles
+from rank1check import oracles, testers
 from rank1check.core import (
     BinaryTensor,
     CubePoint,
@@ -267,7 +268,7 @@ class TestBchksBound:
 
 
 class TestSicCubeKernel:
-    """sic-subsets and sic-cube are counted from each pair's cube, with no plan."""
+    """sic-subsets and sic-cube are counted from the widened table, with no plan."""
 
     @staticmethod
     def one_flip(d):
@@ -291,8 +292,8 @@ class TestSicCubeKernel:
     @pytest.mark.parametrize("kind", [SIC_SUBSETS, SIC_CUBE])
     def test_seven_binary_axes_without_a_plan(self, monkeypatch, kind):
         # A plan of this space would hold 128 * 5^7 rows of 4 queries, which
-        # peaked at 1.5 GiB; the cube table holds 128 * 3^7 indices.
-        monkeypatch.setattr(oracles, "_cache", {})  # build the cube table cold
+        # peaked at 1.5 GiB; the widened table holds 4^7 int64 entries.
+        monkeypatch.setattr(oracles, "_cache", {})
         f = self.one_flip(7)
         tracemalloc.start()
         try:
@@ -304,8 +305,8 @@ class TestSicCubeKernel:
         assert peak < 64 << 20
 
     def test_eight_binary_axes_cold(self, monkeypatch):
-        # The cube table holds 256 * 3^8 int64 indices, 13 MiB, so the bound
-        # leaves room for little beside the table and one width's transform.
+        # The widened table holds 4^8 int64 entries, 512 KiB; the cube table
+        # it replaced held 256 * 3^8, 13 MiB.
         monkeypatch.setattr(oracles, "_cache", {})
         f = self.one_flip(8)
         tracemalloc.start()
@@ -318,8 +319,8 @@ class TestSicCubeKernel:
         assert peak < 32 << 20
 
     def test_four_axes_of_five_cold(self, monkeypatch):
-        # The table and the pair differences take 43 MiB; the doubling fills
-        # each width's cubes in place, so little comes on top.
+        # The conjectured count holds a few copies of the tensor and Gram
+        # matrices of at most 25 x 25; the cube table it replaced took 43 MiB.
         monkeypatch.setattr(oracles, "_cache", {})
         f = BinaryTensor(Shape((5,) * 4), np.random.default_rng(5).integers(0, 2, 625))
         tracemalloc.start()
@@ -330,12 +331,11 @@ class TestSicCubeKernel:
             tracemalloc.stop()
         assert peak < 64 << 20
 
-    @pytest.mark.parametrize("kind", [SIC_SUBSETS, SIC_CUBE, CONJECTURED])
+    @pytest.mark.parametrize("kind", [SIC_SUBSETS, SIC_CUBE])
     def test_byte_ceiling_refuses_before_building(self, kind):
-        # (8,)^4 passes the default tuple budget, and its cube table would
-        # hold 4096 * 50568 int64 indices (1.54 GiB) beside 512 MiB of
-        # differences.
-        f = BinaryTensor(Shape((8,) * 4), np.zeros(4096, dtype=np.uint8))
+        # (128,64) passes the default tuple budget (2^30 tuples), and its
+        # widened table would hold 128^2 * 64^2 int64 entries, 512 MiB.
+        f = BinaryTensor(Shape((128, 64)), np.zeros(8192, dtype=np.uint8))
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError) as refused:
@@ -344,9 +344,32 @@ class TestSicCubeKernel:
         finally:
             tracemalloc.stop()
         assert str(refused.value) == (
-            f"{kind} on shape (8, 8, 8, 8) needs 2193883136 bytes for its cube "
+            f"{kind} on shape (128, 64) needs 536870912 bytes for its widened "
             "table, beyond the 268435456-byte ceiling")
         assert peak < 1 << 20
+
+    def test_conjectured_holds_no_widened_table(self):
+        # The conjectured count holds Gram matrices of at most size entries,
+        # so (8,)^4, whose cube table was refused at 2 GiB, runs.
+        f = BinaryTensor(Shape((8,) * 4), np.random.default_rng(8).integers(0, 2, 4096))
+        r = exact_rejection(f, CONJECTURED)
+        assert r.total == 4096 ** 2 * 16 and 0 < r.rejecting < r.total
+
+    @pytest.mark.parametrize("dims", [(6,) * 4, (2,) * 10], ids=str)
+    def test_widened_table_is_what_is_counted(self, dims):
+        # The table is filled in place, so the peak stays near its own bytes.
+        sh = Shape(dims)
+        f = BinaryTensor(sh, np.random.default_rng(9).integers(0, 2, sh.size))
+        counted = 8 * prod(n * n for n in dims)
+        exact_rejection(BinaryTensor.zeros(Shape((2, 2))), SIC_SUBSETS)  # lazy set-up
+        tracemalloc.start()
+        try:
+            r = exact_rejection(f, SIC_SUBSETS, budget=1 << 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counted <= peak < counted + (1 << 20)
+        assert r.total == sh.size ** 2 << 2 * sh.d
 
     def test_tuple_budget_is_checked_first(self):
         f = BinaryTensor(Shape((8,) * 4), np.zeros(4096, dtype=np.uint8))
@@ -358,24 +381,25 @@ class TestSicCubeKernel:
     @pytest.mark.parametrize("dims", [(5,), (2, 3), (3, 1, 2), (2, 2, 2),
                                       (4, 4, 4), (1, 4, 1, 3), (2,) * 5])
     def test_byte_count_is_what_the_build_holds(self, monkeypatch, dims):
-        # With the ceiling at zero the refusal names the bytes the build
-        # would take: the table plus the (size^2, d) int64 differences.  A
-        # shape whose table is empty, such as (5,), builds nothing and so is
-        # never refused.
+        # With the ceiling at zero the refusal names the bytes of the widened
+        # table: prod n_i^2 int64 entries over the axes longer than 1.  A
+        # shape with fewer than two such axes, such as (5,), builds nothing
+        # and so is never refused.
         sh = Shape(dims)
         monkeypatch.setattr(oracles, "MAX_CUBE_TABLE_BYTES", 0)
-        entries = sum(cubes.size for _, cubes in oracles._cube_table(sh))
-        if entries == 0:
-            assert exact_rejection(BinaryTensor.zeros(sh), CONJECTURED).rejecting == 0
+        long = [n for n in dims if n > 1]
+        if len(long) < 2:
+            assert exact_rejection(BinaryTensor.zeros(sh), SIC_SUBSETS).rejecting == 0
             return
         with pytest.raises(BudgetExceededError) as refused:
-            exact_rejection(BinaryTensor.zeros(sh), CONJECTURED)
+            exact_rejection(BinaryTensor.zeros(sh), SIC_SUBSETS)
         needed = int(str(refused.value).split(" needs ")[1].split()[0])
-        assert needed == 8 * (entries + sh.size ** 2 * sh.d)
+        assert needed == 8 * prod(n * n for n in long)
+        assert exact_rejection(BinaryTensor.zeros(sh), CONJECTURED).rejecting == 0
 
     def test_one_axis_builds_no_table(self, monkeypatch):
-        # No pair of a one-axis shape differs on two axes, so its table is
-        # empty: nothing is built and the byte ceiling does not apply.
+        # No pair of a one-axis shape differs on two axes, so every count is
+        # 0: nothing is built and the byte ceiling does not apply.
         monkeypatch.setattr(oracles, "_cache", {})
         f = BinaryTensor(Shape((2048,)), np.random.default_rng(6).integers(0, 2, 2048))
         tracemalloc.start()
@@ -389,6 +413,20 @@ class TestSicCubeKernel:
         f = BinaryTensor(Shape((32768,)), np.random.default_rng(7).integers(0, 2, 32768))
         r = exact_rejection(f, SIC_SUBSETS)
         assert (r.rejecting, r.total) == (0, 1 << 32)
+
+    def test_unit_axes_scale_back(self):
+        # Twenty axes of length 1 scale the (2,2) counts by 4^20 and 2^20.
+        # Counted with them, the sic form overflowed int64 and the
+        # conjectured one summed 2^22 splits.
+        f = BinaryTensor(Shape((1,) * 20 + (2, 2)), [1, 0, 0, 0])
+        for kind, expected in ((SIC_SUBSETS, (26388279066624, 1 << 48)),
+                               (CONJECTURED, (8388608, 67108864))):
+            started = time.perf_counter()
+            r = exact_rejection(f, kind, budget=1 << 62)
+            assert time.perf_counter() - started < 1
+            assert (r.rejecting, r.total) == expected
+            small = exact_rejection(BinaryTensor(Shape((2, 2)), [1, 0, 0, 0]), kind)
+            assert r.value == small.value
 
 
 class TestShapkaKernel:
@@ -1070,54 +1108,41 @@ class TestWalshKernels:
         assert np.array_equal(oracles._residuals(rows, sh), reference_residuals(rows, sh))
 
 
-def widened_sic_counts(shape, rows):
-    """sic rejecting counts of a (T, size) bit matrix, without the cube table.
+def reference_cube_counts(shape, rows):
+    """Rejecting counts of the sic and conjectured tests, read off every pair's cube.
 
-    On an axis of length n the sum over (a_i, b_i, s_i, t_i) is the kernel
-    4 sum_v e_v^4 + 1/2 sum_{u<v} ((e_u + e_v)^4 + (e_u - e_v)^4).  So with G
-    the transform of (-1)^f on every axis by e_v, then e_u + e_v and e_u - e_v,
-    the sign sum is 2^-d sum 8^(unit states) G^4, out of size^2 4^d.
+    This is the cube-table count that the per-axis forms replaced.  Row p of
+    a width-w cube lists the splice of b onto a at each x in F2^w, the first
+    differing axis most significant, so column 2^w - 1 - x is x's
+    complement.  A sic pair rejects BLR's count on its cube, each tuple
+    standing for 4^(d - w) of the space; a conjectured pair rejects the x
+    with g(0) ^ g(x) ^ g(1...1) ^ g(~x) = 1, each standing for 2^(d - w).
+    Pairs with w < 2 reject nothing.
     """
-    weight = np.ones(1, dtype=np.int64)
-    for n in shape.dims:
-        weight = np.outer(weight, np.repeat([8, 1], [n, n * (n - 1)])).ravel()
-    signs = []
-    step = max(1, (1 << 20) // weight.size)
-    for i in range(0, len(rows), step):
-        g = 1 - 2 * rows[i:i + step].reshape(-1, *shape.dims).astype(np.int64)
-        for n in shape.dims:  # axis 1 moves last each time, so the axes end in order
-            u, v = np.triu_indices(n, 1)
-            x = np.moveaxis(g, 1, -1)
-            g = np.concatenate([x, x[..., u] + x[..., v], x[..., u] - x[..., v]], axis=-1)
-        signs.append(g.reshape(len(g), -1) ** 4 @ weight)
-    return (shape.size ** 2 * 8 ** shape.d - np.concatenate(signs)) >> (shape.d + 1)
-
-
-def flattened_conjectured_counts(shape, rows):
-    """Conjectured rejecting counts: (2^d size^2 - sum_C ||M_C M_C^T||^2) / 2 over
-    the splits C of the axes, M_C the +-1 tensor with C's axes as rows."""
-    d = shape.d
-    f = 1 - 2 * rows.reshape(-1, *shape.dims).astype(np.int64)
-    signs = 0
-    for mask in range(1 << d):
-        split = [i for i in range(d) if mask >> i & 1]
-        rest = [i for i in range(d) if not mask >> i & 1]
-        m = f.transpose(0, *(1 + i for i in split + rest))
-        m = m.reshape(len(f), prod(shape.dims[i] for i in split), -1)
-        if m.shape[1] > m.shape[2]:  # the smaller Gram matrix has the same norm
-            m = m.swapaxes(1, 2)
-        signs = signs + ((m @ m.swapaxes(1, 2)) ** 2).sum(axis=(1, 2))
-    return ((shape.size ** 2 << d) - signs) // 2
-
-
-def closed_form_counts(shape, rows):
-    """The rejecting counts of the cube-table kinds, from the two forms above."""
-    sic = widened_sic_counts(shape, rows)
-    return {SIC_SUBSETS: sic, SIC_CUBE: sic, CONJECTURED: flattened_conjectured_counts(shape, rows)}
+    d, size = shape.d, shape.size
+    pts = shape.point_array()
+    diff = ((pts[None] - pts[:, None]) * shape.strides).reshape(size * size, d)
+    width = np.count_nonzero(diff, axis=1)
+    sic = np.zeros(len(rows), dtype=np.int64)
+    conjectured = np.zeros(len(rows), dtype=np.int64)
+    for w in range(2, d + 1):
+        pairs = np.flatnonzero(width == w)
+        steps = diff[pairs][diff[pairs] != 0].reshape(len(pairs), w)
+        corners = (np.arange(1 << w)[:, None] >> np.arange(w - 1, -1, -1)) & 1
+        cubes = pairs[:, None] // size + steps @ corners.T  # pairs are a-major
+        step = max(1, (1 << 20) // max(cubes.size, 1))
+        for lo in range(0, len(rows), step):
+            g = rows[lo:lo + step][:, cubes]
+            blr = exact_rejections(Shape((2,) * w), BLR, g.reshape(-1, 1 << w))[0]
+            sic[lo:lo + step] += blr.reshape(len(g), -1).sum(axis=1) << 2 * (d - w)
+            parity = g ^ g[..., ::-1] ^ g[..., :1] ^ g[..., -1:]
+            conjectured[lo:lo + step] += np.count_nonzero(
+                parity.reshape(len(g), -1), axis=1) << d - w
+    return {SIC_SUBSETS: sic, SIC_CUBE: sic, CONJECTURED: conjectured}
 
 
 class TestCubeTableClosedForms:
-    """The cube table's counts against both closed forms, past brute force's (2,)^6."""
+    """The per-axis forms against the cube-table count, past brute force's (2,)^6."""
 
     @pytest.mark.parametrize("dims", [(4, 4, 4), (5, 5), (6, 6), (1, 5, 1, 2), (2,) * 7,
                                       (2,) * 8], ids=str)
@@ -1125,9 +1150,88 @@ class TestCubeTableClosedForms:
         sh = Shape(dims)
         rows = np.random.default_rng(sh.size).integers(0, 2, (8, sh.size), dtype=np.uint8)
         rows[0] = DirectSum.random(sh, np.random.default_rng(0)).materialize().bits
-        for kind, counts in closed_form_counts(sh, rows).items():
+        for kind, counts in reference_cube_counts(sh, rows).items():
             rej = exact_rejections(sh, kind, rows)[0]
             assert rej[0] == 0 and np.array_equal(rej, counts), kind
+
+    @settings(max_examples=80, deadline=None)
+    @given(unit_axis_batches())
+    def test_batches_with_unit_axes(self, batch):
+        shape, rows = batch
+        for kind, counts in reference_cube_counts(shape, rows).items():
+            assert np.array_equal(exact_rejections(shape, kind, rows)[0], counts), kind
+
+
+def pattern_kernel(queries, n, selectors):
+    """How often each 4-tuple of points on one axis of length n is queried.
+
+    Every (a, b) and selector row runs through a testers pattern, with a at
+    flat index a and b at b.
+    """
+    a, b, *chosen = np.meshgrid(np.arange(n), np.arange(n), *([[0, 1]] * selectors),
+                                indexing="ij")
+    columns = queries(a.ravel(), b.ravel(), (b - a).reshape(1, -1),
+                      *(x.reshape(1, -1) for x in chosen))
+    kernel = np.zeros((n,) * 4, dtype=np.int64)
+    np.add.at(kernel, tuple(columns), 1)
+    return kernel
+
+
+def pairing(n, first, second):
+    """[q_i = q_j] [q_k = q_l] on one axis of length n, for first (i, j) and second (k, l)."""
+    eye = np.eye(n, dtype=np.int64)
+    letters = "pqrs"
+    spec = "".join(letters[q] for q in first) + "," + "".join(letters[q] for q in second)
+    return np.einsum(spec + "->pqrs", eye, eye)
+
+
+class TestPairingsFromPatterns:
+    """The closed forms' per-axis terms, read off the tests' one definition.
+
+    On one axis, with a = 0 and b = 1, each selector value puts the four
+    queries in a partition; summed over the axis's (a, b) and selectors,
+    those partitions are the pairings each form sums.
+    """
+
+    @staticmethod
+    def partition(columns):
+        groups = {}
+        for q, point in enumerate(columns):
+            groups.setdefault(int(point[0]), []).append(q)
+        return {tuple(g) for g in groups.values()}
+
+    def one_axis(self, queries, *selectors):
+        zero, one = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+        return self.partition(queries(zero, one, one[None],
+                                      *(np.array([[x]]) for x in selectors)))
+
+    def test_sic_pairings(self):
+        found = {(s, t): self.one_axis(testers._sic_queries, s, t)
+                 for s in (0, 1) for t in (0, 1)}
+        assert found == {(0, 0): {(0, 1, 2, 3)}, (1, 0): {(0, 2), (1, 3)},
+                         (0, 1): {(0, 1), (2, 3)}, (1, 1): {(0, 3), (1, 2)}}
+        for n in (2, 3, 4):
+            kernel = pattern_kernel(testers._sic_queries, n, 2)
+            pairings = sum(pairing(n, *sorted(parts)) for parts in found.values()
+                           if len(parts) == 2)
+            same = pairing(n, (0, 1), (2, 3)) * pairing(n, (0, 2), (1, 3))
+            assert np.array_equal(kernel, n * same + pairings)
+            # The form's states: weight 8 on each e_v, 1 on each e_u +- e_v.
+            eye = np.eye(n, dtype=np.int64)
+            u, v = np.triu_indices(n, 1)
+            states = np.vstack([eye, eye[u] + eye[v], eye[u] - eye[v]])
+            weights = np.repeat([8, 1], [n, n * (n - 1)])
+            assert np.array_equal(2 * kernel, np.einsum("k,kp,kq,kr,ks->pqrs", weights,
+                                                        states, states, states, states))
+
+    def test_conjectured_pairings(self):
+        found = {x: self.one_axis(testers._conjectured_queries, x) for x in (0, 1)}
+        assert found == {0: {(0, 1), (2, 3)}, 1: {(0, 3), (1, 2)}}
+        # An axis in the split C pairs the queries as rows of M_C, {q0 q1 | q2 q3},
+        # and an axis outside it as columns, {q0 q3 | q1 q2}.
+        for n in (2, 3, 4):
+            kernel = pattern_kernel(testers._conjectured_queries, n, 1)
+            assert np.array_equal(kernel, pairing(n, (0, 1), (2, 3)) + pairing(n, (0, 3), (1, 2)))
 
 
 def upper_envelope_shapes():
@@ -1155,7 +1259,7 @@ class TestUpperEnvelope:
     direct sums, so f = s ^ e rejects only when a query lands in e's support:
     q is 4 for the sic and conjectured tests and d + 1 + [d even] for shapka.
     shapka's eps >= dist then brackets the distance in [eps / q, eps].  The
-    sic and conjectured counts must also equal closed_form_counts.
+    sic and conjectured counts must also equal reference_cube_counts.
     """
 
     @pytest.mark.parametrize("dims", upper_envelope_shapes(), ids=str)
@@ -1168,7 +1272,7 @@ class TestUpperEnvelope:
         rows[:, free] = (codes[:, None] >> np.arange(free.size)) & 1
         dist = nearest_distances(sh, rows)
         worst = {}
-        closed = closed_form_counts(sh, rows)
+        closed = reference_cube_counts(sh, rows)
         for kind in TENSOR_TEST_KINDS:
             q = sh.d + 1 + (sh.d % 2 == 0) if kind == SHAPKA else 4
             rej, total = exact_rejections(sh, kind, rows)
